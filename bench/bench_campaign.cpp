@@ -15,7 +15,7 @@
 // zero-replay invariant via tools/check_bench_regression.py.
 //
 //   RJF_BENCH_FRAMES   trials per grid point (default 400)
-//   RJF_BENCH_THREADS  worker threads (default 0 = all cores)
+//   RJF_BENCH_THREADS  worker threads (default: host_cores())
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -41,7 +41,7 @@ core::CampaignSpec bench_spec() {
   spec.grid.rate_indices = {0, 7};  // wifi_ofdm: 6 and 54 Mb/s
   spec.grid.snrs_db = {-2.0, 2.0, 6.0};
   spec.grid.trials_per_point = bench::frames_per_point();
-  spec.threads = bench::sweep_threads(0);
+  spec.threads = bench::resolved_sweep_threads();
   return spec;
 }
 
@@ -58,13 +58,11 @@ int main() {
               spec.grid.num_points(), spec.grid.trials_per_point,
               bench::resolved_sweep_threads());
 
-  const std::string dir = [] {
-    const char* tmp = std::getenv("TMPDIR");
-    return std::string(tmp != nullptr ? tmp : "/tmp") + "/";
-  }();
-
-  // Uninterrupted reference.
-  const std::string full_path = dir + "bench_campaign_full.rjfc";
+  // Uninterrupted reference. Store paths carry the process id: two runs
+  // of this bench share a spec and so a fingerprint, and a shared path
+  // would let one silently resume the other's store.
+  const std::string full_path =
+      bench::process_temp_path("bench_campaign_full", ".rjfc");
   std::remove(full_path.c_str());
   const core::CampaignReport full = core::run_campaign(spec, full_path);
   std::remove(full_path.c_str());
@@ -75,7 +73,8 @@ int main() {
               full.shards_total);
 
   // Window 1: half the shards, then "die". Window 2: resume and finish.
-  const std::string resume_path = dir + "bench_campaign_resume.rjfc";
+  const std::string resume_path =
+      bench::process_temp_path("bench_campaign_resume", ".rjfc");
   std::remove(resume_path.c_str());
   core::CampaignSpec windowed = spec;
   windowed.max_shards_this_run = full.shards_total / 2;

@@ -50,7 +50,7 @@ int main() {
 
     core::SweepConfig sweep;
     sweep.trials_per_point = frames;
-    sweep.threads = bench::sweep_threads();
+    sweep.threads = bench::resolved_sweep_threads();
     core::DetectionRunConfig base;
 
     sweep.seed = 0xF16;

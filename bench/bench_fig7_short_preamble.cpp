@@ -31,7 +31,7 @@ int main() {
   const std::vector<double> snrs = {-9.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0, 15.0};
   core::SweepConfig sweep;
   sweep.trials_per_point = frames;
-  sweep.threads = bench::sweep_threads();
+  sweep.threads = bench::resolved_sweep_threads();
   sweep.seed = 0xF17;
   core::DetectionRunConfig base;
   const auto report = core::run_detection_sweep(

@@ -31,7 +31,7 @@ int main() {
                                     10.0, 11.0, 12.0, 15.0, 20.0};
   core::SweepConfig sweep;
   sweep.trials_per_point = frames;
-  sweep.threads = bench::sweep_threads();
+  sweep.threads = bench::resolved_sweep_threads();
   sweep.seed = 0xF18;
   core::DetectionRunConfig base;
   const auto report = core::run_detection_sweep(

@@ -16,7 +16,7 @@
 // tools/check_bench_regression.py.
 //
 //   RJF_BENCH_FRAMES   trials per (rate, SNR) point (default 300)
-//   RJF_BENCH_THREADS  sweep-engine worker threads (default 0 = all cores)
+//   RJF_BENCH_THREADS  sweep-engine worker threads (default: host_cores())
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -69,7 +69,7 @@ int main() {
 
   core::SweepConfig sweep;
   sweep.trials_per_point = bench::frames_per_point(300);
-  sweep.threads = bench::sweep_threads(0);
+  sweep.threads = bench::resolved_sweep_threads();
   sweep.seed = 0x5CE9;
 
   core::DetectionRunConfig base;

@@ -22,7 +22,6 @@
 //   RJF_BENCH_THREADS  N for the parallel run (default 8)
 #include <cstdio>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -73,9 +72,8 @@ int main() {
   sweep.seed = 0xF16;
   core::DetectionRunConfig base;
 
-  const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
-  unsigned requested_threads = bench::sweep_threads(8);
-  if (requested_threads == 0) requested_threads = host_cores;
+  const unsigned host_cores = bench::host_cores();
+  const unsigned requested_threads = bench::sweep_threads(8);
   // Clamp the measurement to real cores: oversubscribed threads time-slice
   // one core and produce a meaningless "speedup" (see header comment).
   const unsigned n_threads = std::min(requested_threads, host_cores);
@@ -133,7 +131,13 @@ int main() {
   // already clamped to host_cores, so this is well-defined everywhere.
   json.set("sweep_parallel_efficiency",
            n_threads > 0 ? speedup / static_cast<double>(n_threads) : 0.0);
-  json.set("sweep_deterministic", static_cast<std::uint64_t>(deterministic ? 1 : 0));
+  // A sweep that ran no trials proves nothing: leave the flag out, so the
+  // CI gate on it fails instead of passing vacuously.
+  const std::uint64_t trials_run =
+      reference.metrics.counter_value("sweep.trials");
+  if (trials_run > 0)
+    json.set("sweep_deterministic",
+             static_cast<std::uint64_t>(deterministic ? 1 : 0));
   const std::string path = json_path != nullptr ? json_path : "BENCH_sweep.json";
   if (json.write_file(path))
     std::printf("wrote %s\n", path.c_str());

@@ -190,6 +190,7 @@ bool ShardStore::append(ShardRecord record) {
 std::uint64_t CampaignSpec::fingerprint() const {
   const ProtocolTarget& tgt = target_or_throw(target);
   std::uint64_t h = 0xcbf29ce484222325ull;
+  h = fold_word(h, kTrialSynthesisVersion);
   h = fold_word(h, tgt.name.size());
   for (const char c : tgt.name)
     h = fold_word(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));

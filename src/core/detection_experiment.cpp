@@ -53,13 +53,6 @@ const DetectionTrialPlan& LazyPlanTable::get(std::size_t point) {
   return plans_[point];
 }
 
-dsp::cfloat cfo_phasor(double w, std::uint64_t k) noexcept {
-  const double phase =
-      std::remainder(w * static_cast<double>(k), 2.0 * std::numbers::pi);
-  return dsp::cfloat{static_cast<float>(std::cos(phase)),
-                     static_cast<float>(std::sin(phase))};
-}
-
 DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
                                           const DetectionTrialPlan& plan,
                                           std::size_t trial) {
@@ -71,7 +64,7 @@ DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
 
   dsp::NoiseSource noise(plan.noise_power, noise_seed);
   dsp::cvec capture(plan.lead_in + frame.size() + plan.tail);
-  for (auto& s : capture) s = noise.sample();
+  noise.fill(capture);
 
   // Per-trial carrier frequency offset; phase evaluated in double and
   // wrapped, so long captures keep full precision (see cfo_phasor()).

@@ -29,13 +29,16 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numbers>
 #include <vector>
 
 #include "core/reactive_jammer.h"
+#include "dsp/synth_math.h"
 
 namespace rjf::obs {
 class MetricsRegistry;
@@ -171,13 +174,36 @@ struct DetectionTrialOutcome {
     std::size_t first_trial, std::size_t num_trials,
     obs::MetricsRegistry* metrics = nullptr);
 
-/// Unit phasor e^{j·w·k} for the per-trial CFO rotation, evaluated in
-/// double precision with the phase wrapped to [-pi, pi] before the cast to
-/// float. Accumulating w·k in float loses ~milliradians of phase by the
-/// end of a WiMAX-length capture (24-bit mantissa at phase magnitudes of
-/// thousands of radians); wrapping first keeps the error at double
-/// round-off regardless of capture length.
-[[nodiscard]] dsp::cfloat cfo_phasor(double w, std::uint64_t k) noexcept;
+/// Unit phasor e^{j·w·k} for the per-trial CFO rotation; a pure function
+/// of (w, k), with no rotator state. The phase is formed and wrapped in
+/// double: w·k in quarter turns, split into the nearest whole quarter turn
+/// n and a remainder in [-1/2, 1/2]. Only the remainder's cosine and sine
+/// are evaluated in float (dsp::sincos_quadrant), so the error stays below
+/// 2e-7 per component however long the capture — accumulating w·k in
+/// float would lose milliradians by the end of a WiMAX-length capture.
+/// Valid while |w·k| < 2^51 quarter turns and k < 2^63.
+[[nodiscard]] inline dsp::cfloat cfo_phasor(double w,
+                                            std::uint64_t k) noexcept {
+  // Adding 1.5·2^52 rounds any |q| < 2^51 to the nearest integer (ties to
+  // even) and leaves n mod 4 in the sum's low mantissa bits.
+  constexpr double kRoundToInt = 0x1.8p52;
+  const double q = w * static_cast<double>(static_cast<std::int64_t>(k)) *
+                   (2.0 / std::numbers::pi);
+  const double shifted = q + kRoundToInt;
+  const double r = q - (shifted - kRoundToInt);
+  return dsp::sincos_quadrant(
+      static_cast<float>(r * (std::numbers::pi / 2.0)),
+      static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(shifted)));
+}
+
+/// Identity of the trial-capture synthesis: the noise generator
+/// (dsp::NoiseSource) and CFO phasor (cfo_phasor) run_detection_trial builds
+/// every capture with. CampaignSpec::fingerprint folds it, so a shard store
+/// written by a different generator is rejected instead of merged. Bump it
+/// with any change that alters a capture's bits for the same (plan, trial).
+///   1: libm double Box-Muller and cos/sin (implicit; never folded).
+///   2: branch-free float kernels (dsp/synth_math.h).
+inline constexpr std::uint64_t kTrialSynthesisVersion = 2;
 
 /// Run the experiment: `frame_native` is the frame waveform at
 /// `config.tx_rate_hz` with arbitrary scale (re-scaled per-trial).

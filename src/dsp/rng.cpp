@@ -6,10 +6,6 @@
 namespace rjf::dsp {
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64: expands one seed word into the full xoshiro state.
 constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -33,18 +29,6 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) noexcept {
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Xoshiro256::uniform() noexcept {
@@ -82,9 +66,9 @@ double Xoshiro256::gaussian() noexcept {
 }
 
 cfloat Xoshiro256::complex_gaussian(double variance) noexcept {
-  const double sigma = std::sqrt(variance / 2.0);
-  return cfloat{static_cast<float>(sigma * gaussian()),
-                static_cast<float>(sigma * gaussian())};
+  const std::uint64_t a = next();
+  const std::uint64_t b = next();
+  return box_muller(a, b, complex_gaussian_sigma(variance));
 }
 
 }  // namespace rjf::dsp

@@ -1,0 +1,101 @@
+// Branch-free float kernels for trial capture synthesis.
+//
+// Every detection trial builds its capture from two per-sample
+// transcendentals: the Box-Muller log and sincos behind each complex WGN
+// sample (dsp::NoiseSource, Xoshiro256::complex_gaussian) and the
+// carrier-frequency-offset phasor (core::cfo_phasor). These kernels evaluate
+// them in float from IEEE-754 basic operations only — add, subtract,
+// multiply, divide, sqrt, integer<->float conversion and bit moves — with
+// no libm call and no data-dependent branch. Basic operations are correctly
+// rounded and the build turns floating-point contraction off
+// (-ffp-contract=off, so no FMA fusing), hence each kernel returns the same
+// bits on every host, ISA and thread count, whether the compiler emits it
+// scalar or vectorised. DESIGN.md §16 gives the accuracy bounds.
+#pragma once
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+#include "dsp/types.h"
+
+namespace rjf::dsp {
+
+/// Natural logarithm of a normal float x in (0, 1]; within 1 ulp of the
+/// correctly rounded result. Splits x = 2^k·m with m in [√2/2, √2) by
+/// rebiasing the exponent field, then evaluates log m = 2·atanh(s),
+/// s = f/(2+f), f = m − 1, with fdlibm's logf minimax polynomial; log 2 is
+/// split hi+lo so k·log 2 adds no rounding of its own. x = 1 gives exactly
+/// 0. Zero, subnormals, negatives and x > 1 are outside the domain.
+[[nodiscard]] __attribute__((always_inline)) inline float log_unit(
+    float x) noexcept {
+  constexpr float kLn2Hi = 6.9313812256e-01f;  // top 16 bits of log 2
+  constexpr float kLn2Lo = 9.0580006145e-06f;  // log 2 − kLn2Hi
+  constexpr float kLg1 = 0.66666662693f;
+  constexpr float kLg2 = 0.40000972152f;
+  constexpr float kLg3 = 0.28498786688f;
+  constexpr float kLg4 = 0.24279078841f;
+  // Adding the distance from √2/2's bits to 1.0's carries into the exponent
+  // exactly when the mantissa is ≥ √2; re-adding √2/2's bits to the bare
+  // mantissa then lands m in [√2/2, √2).
+  std::uint32_t ix =
+      std::bit_cast<std::uint32_t>(x) + (0x3f800000u - 0x3f3504f3u);
+  const auto k = static_cast<float>(static_cast<std::int32_t>(ix >> 23) - 127);
+  ix = (ix & 0x007fffffu) + 0x3f3504f3u;
+  const float f = std::bit_cast<float>(ix) - 1.0f;
+  const float s = f / (2.0f + f);
+  const float z = s * s;
+  const float w = z * z;
+  const float r = z * (kLg1 + w * kLg3) + w * (kLg2 + w * kLg4);
+  const float hfsq = 0.5f * f * f;
+  return s * (hfsq + r) + k * kLn2Lo - hfsq + f + k * kLn2Hi;
+}
+
+/// (cos θ, sin θ) for θ = x + quadrant·π/2, with x in [−π/4, π/4]; each
+/// component within 1e-7 of the exact value. Cephes' sinf/cosf minimax
+/// polynomials give the pair at x; the quadrant (only its low two bits
+/// matter) then swaps and negates the pair with integer bit operations.
+[[nodiscard]] __attribute__((always_inline)) inline cfloat sincos_quadrant(
+    float x, std::uint32_t quadrant) noexcept {
+  const float z = x * x;
+  const float s =
+      x + x * z * (-1.6666654611e-1f +
+                   z * (8.3321608736e-3f + z * -1.9515295891e-4f));
+  const float c = 1.0f - 0.5f * z +
+                  z * z * (4.166664568298827e-2f +
+                           z * (-1.388731625493765e-3f +
+                                z * 2.443315711809948e-5f));
+  const std::uint32_t sb = std::bit_cast<std::uint32_t>(s);
+  const std::uint32_t cb = std::bit_cast<std::uint32_t>(c);
+  const std::uint32_t swap = 0u - (quadrant & 1u);  // all ones when odd
+  const std::uint32_t re = (cb & ~swap) | (sb & swap);
+  const std::uint32_t im = (sb & ~swap) | (cb & swap);
+  // cos θ is negated in quadrants 1 and 2, sin θ in quadrants 2 and 3.
+  return {std::bit_cast<float>(re ^ (((quadrant + 1u) & 2u) << 30)),
+          std::bit_cast<float>(im ^ ((quadrant & 2u) << 30))};
+}
+
+/// Box-Muller map from two raw 64-bit draws to a circularly-symmetric
+/// complex Gaussian whose I and Q each have standard deviation `sigma`.
+/// The top 53 bits of `a` give u in (0, 1] (two exact int32 conversions,
+/// summed with one rounding), so the radius sigma·sqrt(-2 log u) reaches
+/// sqrt(106 log 2) = 8.6 sigma: |x|^2 up to 36.7 times the mean power
+/// 2·sigma^2. `b` gives the angle directly: its low two bits pick the
+/// quadrant, its top 24 bits the offset within it, uniform over [-1/2, 1/2)
+/// of a quarter turn. Always inlined so a loop over independent draws can
+/// be vectorised (NoiseSource).
+[[nodiscard]] __attribute__((always_inline)) inline cfloat box_muller(
+    std::uint64_t a, std::uint64_t b, float sigma) noexcept {
+  constexpr float kQuarterTurnPerLsb = 0x1.921fb6p-24f;  // (pi/2)·2^-24
+  const float u =
+      static_cast<float>(static_cast<std::int32_t>(a >> 40)) * 0x1.0p-24f +
+      static_cast<float>(static_cast<std::int32_t>((a >> 11) & 0x1fffffffu) +
+                         1) *
+          0x1.0p-53f;
+  const float radius = sigma * std::sqrt(-2.0f * log_unit(u));
+  const float x = static_cast<float>(static_cast<std::int32_t>(b >> 32) >> 8) *
+                  kQuarterTurnPerLsb;
+  return radius * sincos_quadrant(x, static_cast<std::uint32_t>(b));
+}
+
+}  // namespace rjf::dsp

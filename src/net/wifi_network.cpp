@@ -128,7 +128,7 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
     const std::size_t tail = 64;
     dsp::cvec capture(lead + rc.w25.size() + tail);
     dsp::NoiseSource noise(config_.jammer_noise_power, rng_.next());
-    for (auto& s : capture) s = noise.sample();
+    noise.fill(capture);
     for (std::size_t k = 0; k < rc.w25.size(); ++k)
       capture[lead + k] += rc.w25[k] * static_cast<float>(g_client_jam);
 
@@ -238,7 +238,7 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
         std::max(0.0, (ack_start - jammer_time_s_)) * kFabricRate);
     dsp::cvec capture(lead + ack25.size() + 32);
     dsp::NoiseSource noise(config_.jammer_noise_power, rng_.next());
-    for (auto& s : capture) s = noise.sample();
+    noise.fill(capture);
     const double g_ap_jam =
         network_.path_gain(channel::kPortAp, channel::kPortJammerRx);
     for (std::size_t k = 0; k < ack25.size(); ++k)

@@ -196,6 +196,51 @@ TEST(Campaign, MismatchedStoreIsRejectedNotMerged) {
   std::remove(path.c_str());
 }
 
+// Golden value of small_spec()'s fingerprint. Any change to what a trial
+// synthesises must bump kTrialSynthesisVersion, which moves this value on
+// purpose; a change that moves it by accident fails here first.
+constexpr std::uint64_t kSmallSpecFingerprint = 0xbad60500370a11a5ull;
+// The same spec's fingerprint before the version word existed (libm noise
+// and CFO phasor): what every store written by that generator carries.
+constexpr std::uint64_t kSmallSpecFingerprintLibmSynthesis =
+    0x773fb0df8e4a3437ull;
+
+TEST(Campaign, FingerprintIsPinnedToTrialSynthesisVersion) {
+  static_assert(kTrialSynthesisVersion == 2,
+                "re-pin kSmallSpecFingerprint with the new version");
+  EXPECT_EQ(small_spec().fingerprint(), kSmallSpecFingerprint);
+}
+
+TEST(Campaign, StoreFromOlderTrialSynthesisIsRejected) {
+  // A partial store exactly as the libm generator left it: same seed, grid
+  // and shard cut, one completed shard. Resuming must not merge its counts
+  // with trials drawn from the new noise and CFO streams.
+  const std::string path = temp_store("rjf_campaign_old_synthesis.rjfc");
+  const CampaignSpec spec = small_spec();
+  const auto write_partial_store = [&](std::uint64_t fingerprint) {
+    ShardStoreHeader header;
+    header.fingerprint = fingerprint;
+    header.campaign_seed = spec.seed;
+    header.num_points = spec.grid.num_points();
+    header.trials_per_point = spec.grid.trials_per_point;
+    header.shard_trials = spec.shard_trials;
+    header.num_shards = header.num_points *
+                        (spec.grid.trials_per_point / spec.shard_trials);
+    auto store = ShardStore::create(path, header);
+    ASSERT_NE(store, nullptr);
+    ShardRecord record;
+    record.trials = spec.shard_trials;
+    record.frames_detected = 7;
+    ASSERT_TRUE(store->append(record));
+  };
+  write_partial_store(kSmallSpecFingerprintLibmSynthesis);
+  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+  // Control: the same store stamped with the current fingerprint resumes.
+  write_partial_store(spec.fingerprint());
+  EXPECT_NO_THROW((void)run_campaign(spec, path));
+  std::remove(path.c_str());
+}
+
 // The headline guarantee. One uninterrupted single-thread run is the
 // reference; each variant runs a window of shards (the deterministic kill
 // switch), "dies", and resumes with a DIFFERENT thread count — the merged
