@@ -11,7 +11,8 @@
 //                            1, 2 and 4 sweep threads
 //   fault_zero_fault_mismatch  count deltas between the scale-0 row and the
 //                            clean core::run_detection_sweep — must be 0
-//                            (the zero-fault inertness contract)
+//                            (the zero-fault inertness contract; the
+//                            scale-0 row attaches no injector)
 //
 //   RJF_BENCH_FRAMES   trials per grid point (default 400)
 #include <cstdio>
@@ -21,7 +22,7 @@
 #include "bench/bench_util.h"
 #include "core/calibration.h"
 #include "core/presets.h"
-#include "core/sweep.h"
+#include "core/campaign.h"
 #include "core/templates.h"
 #include "dsp/noise.h"
 #include "fault/fault_experiment.h"
@@ -31,8 +32,7 @@ using namespace rjf;
 
 namespace {
 
-bool same_grid(const fault::FaultSweepReport& a,
-               const fault::FaultSweepReport& b) {
+bool same_grid(const core::CampaignReport& a, const core::CampaignReport& b) {
   if (a.points.size() != b.points.size()) return false;
   for (std::size_t p = 0; p < a.points.size(); ++p) {
     const auto& pa = a.points[p];
@@ -52,13 +52,13 @@ std::uint64_t abs_delta(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : b - a;
 }
 
-std::uint64_t total_injected(const fault::FaultSweepReport& r) {
+std::uint64_t total_injected(const core::CampaignReport& r) {
   std::uint64_t n = 0;
   for (const auto& p : r.points) n += p.faults_injected;
   return n;
 }
 
-std::uint64_t total_gaps(const fault::FaultSweepReport& r) {
+std::uint64_t total_gaps(const core::CampaignReport& r) {
   std::uint64_t n = 0;
   for (const auto& p : r.points) n += p.overflow_gaps;
   return n;
@@ -107,7 +107,7 @@ int main() {
   // Determinism gate: the faulted grid must be bit-identical at 1/2/4
   // worker threads (fault schedules key on logical indices only).
   bool deterministic = true;
-  fault::FaultSweepReport reference;
+  core::CampaignReport reference;
   for (const unsigned threads : {1u, 2u, 4u}) {
     sweep.threads = threads;
     auto report = fault::run_fault_robustness_sweep(
@@ -121,14 +121,14 @@ int main() {
   std::printf("faulted grid bit-identical across 1/2/4 threads: %s\n\n",
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  // Inertness gate: the scale-0 row must equal the clean sweep, count for
-  // count, because an empty fault plan may not perturb the radio at all.
+  // Inertness gate: the scale-0 row (no injector attached) must equal the
+  // clean sweep, count for count.
   sweep.threads = 0;
   const auto clean = core::run_detection_sweep(
       config, full_frame, core::DetectorTap::kXcorr, base, snrs, sweep);
   std::uint64_t zero_fault_mismatch = 0;
   for (std::size_t k = 0; k < snrs.size(); ++k) {
-    const auto& faulted = reference.at(0, k, snrs.size()).result;
+    const auto& faulted = reference.points[k].result;
     const auto& baseline = clean.points[k].result;
     zero_fault_mismatch +=
         abs_delta(faulted.frames_detected, baseline.frames_detected) +
@@ -139,7 +139,7 @@ int main() {
               "det/frame", "lat(us)", "faults");
   for (std::size_t s = 0; s < scales.size(); ++s) {
     for (std::size_t k = 0; k < snrs.size(); ++k) {
-      const auto& p = reference.at(s, k, snrs.size());
+      const auto& p = reference.points[s * snrs.size() + k];
       std::printf("%8.1f %8.0f %10.3f %10.2f %12.3f %12llu\n", p.fault_scale,
                   p.snr_db, p.result.probability,
                   p.result.detections_per_frame,
@@ -174,8 +174,9 @@ int main() {
               static_cast<unsigned long long>(zero_fault_mismatch));
 
   const std::size_t last_snr = snrs.size() - 1;
-  const auto& clean_pt = reference.at(0, last_snr, snrs.size());
-  const auto& heavy_pt = reference.at(scales.size() - 1, last_snr, snrs.size());
+  const auto& clean_pt = reference.points[last_snr];
+  const auto& heavy_pt =
+      reference.points[(scales.size() - 1) * snrs.size() + last_snr];
   bench::JsonWriter json;
   json.set("fault_trials_per_point",
            static_cast<std::uint64_t>(sweep.trials_per_point));

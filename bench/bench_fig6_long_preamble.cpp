@@ -5,15 +5,15 @@
 // Methodology mirrors §3.2: thresholds are calibrated against terminated
 // (noise-only) input to the target false-alarm rates, then 10000 frames
 // (RJF_BENCH_FRAMES here) are sent per SNR point and detections counted.
-// The SNR sweep runs on the deterministic parallel sweep engine
-// (core/sweep.h): trials shard across RJF_BENCH_THREADS workers with the
-// same counts a sequential run would produce.
+// The SNR sweep is a one-rate grid on the deterministic campaign executor
+// (core/campaign.h): trials shard across RJF_BENCH_THREADS workers with
+// the same counts a sequential run would produce.
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/calibration.h"
 #include "core/presets.h"
-#include "core/sweep.h"
+#include "core/campaign.h"
 #include "core/templates.h"
 #include "phy80211/ofdm.h"
 #include "phy80211/preamble.h"

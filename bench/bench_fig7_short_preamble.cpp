@@ -1,12 +1,12 @@
 // Fig. 7 — cross-correlation detection of full WiFi frames using the SHORT
 // preamble template, at a constant false-alarm rate of 0.059 triggers/s.
-// Paper: >90% at -3 dB SNR, >99% above 3 dB. Runs on the deterministic
-// parallel sweep engine (core/sweep.h).
+// Paper: >90% at -3 dB SNR, >99% above 3 dB. Runs as a one-rate grid on
+// the deterministic campaign executor (core/campaign.h).
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/presets.h"
-#include "core/sweep.h"
+#include "core/campaign.h"
 #include "phy80211/transmitter.h"
 
 using namespace rjf;
@@ -42,7 +42,8 @@ int main() {
     std::printf("%8.1f %12.3f %18.2f\n", point.snr_db,
                 point.result.probability, point.result.detections_per_frame);
   std::printf("\nsweep wall time: %.2f s (%.0f trials/s, %zu shards)\n",
-              report.wall_seconds, report.trials_per_second(), report.shards);
+              report.wall_seconds, report.trials_per_second(),
+              report.shards_total);
   std::printf(
       "\nexpected shape (paper): high detection well below 0 dB SNR thanks\n"
       "to 10 cyclic STS repetitions per frame (multiple trigger chances);\n"

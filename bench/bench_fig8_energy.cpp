@@ -2,12 +2,13 @@
 // 10 dB threshold. Paper shape: no detection below the floor, a band of
 // MULTIPLE detections per frame where OFDM dynamic-range variations
 // straddle the threshold, then exactly one clean detection per frame.
-// Runs on the deterministic parallel sweep engine (core/sweep.h).
+// Runs as a one-rate grid on the deterministic campaign executor
+// (core/campaign.h).
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/presets.h"
-#include "core/sweep.h"
+#include "core/campaign.h"
 #include "phy80211/transmitter.h"
 
 using namespace rjf;
@@ -42,7 +43,8 @@ int main() {
     std::printf("%8.1f %12.3f %18.2f\n", point.snr_db,
                 point.result.probability, point.result.detections_per_frame);
   std::printf("\nsweep wall time: %.2f s (%.0f trials/s, %zu shards)\n",
-              report.wall_seconds, report.trials_per_second(), report.shards);
+              report.wall_seconds, report.trials_per_second(),
+              report.shards_total);
   std::printf(
       "\nexpected shape (paper): zero detection below the threshold region,\n"
       "an over-triggering band (detections/frame > 1) where signal+noise\n"

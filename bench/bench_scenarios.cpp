@@ -1,8 +1,8 @@
 // Protocol-target registry bench: paper-style detection curves (Figs. 6-8
 // methodology) for every registered target, driven entirely through the
-// scenario layer (core/scenario.h) — the same handles the campaign runner
-// and fault harness consume. Emits BENCH_scenarios.json (override path
-// with RJF_SCENARIO_JSON):
+// scenario layer (core/scenario.h): each curve is a one-rate run_campaign
+// against the target, with no store. Emits BENCH_scenarios.json (override
+// path with RJF_SCENARIO_JSON):
 //
 //   scenario_targets                     registry size
 //   scenario_<name>_pdet_high_snr        min over swept rates of P_det at
@@ -10,13 +10,13 @@
 //   scenario_<name>_duty_cycle           victim duty cycle at the default
 //                                        rate and bench PSDU size
 //   scenarios_deterministic              per-point counts bit-identical at
-//                                        1 vs 2 sweep threads (0/1)
+//                                        1 vs 2 worker threads (0/1)
 //
 // CI gates the per-target high-SNR floors and the determinism flag via
 // tools/check_bench_regression.py.
 //
 //   RJF_BENCH_FRAMES   trials per (rate, SNR) point (default 300)
-//   RJF_BENCH_THREADS  sweep-engine worker threads (default: host_cores())
+//   RJF_BENCH_THREADS  worker threads (default: host_cores())
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/campaign.h"
 #include "core/scenario.h"
 
 using namespace rjf;
@@ -43,7 +44,8 @@ std::vector<std::size_t> bench_rates(const core::ProtocolTarget& target) {
   return {0, target.default_rate_index};
 }
 
-bool same_counts(const core::SweepReport& a, const core::SweepReport& b) {
+bool same_counts(const core::CampaignReport& a,
+                 const core::CampaignReport& b) {
   if (a.points.size() != b.points.size()) return false;
   for (std::size_t p = 0; p < a.points.size(); ++p) {
     if (a.points[p].result.frames_detected !=
@@ -65,19 +67,23 @@ int main() {
   const double snrs[] = {-9.0, -6.0, -3.0, 0.0, 3.0, 8.0};
   const std::size_t kNumSnrs = sizeof(snrs) / sizeof(snrs[0]);
   const std::size_t psdu_bytes = 60;
-  const std::vector<std::uint8_t> psdu(psdu_bytes, 0xC3);
 
-  core::SweepConfig sweep;
-  sweep.trials_per_point = bench::frames_per_point(300);
-  sweep.threads = bench::resolved_sweep_threads();
-  sweep.seed = 0x5CE9;
-
-  core::DetectionRunConfig base;
-  base.lead_in = 256;
-  base.tail = 256;
+  // One single-rate grid per curve, so each rate's point seeds are
+  // derive_seed(0x5CE9, snr_index) whichever rates the bench sweeps.
+  core::CampaignSpec spec;
+  spec.grid.snrs_db.assign(std::begin(snrs), std::end(snrs));
+  spec.grid.trials_per_point = bench::frames_per_point(300);
+  spec.threads = bench::resolved_sweep_threads();
+  spec.shard_trials = 250;
+  spec.seed = 0x5CE9;
+  spec.psdu_bytes = psdu_bytes;
+  spec.psdu_fill = 0xC3;
+  spec.tap = core::DetectorTap::kXcorr;
+  spec.base.lead_in = 256;
+  spec.base.tail = 256;
 
   std::printf("trials per point: %zu, threads %u, psdu %zu bytes\n",
-              sweep.trials_per_point, bench::resolved_sweep_threads(),
+              spec.grid.trials_per_point, bench::resolved_sweep_threads(),
               psdu_bytes);
 
   bench::JsonWriter json;
@@ -86,12 +92,12 @@ int main() {
 
   double total_wall = 0.0;
   for (const core::ProtocolTarget& target : core::protocol_targets()) {
-    const core::JammerConfig jammer =
-        core::target_reactive_preset(target, 100e-6);
+    spec.target = target.name;
+    spec.jammer = core::target_reactive_preset(target, 100e-6);
     std::printf("\n%s — %s\n", target.name.c_str(),
                 target.description.c_str());
     std::printf("  xcorr threshold %u (FA 0.059/s), native rate %.1f MHz\n",
-                jammer.xcorr_threshold, target.native_rate_hz / 1e6);
+                spec.jammer.xcorr_threshold, target.native_rate_hz / 1e6);
     std::printf("%10s", "SNR(dB)");
     const std::vector<std::size_t> rates = bench_rates(target);
     for (const std::size_t r : rates)
@@ -99,23 +105,22 @@ int main() {
     std::printf("\n");
 
     // One sweep per rate; curves print SNR-major like the paper's figures.
-    std::vector<core::SweepReport> curves;
+    std::vector<core::CampaignReport> curves;
     curves.reserve(rates.size());
     for (const std::size_t r : rates) {
-      curves.push_back(core::run_target_detection_sweep(
-          jammer, target, r, psdu, core::DetectorTap::kXcorr, base, snrs,
-          sweep));
+      spec.grid.rate_indices = {r};
+      curves.push_back(core::run_campaign(spec, ""));
       total_wall += curves.back().wall_seconds;
     }
     for (std::size_t k = 0; k < kNumSnrs; ++k) {
       std::printf("%10.1f", snrs[k]);
-      for (const core::SweepReport& curve : curves)
+      for (const core::CampaignReport& curve : curves)
         std::printf(" %13.3f", curve.points[k].result.probability);
       std::printf("\n");
     }
 
     double pdet_floor = 1.0;
-    for (const core::SweepReport& curve : curves)
+    for (const core::CampaignReport& curve : curves)
       pdet_floor =
           std::min(pdet_floor, curve.points[kNumSnrs - 1].result.probability);
     json.set("scenario_" + target.name + "_pdet_high_snr", pdet_floor);
@@ -126,17 +131,13 @@ int main() {
   // Determinism across thread counts, end-to-end through the target path:
   // the 802.11b leg (new code) at its default rate, 1 vs 2 workers.
   const core::ProtocolTarget& dsss = core::target_or_throw("wifi_dsss");
-  const core::JammerConfig dsss_jammer =
-      core::target_reactive_preset(dsss, 100e-6);
-  core::SweepConfig det = sweep;
-  det.threads = 1;
-  const core::SweepReport one = core::run_target_detection_sweep(
-      dsss_jammer, dsss, dsss.default_rate_index, psdu,
-      core::DetectorTap::kXcorr, base, snrs, det);
-  det.threads = 2;
-  const core::SweepReport two = core::run_target_detection_sweep(
-      dsss_jammer, dsss, dsss.default_rate_index, psdu,
-      core::DetectorTap::kXcorr, base, snrs, det);
+  spec.target = dsss.name;
+  spec.jammer = core::target_reactive_preset(dsss, 100e-6);
+  spec.grid.rate_indices = {dsss.default_rate_index};
+  spec.threads = 1;
+  const core::CampaignReport one = core::run_campaign(spec, "");
+  spec.threads = 2;
+  const core::CampaignReport two = core::run_campaign(spec, "");
   const bool deterministic = same_counts(one, two);
   std::printf("\nper-point counts identical at 1 vs 2 threads: %s\n",
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");

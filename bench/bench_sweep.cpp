@@ -1,5 +1,6 @@
-// Sweep-engine scaling bench: a Fig. 6-style P_det-vs-SNR sweep run on the
-// deterministic parallel sweep engine at 1, 2 and N worker threads.
+// Sweep scaling bench: a Fig. 6-style P_det-vs-SNR sweep (the
+// run_detection_sweep preset over the campaign executor) at 1, 2 and N
+// worker threads.
 //
 // Emits BENCH_sweep.json (override path with RJF_SWEEP_JSON) with the
 // single-thread and N-thread trial rates, the measured speedup, the
@@ -26,7 +27,7 @@
 
 #include "bench/bench_util.h"
 #include "core/calibration.h"
-#include "core/sweep.h"
+#include "core/campaign.h"
 #include "core/templates.h"
 #include "phy80211/transmitter.h"
 
@@ -34,7 +35,8 @@ using namespace rjf;
 
 namespace {
 
-bool same_counts(const core::SweepReport& a, const core::SweepReport& b) {
+bool same_counts(const core::CampaignReport& a,
+                 const core::CampaignReport& b) {
   if (a.points.size() != b.points.size()) return false;
   for (std::size_t p = 0; p < a.points.size(); ++p) {
     const auto& ra = a.points[p].result;
@@ -89,7 +91,7 @@ int main() {
   double rate_nt = 0.0;
   double wall_nt = 0.0;
   bool deterministic = true;
-  core::SweepReport reference;
+  core::CampaignReport reference;
   // RJF_BENCH_THREADS of 1 or 2 would duplicate a count and make rate_nt /
   // the JSON's sweep_speedup come from a redundant run; the ordered set
   // runs each count once, 1-thread reference first.

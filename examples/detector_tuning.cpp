@@ -8,7 +8,7 @@
 #include <cstdlib>
 
 #include "core/calibration.h"
-#include "core/sweep.h"
+#include "core/campaign.h"
 #include "core/templates.h"
 #include "phy80211/transmitter.h"
 

@@ -1,7 +1,6 @@
 #include "core/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -10,6 +9,7 @@
 #include "core/scenario.h"
 #include "dsp/rng.h"
 #include "fpga/dsp_core.h"
+#include "obs/telemetry.h"
 
 namespace rjf::core {
 
@@ -271,76 +271,101 @@ std::string CampaignReport::to_csv() const {
 }
 
 // ---------------------------------------------------------------------------
-// run_campaign
+// The grid executor
 
-CampaignReport run_campaign(const CampaignSpec& spec,
-                            const std::string& store_path) {
+namespace {
+
+/// What run_campaign opened for the executor. The default value is "no
+/// store": nothing is written and nothing resumes.
+struct OpenedStore {
+  std::string path;                    // names the store in errors
+  std::unique_ptr<ShardStore> writer;  // null: run with no store
+  ShardStoreHeader header;             // shard_trials 0 = the spec's
+  std::vector<ShardRecord> records;    // durable before this run
+};
+
+[[noreturn]] void reject_store(const std::string& path,
+                               const std::string& why) {
+  throw std::runtime_error("run_campaign: shard store '" + path + "' " + why +
+                           "; move it aside or rerun with the original spec");
+}
+
+/// The deterministic shard list of spec.grid at `shard_trials` (0 =
+/// adaptive over the whole grid).
+std::vector<ShardTask> campaign_schedule(const CampaignSpec& spec,
+                                         std::size_t shard_trials) {
+  SweepConfig config;
+  config.trials_per_point = spec.grid.trials_per_point;
+  config.shard_trials = shard_trials;
+  config.threads = spec.threads;
+  config.seed = spec.seed;
+  return make_shard_schedule(spec.grid.num_points(), config);
+}
+
+std::string lane_name(const ShardTask& task, double snr_db) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "shard %zu / snr %g dB", task.index, snr_db);
+  return std::string(buf);
+}
+
+/// Run every shard of spec.grid that `store` has not recorded, rate-axis
+/// entry r drawing its trials from frames[r] (at spec.base.tx_rate_hz), and
+/// fold stored and fresh shards into one report.
+CampaignReport execute_grid(const CampaignSpec& spec,
+                            std::span<const dsp::cvec> frames,
+                            const OpenedStore& store) {
   const auto started = std::chrono::steady_clock::now();  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
   const CampaignGrid& grid = spec.grid;
   const std::size_t num_points = grid.num_points();
   if (num_points == 0 || grid.trials_per_point == 0)
     throw std::invalid_argument("run_campaign: empty grid");
-  const ProtocolTarget& target = target_or_throw(spec.target);
-  for (const std::size_t idx : grid.rate_indices)
-    if (idx >= target.rates.size())
-      throw std::invalid_argument("run_campaign: rate index out of range for "
-                                  "target '" + target.name + "'");
+  if (frames.size() != grid.rate_indices.size())
+    throw std::invalid_argument(
+        "run_campaign: need one frame per rate-axis entry");
+  if (spec.max_shards_this_run > 0 && store.writer == nullptr)
+    throw std::invalid_argument(
+        "run_campaign: max_shards_this_run needs a shard store (a window "
+        "without one can never resume)");
 
-  const unsigned threads =
-      spec.threads != 0 ? spec.threads
-                        : std::max(1u, std::thread::hardware_concurrency());
+  const std::vector<ShardTask> schedule = campaign_schedule(
+      spec, store.header.shard_trials != 0
+                ? static_cast<std::size_t>(store.header.shard_trials)
+                : spec.shard_trials);
+  if (store.writer != nullptr && store.header.num_shards != schedule.size())
+    reject_store(store.path,
+                 "header lists " + std::to_string(store.header.num_shards) +
+                     " shards of " +
+                     std::to_string(store.header.shard_trials) +
+                     " trials where the spec cuts " +
+                     std::to_string(schedule.size()) + " (corrupt header)");
 
-  ShardStoreHeader header;
-  header.fingerprint = spec.fingerprint();
-  header.campaign_seed = spec.seed;
-  header.num_points = num_points;
-  header.trials_per_point = grid.trials_per_point;
-  header.shard_trials =
-      spec.shard_trials != 0
-          ? spec.shard_trials
-          : resolve_shard_trials(num_points, grid.trials_per_point, threads);
-
-  // Resume or create. On resume the stored shard granularity wins (the
-  // schedule must match the records), and every identity field must agree.
-  std::vector<ShardRecord> prior_records;
-  bool resuming = false;
-  if (auto loaded = ShardStore::load(store_path)) {
-    resuming = true;
-    const ShardStoreHeader& on_disk = loaded->header;
-    if (on_disk.fingerprint != header.fingerprint ||
-        on_disk.campaign_seed != header.campaign_seed ||
-        on_disk.num_points != header.num_points ||
-        on_disk.trials_per_point != header.trials_per_point)
-      throw std::runtime_error(
-          "run_campaign: shard store '" + store_path +
-          "' belongs to a different campaign (fingerprint mismatch); "
-          "move it aside or rerun with the original spec");
-    header.shard_trials = on_disk.shard_trials;
-    prior_records = std::move(loaded->records);
-  }
-
-  SweepConfig schedule_config;
-  schedule_config.trials_per_point = grid.trials_per_point;
-  schedule_config.shard_trials = static_cast<std::size_t>(header.shard_trials);
-  schedule_config.seed = spec.seed;
-  const std::vector<ShardTask> schedule =
-      make_shard_schedule(num_points, schedule_config);
-  header.num_shards = schedule.size();
-
-  // Fold durable records into per-point totals; duplicates (there should
-  // never be any — resume skips recorded shards) count as replayed work and
-  // are excluded from the totals so the merge stays exact.
+  // Fold durable records into per-point totals. Each must cover exactly its
+  // schedule entry's trials — anything else is corruption, and merging it
+  // would silently miscount. Duplicates (there should never be any — resume
+  // skips recorded shards) count as replayed work and are excluded from the
+  // totals so the merge stays exact.
   std::vector<PointTotals> totals(num_points);
   std::vector<bool> recorded(schedule.size(), false);
   std::uint64_t trials_replayed = 0;
-  for (const ShardRecord& r : prior_records) {
-    if (r.shard_index >= schedule.size() || r.point >= num_points ||
-        recorded[r.shard_index]) {
+  std::uint64_t trials_durable = 0;
+  for (const ShardRecord& r : store.records) {
+    if (r.shard_index >= schedule.size() ||
+        r.point != schedule[r.shard_index].point ||
+        r.first_trial != schedule[r.shard_index].first_trial ||
+        r.trials != schedule[r.shard_index].trials)
+      reject_store(store.path,
+                   "has a record for shard " + std::to_string(r.shard_index) +
+                       " covering point " + std::to_string(r.point) +
+                       " trials [" + std::to_string(r.first_trial) + ", " +
+                       std::to_string(r.first_trial + r.trials) +
+                       ") that the schedule does not (corrupt record)");
+    if (recorded[r.shard_index]) {
       trials_replayed += r.trials;
       continue;
     }
     recorded[r.shard_index] = true;
     totals[r.point].fold(r);
+    trials_durable += r.trials;
   }
   std::size_t shards_already_complete = 0;
   for (const bool done : recorded) shards_already_complete += done ? 1 : 0;
@@ -355,54 +380,43 @@ CampaignReport run_campaign(const CampaignSpec& spec,
       remaining.size() > spec.max_shards_this_run)
     remaining.resize(spec.max_shards_this_run);
 
-  std::unique_ptr<ShardStore> store =
-      resuming ? ShardStore::open_append(store_path)
-               : ShardStore::create(store_path, header);
-  if (store == nullptr)
-    throw std::runtime_error("run_campaign: cannot open shard store '" +
-                             store_path + "'");
-
-  // Frames build lazily per rate (shared by every scale×SNR point of that
-  // rate), and plans lazily per point — a resumed campaign only prepares
-  // the points that still have shards outstanding.
-  const std::vector<std::uint8_t> psdu(std::max<std::size_t>(spec.psdu_bytes, 1),
-                                       spec.psdu_fill);
-  std::vector<dsp::cvec> frames(grid.rate_indices.size());
-  std::unique_ptr<std::once_flag[]> frame_once(
-      new std::once_flag[grid.rate_indices.size()]);
-  auto frame_for_rate = [&](std::size_t rate_index) -> const dsp::cvec& {
-    std::call_once(frame_once[rate_index], [&] {
-      frames[rate_index] = target.make_frame(grid.rate_indices[rate_index],
-                                             psdu, spec.scrambler_seed);
-    });
-    return frames[rate_index];
-  };
-
+  // Plans build lazily per point from whichever worker reaches it first —
+  // a resumed campaign only prepares the points that still have shards
+  // outstanding.
   LazyPlanTable plans(num_points, [&](std::size_t point) {
     const CampaignGrid::Coords c = grid.coords(point);
     DetectionRunConfig config = spec.base;
     config.snr_db = grid.snrs_db[c.snr_index];
     config.num_frames = grid.trials_per_point;
     config.seed = dsp::derive_seed(spec.seed, point);
-    config.tx_rate_hz = target.native_rate_hz;
-    return prepare_detection_trials(frame_for_rate(c.rate_index), spec.tap,
-                                    config);
+    return prepare_detection_trials(frames[c.rate_index], spec.tap, config);
   });
 
-  // Progress accounting (side channel; never feeds the report's
-  // deterministic fields). Totals fold under a mutex — shards are coarse,
-  // so contention is negligible next to the trials themselves.
-  std::uint64_t trials_remaining = 0;
-  for (const ShardTask& task : remaining) trials_remaining += task.trials;
-  std::atomic<std::size_t> shards_done{0};
-  std::atomic<std::uint64_t> trials_done{0};
-  std::atomic<std::uint64_t> faults_seen{0};
-  std::atomic<std::uint64_t> trials_run{0};
+  // Without tracing, shard metrics fold into the report as shards finish
+  // (counters and histograms only, which sum in any order). Traced shards
+  // also carry gauges and a trace lane, so they are kept per shard and
+  // folded in shard-index order after the pool drains.
+  const bool traced = spec.trace_events_per_shard > 0;
+  std::vector<obs::MetricsRegistry> shard_metrics(traced ? schedule.size() : 0);
+  std::vector<obs::TraceRecorder::TraceLane> shard_lanes(
+      traced ? schedule.size() : 0);
+  CampaignReport report;
+
+  // Bookkeeping under one mutex — shards are coarse, so contention is
+  // negligible next to the trials themselves. The progress callback runs
+  // under it too, so reports arrive in the order their counts were taken.
+  // Progress is a side channel; it never feeds the report's deterministic
+  // fields.
+  std::uint64_t window_trials = 0;
+  for (const ShardTask& task : remaining) window_trials += task.trials;
   std::mutex merge_mutex;
+  std::size_t shards_run = 0;
+  std::uint64_t trials_run = 0;
+  std::uint64_t faults_run = 0;
   bool append_failed = false;
 
   const unsigned pool_size =
-      run_shards(remaining, threads, [&](const ShardTask& task) {
+      run_shards(remaining, spec.threads, [&](const ShardTask& task) {
         const DetectionTrialPlan& plan = plans.get(task.point);
         std::size_t max_variant = 0;
         for (const dsp::cvec& v : plan.variants)
@@ -411,9 +425,26 @@ CampaignReport run_campaign(const CampaignSpec& spec,
         const std::uint64_t lead_ticks =
             static_cast<std::uint64_t>(plan.lead_in) * fpga::kClocksPerSample;
 
+        // Every shard programs its own jammer/fabric instance from the
+        // shared personality: no mutable state crosses shard boundaries.
         ReactiveJammer jammer(spec.jammer);
         std::unique_ptr<CampaignTrialHook> hook;
         if (spec.make_trial_hook) hook = spec.make_trial_hook();
+        std::optional<obs::Telemetry> telemetry;
+        if (traced) {
+          obs::TelemetryConfig tc;
+          tc.trace_capacity = spec.trace_events_per_shard;
+          tc.probe_enabled = false;
+          telemetry.emplace(tc);
+          jammer.attach_trace(&*telemetry);
+        }
+        obs::MetricsRegistry untraced_metrics;
+        obs::MetricsRegistry& metrics =
+            traced ? shard_metrics[task.index] : untraced_metrics;
+        // 0..14 events per trial, then overflow; covers Fig. 8's
+        // over-trigger band (a few detections/frame) with headroom.
+        obs::Histogram& per_trial =
+            metrics.histogram("sweep.detections_per_trial", 0, 1, 15);
 
         ShardRecord record;
         record.point = task.point;
@@ -430,6 +461,7 @@ CampaignReport run_campaign(const CampaignSpec& spec,
             record.faults_injected += hook->after_trial(jammer);
           record.total_detections += trial.events;
           if (trial.events > 0) ++record.frames_detected;
+          per_trial.record(trial.events);
           record.overflow_gaps += trial.overflow_gaps;
           record.samples_lost += trial.samples_lost;
           if (trial.jam_triggers > 0 && trial.last_trigger_vita >= lead_ticks) {
@@ -437,42 +469,68 @@ CampaignReport run_campaign(const CampaignSpec& spec,
             ++record.trigger_latency_count;
           }
         }
+        metrics.add("sweep.trials", record.trials);
+        metrics.add("sweep.frames_detected", record.frames_detected);
+        metrics.add("sweep.detections", record.total_detections);
+        // Fault counters only when something happened, so a zero-fault
+        // row's metrics match a hookless run's exactly.
+        if (record.faults_injected > 0)
+          metrics.add("fault.injected", record.faults_injected);
+        if (record.overflow_gaps > 0) {
+          metrics.add("fault.overflow_gaps", record.overflow_gaps);
+          metrics.add("fault.samples_lost", record.samples_lost);
+        }
+
+        if (telemetry.has_value()) {
+          jammer.attach_trace(nullptr);
+          telemetry->flush();
+          telemetry->refresh_gauges();
+          // Fold the shard's fabric event counters/histograms into its
+          // metrics slot, minus the wall-clock-derived entries: merged
+          // campaign metrics must depend only on the deterministic event
+          // stream.
+          obs::MetricsRegistry fabric_metrics = telemetry->metrics();
+          fabric_metrics.erase_counter("stream_wall_ns");
+          fabric_metrics.erase_gauge("host_throughput_msps");
+          metrics.merge(fabric_metrics);
+          obs::TraceRecorder::TraceLane& lane = shard_lanes[task.index];
+          lane.name =
+              lane_name(task, grid.snrs_db[grid.coords(task.point).snr_index]);
+          lane.events = telemetry->trace().events();
+          lane.annotations = telemetry->personalities();
+        }
 
         // Durable first, merged second: a kill between the two re-runs
         // nothing (the record is already on disk; the in-memory fold is
         // rebuilt from it on resume).
-        const bool appended = store->append(record);
+        const bool appended =
+            store.writer == nullptr || store.writer->append(record);
 
-        {
-          const std::lock_guard<std::mutex> lock(merge_mutex);
-          totals[task.point].fold(record);
-          if (!appended) append_failed = true;
-        }
-        trials_run.fetch_add(task.trials, std::memory_order_relaxed);
-        faults_seen.fetch_add(record.faults_injected,
-                              std::memory_order_relaxed);
-
-        const std::size_t done =
-            shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
-        trials_done.fetch_add(task.trials, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(merge_mutex);
+        totals[task.point].fold(record);
+        if (!traced) report.metrics.merge(untraced_metrics);
+        if (!appended) append_failed = true;
+        ++shards_run;
+        trials_run += task.trials;
+        faults_run += record.faults_injected;
         if (spec.progress_every_shards > 0 && spec.progress &&
-            (done % spec.progress_every_shards == 0 ||
-             done == remaining.size())) {
+            (shards_run % spec.progress_every_shards == 0 ||
+             shards_run == remaining.size())) {
           SweepProgress prog;
-          prog.shards_done = shards_already_complete + done;
+          prog.shards_done = shards_already_complete + shards_run;
           prog.shards_total = schedule.size();
-          prog.trials_done = trials_done.load(std::memory_order_relaxed);
-          prog.trials_total = trials_remaining;
-          prog.faults = faults_seen.load(std::memory_order_relaxed);
+          prog.trials_done = trials_durable + trials_run;
+          prog.trials_total = grid.total_trials();
+          prog.faults = faults_run;
           prog.elapsed_seconds =
               std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
                   .count();
           if (prog.elapsed_seconds > 0.0)
             prog.trials_per_second =
-                static_cast<double>(prog.trials_done) / prog.elapsed_seconds;
+                static_cast<double>(trials_run) / prog.elapsed_seconds;
           if (prog.trials_per_second > 0.0)
             prog.eta_seconds =
-                static_cast<double>(trials_remaining - prog.trials_done) /
+                static_cast<double>(window_trials - trials_run) /
                 prog.trials_per_second;
           spec.progress(prog);
         }
@@ -483,26 +541,28 @@ CampaignReport run_campaign(const CampaignSpec& spec,
         "run_campaign: shard store append failed (disk full?); completed "
         "shards up to the failure are durable");
 
-  CampaignReport report;
+  if (traced) {
+    for (const ShardTask& task : remaining) {
+      report.metrics.merge(shard_metrics[task.index]);
+      report.shard_traces.push_back(std::move(shard_lanes[task.index]));
+    }
+  }
+
   report.grid = grid;
   report.target = spec.target;
   report.threads_used = std::max(1u, pool_size);
   report.shards_total = schedule.size();
   report.shards_already_complete = shards_already_complete;
-  report.shards_run = remaining.size();
-  report.trials_run = trials_run.load(std::memory_order_relaxed);
+  report.shards_run = shards_run;
+  report.trials_run = trials_run;
   report.trials_replayed = trials_replayed;
   report.plans_built = plans.plans_built();
-  report.complete =
-      shards_already_complete + remaining.size() == schedule.size();
+  report.complete = shards_already_complete + shards_run == schedule.size();
 
   report.points.resize(num_points);
   for (std::size_t p = 0; p < num_points; ++p) {
     const CampaignGrid::Coords c = grid.coords(p);
     CampaignPointResult& point = report.points[p];
-    const TargetRate& rate = target.rates[grid.rate_indices[c.rate_index]];
-    point.rate_mbps = rate.mbps;
-    point.rate_id = rate.id;
     point.fault_scale = grid.fault_scales[c.scale_index];
     point.snr_db = grid.snrs_db[c.snr_index];
     const PointTotals& tot = totals[p];
@@ -531,7 +591,131 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
           .count();
+
+  // Campaign-level aggregates ride the same registry as the merged shard
+  // metrics. Counters stay deterministic; wall-clock rates are gauges,
+  // which merges treat as point-in-time readings.
+  report.metrics.counter("campaign.shards") = report.shards_run;
+  report.metrics.counter("campaign.trials") = report.trials_run;
+  report.metrics.counter("campaign.points") = num_points;
+  report.metrics.set_gauge("campaign.threads",
+                           static_cast<double>(report.threads_used));
+  report.metrics.set_gauge("campaign.wall_s", report.wall_seconds);
+  report.metrics.set_gauge("campaign.trials_per_s", report.trials_per_second());
   return report;
+}
+
+/// Part one of run_campaign: load and check the store at `path`, or create
+/// it. An empty path opens nothing.
+OpenedStore open_store(const CampaignSpec& spec, const std::string& path) {
+  OpenedStore store;
+  store.path = path;
+  if (path.empty()) return store;
+
+  const CampaignGrid& grid = spec.grid;
+  ShardStoreHeader& header = store.header;
+  header.fingerprint = spec.fingerprint();
+  header.campaign_seed = spec.seed;
+  header.num_points = grid.num_points();
+  header.trials_per_point = grid.trials_per_point;
+  header.shard_trials =
+      spec.shard_trials != 0
+          ? spec.shard_trials
+          : resolve_shard_trials(grid.num_points(), grid.trials_per_point,
+                                 spec.threads);
+
+  // On resume the stored shard granularity wins (the schedule must match
+  // the records), and every identity field must agree.
+  if (auto loaded = ShardStore::load(path)) {
+    const ShardStoreHeader& on_disk = loaded->header;
+    if (on_disk.fingerprint != header.fingerprint ||
+        on_disk.campaign_seed != header.campaign_seed ||
+        on_disk.num_points != header.num_points ||
+        on_disk.trials_per_point != header.trials_per_point)
+      reject_store(path,
+                   "belongs to a different campaign (fingerprint mismatch)");
+    header = on_disk;
+    store.records = std::move(loaded->records);
+    store.writer = ShardStore::open_append(path);
+  } else {
+    header.num_shards = campaign_schedule(spec, header.shard_trials).size();
+    store.writer = ShardStore::create(path, header);
+  }
+  if (store.writer == nullptr)
+    throw std::runtime_error("run_campaign: cannot open shard store '" + path +
+                             "'");
+  return store;
+}
+
+}  // namespace
+
+CampaignReport run_campaign(const CampaignSpec& spec,
+                            const std::string& store_path) {
+  const CampaignGrid& grid = spec.grid;
+  if (grid.num_points() == 0 || grid.trials_per_point == 0)
+    throw std::invalid_argument("run_campaign: empty grid");
+  const ProtocolTarget& target = target_or_throw(spec.target);
+  for (const std::size_t idx : grid.rate_indices)
+    if (idx >= target.rates.size())
+      throw std::invalid_argument(
+          "run_campaign: rate index " + std::to_string(idx) +
+          " out of range for target '" + target.name + "' (" +
+          std::to_string(target.rates.size()) + " rates)");
+
+  const OpenedStore store = open_store(spec, store_path);
+
+  // One frame per rate, shared by every scale×SNR point of that rate.
+  CampaignSpec resolved = spec;
+  resolved.base.tx_rate_hz = target.native_rate_hz;
+  std::vector<dsp::cvec> frames;
+  frames.reserve(grid.rate_indices.size());
+  for (const std::size_t idx : grid.rate_indices)
+    frames.push_back(target_frame(target, idx, spec.psdu_bytes,
+                                  spec.psdu_fill, spec.scrambler_seed));
+
+  CampaignReport report = execute_grid(resolved, frames, store);
+  for (std::size_t p = 0; p < report.points.size(); ++p) {
+    const TargetRate& rate =
+        target.rates[grid.rate_indices[grid.coords(p).rate_index]];
+    report.points[p].rate_mbps = rate.mbps;
+    report.points[p].rate_id = rate.id;
+  }
+  return report;
+}
+
+CampaignReport run_campaign_frames(const CampaignSpec& spec,
+                                   std::span<const dsp::cvec> frames) {
+  return execute_grid(spec, frames, OpenedStore{});
+}
+
+CampaignSpec sweep_campaign_spec(const JammerConfig& jammer_config,
+                                 DetectorTap tap,
+                                 const DetectionRunConfig& base,
+                                 std::span<const double> snr_points_db,
+                                 const SweepConfig& sweep) {
+  CampaignSpec spec;
+  spec.target.clear();
+  spec.jammer = jammer_config;
+  spec.base = base;
+  spec.tap = tap;
+  spec.grid.snrs_db.assign(snr_points_db.begin(), snr_points_db.end());
+  spec.grid.trials_per_point = sweep.trials_per_point;
+  spec.seed = sweep.seed;
+  spec.shard_trials = sweep.shard_trials;
+  spec.threads = sweep.threads;
+  return spec;
+}
+
+CampaignReport run_detection_sweep(const JammerConfig& jammer_config,
+                                   std::span<const dsp::cfloat> frame_native,
+                                   DetectorTap tap,
+                                   const DetectionRunConfig& base,
+                                   std::span<const double> snr_points_db,
+                                   const SweepConfig& sweep) {
+  const dsp::cvec frame(frame_native.begin(), frame_native.end());
+  return run_campaign_frames(
+      sweep_campaign_spec(jammer_config, tap, base, snr_points_db, sweep),
+      {&frame, 1});
 }
 
 }  // namespace rjf::core

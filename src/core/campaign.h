@@ -1,14 +1,16 @@
-// Checkpointable million-trial campaign runner.
+// Checkpointable million-trial campaign runner: the one executor every
+// detection grid runs on.
 //
-// A campaign is the sweep engine (core/sweep.h) scaled to overnight runs: a
-// full grid over {protocol rate, fault scale, SNR} axes, cut into shards
-// whose seeds derive from dsp::derive_seed(campaign_seed, point) and — one
-// level finer — per-trial streams from the point seed, exactly the
-// discipline DESIGN §9 proved for the sweep engine. The merged result is
-// therefore bit-identical however the campaign is split: across worker
-// threads, across shard sizes, across sequential process invocations
-// (batch windows via max_shards_this_run), and across kill/resume
-// boundaries.
+// A campaign is a full grid over {protocol rate, fault scale, SNR} axes,
+// cut into shards (core/sweep.h) whose seeds derive from
+// dsp::derive_seed(campaign_seed, point) and — one level finer — per-trial
+// streams from the point seed. The merged result is therefore
+// bit-identical however the campaign is split: across worker threads,
+// across shard sizes, across sequential process invocations (batch
+// windows via max_shards_this_run), and across kill/resume boundaries.
+// The Figs. 6-8 sweep presets (run_detection_sweep here,
+// fault::run_fault_robustness_sweep) are one-rate grids over the same
+// executor, run with no store.
 //
 // Durability comes from the shard store: every completed shard appends one
 // fixed-width, checksummed record (point id, shard index, trial range,
@@ -18,7 +20,7 @@
 // a streaming fold over (stored records + freshly run shards) in which
 // every accumulator is an unsigned integer, so fold order cannot change a
 // byte of the output. Reports never materialise per-trial rows: memory is
-// O(points), not O(trials).
+// O(points), not O(trials), unless per-shard tracing is asked for.
 //
 // See DESIGN.md §13 "Campaign runner" for the store format and the
 // seed-space partitioning argument.
@@ -30,19 +32,22 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/detection_experiment.h"
 #include "core/sweep.h"
+#include "obs/metrics.h"
+#include "obs/trace_recorder.h"
 
 namespace rjf::core {
 
 /// The swept axes. Point ids are rate-major:
 ///   point = (rate_index * fault_scales.size() + scale_index) * snrs_db.size()
 ///         + snr_index
-/// so the SNR axis is contiguous within one (rate, scale) row, mirroring
-/// the fault sweep's scale-major layout.
+/// so the SNR axis is contiguous within one (rate, scale) row. With one
+/// rate this is the sweep presets' point index: scale * snrs + snr.
 struct CampaignGrid {
   /// Rate axis: indices into the campaign target's rate table
   /// (ProtocolTarget::rates, see core/scenario.h). {0} is the target's
@@ -187,6 +192,7 @@ struct CampaignSpec {
   /// Protocol-target registry key (core/scenario.h): supplies the frame
   /// factory and native sample rate for every rate-axis entry. The default
   /// reproduces the original hard-coded 802.11a/g OFDM path.
+  /// run_campaign_frames only copies it into the report.
   std::string target = "wifi_ofdm";
   /// Non-swept trial knobs; snr_db / num_frames / seed overridden per
   /// point, tx_rate_hz overridden with the target's native rate.
@@ -206,11 +212,22 @@ struct CampaignSpec {
   /// Stop after completing this many shards in THIS process invocation
   /// (0 = run to completion). The deterministic "kill switch": batch
   /// windows, tests, and CI kill/resume smoke all use it; rerunning the
-  /// same command resumes where the window closed.
+  /// same command resumes where the window closed. Needs a store: a run
+  /// without one rejects a window with std::invalid_argument.
   std::size_t max_shards_this_run = 0;
 
+  /// Call `progress` every N completed shards (0 = silent). Progress is a
+  /// side channel: it never affects the deterministic result.
   std::size_t progress_every_shards = 0;
   std::function<void(const SweepProgress&)> progress;
+
+  /// Attach a per-shard Telemetry bundle (trace ring of this many events,
+  /// probes off) to every shard's jammer (0 = no per-shard telemetry).
+  /// Shard event counters and latency histograms merge into
+  /// CampaignReport::metrics (minus wall-clock counters, keeping the merge
+  /// bit-identical across thread counts), and each shard's trace becomes a
+  /// lane of CampaignReport::shard_traces / write_campaign_trace().
+  std::size_t trace_events_per_shard = 0;
 
   /// Per-shard trial-hook factory (empty = no fault axis; fault_scales
   /// other than 0.0 then have no effect on trials).
@@ -255,6 +272,33 @@ struct CampaignReport {
   std::size_t plans_built = 0;
   double wall_seconds = 0.0;
 
+  /// Shard registries of THIS run (stored records carry no metrics):
+  /// sweep.trials, sweep.frames_detected, sweep.detections counters, the
+  /// sweep.detections_per_trial histogram, and fault.injected /
+  /// fault.overflow_gaps / fault.samples_lost when faults hit. With
+  /// trace_events_per_shard set, also the merged fabric event counters and
+  /// latency histograms (folded in shard-index order). The executor stamps
+  /// the campaign.* aggregates: shards, trials and points as counters;
+  /// threads, wall_s and trials_per_s as gauges.
+  obs::MetricsRegistry metrics;
+  /// One trace lane per shard run (trace_events_per_shard > 0), in
+  /// shard-index order, each named after its shard and SNR point.
+  std::vector<obs::TraceRecorder::TraceLane> shard_traces;
+
+  /// Merge the shard lanes into one Chrome trace (one process per shard;
+  /// see TraceRecorder::write_merged_chrome_trace). False when there are
+  /// no lanes or the file cannot be written.
+  [[nodiscard]] bool write_campaign_trace(const std::string& path) const {
+    if (shard_traces.empty()) return false;
+    return obs::TraceRecorder::write_merged_chrome_trace(path, shard_traces);
+  }
+
+  [[nodiscard]] double trials_per_second() const noexcept {
+    return wall_seconds > 0.0
+               ? static_cast<double>(trials_run) / wall_seconds
+               : 0.0;
+  }
+
   /// Deterministic merged report: header line + one CSV row per point in
   /// point-id order. Every value derives from the integer totals, so the
   /// bytes are identical for any thread count, shard split, or resume
@@ -266,10 +310,42 @@ struct CampaignReport {
 
 /// Run (or resume) the campaign against the shard store at `store_path`.
 /// Missing file: a fresh store is created. Existing file: the header must
-/// match the spec's fingerprint/seed/grid (else std::runtime_error), its
-/// shard_trials is adopted, and only unrecorded shards execute. Returns the
-/// merged report over everything durable so far.
+/// match the spec's fingerprint/seed/grid and its shard count the
+/// recomputed schedule, and every record its schedule entry (else
+/// std::runtime_error); its shard_trials is adopted, and only unrecorded
+/// shards execute. Empty path: no store — nothing is written and the
+/// report folds in memory. Returns the merged report over everything
+/// durable so far.
 [[nodiscard]] CampaignReport run_campaign(const CampaignSpec& spec,
                                           const std::string& store_path);
+
+/// The grid executor with no store, over caller-synthesised frames:
+/// frames[r] is rate-axis entry r's frame at spec.base.tx_rate_hz (so a
+/// pseudo-frame such as Fig. 6's lone long training symbol can be swept).
+/// The target, PSDU fields and rate_indices values are not consulted;
+/// report rows carry rate_mbps = rate_id = 0.
+[[nodiscard]] CampaignReport run_campaign_frames(
+    const CampaignSpec& spec, std::span<const dsp::cvec> frames);
+
+/// The sweep presets' grid: one rate, one scale (0.0), `snr_points_db` ×
+/// sweep.trials_per_point trials against `jammer_config`, with the
+/// sweep's seed, shard size and thread count, and no target. Callers add
+/// axes or knobs (fault scales, a trial hook, tracing, progress) and hand
+/// it to run_campaign_frames.
+[[nodiscard]] CampaignSpec sweep_campaign_spec(
+    const JammerConfig& jammer_config, DetectorTap tap,
+    const DetectionRunConfig& base, std::span<const double> snr_points_db,
+    const SweepConfig& sweep);
+
+/// Fig. 6/7/8-style detection sweep preset: sweep_campaign_spec's grid
+/// over `frame_native` (at base.tx_rate_hz), run by run_campaign_frames.
+/// Point p's trials derive from dsp::derive_seed(sweep.seed, p), so each
+/// row equals a sequential run_detection_experiment() with that seed, bit
+/// for bit.
+[[nodiscard]] CampaignReport run_detection_sweep(
+    const JammerConfig& jammer_config,
+    std::span<const dsp::cfloat> frame_native, DetectorTap tap,
+    const DetectionRunConfig& base, std::span<const double> snr_points_db,
+    const SweepConfig& sweep);
 
 }  // namespace rjf::core

@@ -8,7 +8,6 @@
 #include "dsp/resampler.h"
 #include "dsp/rng.h"
 #include "fpga/dsp_core.h"
-#include "obs/metrics.h"
 
 namespace rjf::core {
 
@@ -97,26 +96,12 @@ DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
 DetectionTrialCounts run_detection_trials(ReactiveJammer& jammer,
                                           const DetectionTrialPlan& plan,
                                           std::size_t first_trial,
-                                          std::size_t num_trials,
-                                          obs::MetricsRegistry* metrics) {
+                                          std::size_t num_trials) {
   DetectionTrialCounts counts;
-  obs::Histogram* per_trial = nullptr;
-  if (metrics != nullptr)
-    // 0..14 events per trial, then overflow; covers Fig. 8's over-trigger
-    // band (a few detections/frame) with headroom.
-    per_trial = &metrics->histogram("sweep.detections_per_trial", 0, 1, 15);
-
   for (std::size_t t = first_trial; t < first_trial + num_trials; ++t) {
     const std::uint64_t events = run_detection_trial(jammer, plan, t).events;
     counts.total_detections += events;
     if (events > 0) ++counts.frames_detected;
-    if (per_trial != nullptr) per_trial->record(events);
-  }
-
-  if (metrics != nullptr) {
-    metrics->add("sweep.trials", num_trials);
-    metrics->add("sweep.frames_detected", counts.frames_detected);
-    metrics->add("sweep.detections", counts.total_detections);
   }
   return counts;
 }

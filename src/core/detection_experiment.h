@@ -13,8 +13,9 @@
 // reset_detection_state()), so trial N's moving sums, correlator pipeline
 // and trigger-FSM stage can never leak into trial N+1, and per-trial
 // results depend only on the trial index — not on execution order. That
-// property is what lets the sweep engine (core/sweep.h) shard a run across
-// worker threads and still reproduce the sequential counts bit-for-bit.
+// property is what lets the campaign executor (core/campaign.h) shard a run
+// across worker threads and still reproduce the sequential counts
+// bit-for-bit.
 //
 // The transmitter runs at its standard's native rate; the harness converts
 // each frame to the jammer's 25 MSPS sampling domain with a per-trial
@@ -24,8 +25,8 @@
 //
 // This layer is protocol-agnostic: callers hand in the frame waveform and
 // its native rate. The protocol-target registry (core/scenario.h) supplies
-// both from a target handle — run_target_detection_experiment /
-// run_target_detection_sweep are the entry points experiments should use.
+// both from a target handle — run_target_detection_experiment and
+// run_campaign are the entry points experiments should use.
 #pragma once
 
 #include <atomic>
@@ -39,10 +40,6 @@
 
 #include "core/reactive_jammer.h"
 #include "dsp/synth_math.h"
-
-namespace rjf::obs {
-class MetricsRegistry;
-}  // namespace rjf::obs
 
 namespace rjf::core {
 
@@ -142,8 +139,8 @@ struct DetectionTrialCounts {
   }
 };
 
-/// Everything one trial produced, for harnesses (e.g. the fault-robustness
-/// sweep) that need per-trial detail beyond the aggregated counts.
+/// Everything one trial produced, for harnesses (e.g. the campaign
+/// executor) that need per-trial detail beyond the aggregated counts.
 /// last_trigger_vita is capture-relative because the detector state (and
 /// VITA clock) is flushed at the start of every trial.
 struct DetectionTrialOutcome {
@@ -165,14 +162,10 @@ struct DetectionTrialOutcome {
 /// The per-trial kernel: run trials [first_trial, first_trial + num_trials)
 /// of `plan` through `jammer`. Each trial flushes the fabric's detector
 /// state and draws its impairments from its own derived RNG stream, so the
-/// result depends only on (plan.seed, trial index). When `metrics` is
-/// non-null the kernel records trial/detection counters and a
-/// detections-per-trial histogram into it (callers running shards give each
-/// shard its own registry and merge afterwards).
+/// result depends only on (plan.seed, trial index).
 [[nodiscard]] DetectionTrialCounts run_detection_trials(
     ReactiveJammer& jammer, const DetectionTrialPlan& plan,
-    std::size_t first_trial, std::size_t num_trials,
-    obs::MetricsRegistry* metrics = nullptr);
+    std::size_t first_trial, std::size_t num_trials);
 
 /// Unit phasor e^{j·w·k} for the per-trial CFO rotation; a pure function
 /// of (w, k), with no rotator state. The phase is formed and wrapped in
@@ -208,8 +201,8 @@ inline constexpr std::uint64_t kTrialSynthesisVersion = 2;
 /// Run the experiment: `frame_native` is the frame waveform at
 /// `config.tx_rate_hz` with arbitrary scale (re-scaled per-trial).
 /// Equivalent to prepare_detection_trials() + one run_detection_trials()
-/// over the whole range — the sweep engine's sharded execution reproduces
-/// this sequential path bit-for-bit.
+/// over the whole range — the campaign executor's sharded execution
+/// reproduces this sequential path bit-for-bit.
 [[nodiscard]] DetectionRunResult run_detection_experiment(
     ReactiveJammer& jammer, std::span<const dsp::cfloat> frame_native,
     DetectorTap tap, const DetectionRunConfig& config);

@@ -122,12 +122,12 @@ JammingEventBuilder& JammingEventBuilder::uptime(double seconds) {
 }
 
 JammingEventBuilder& JammingEventBuilder::delay(double seconds) {
-  if (seconds < 0.0 || seconds > 65535.0 / 25e6) {
+  if (seconds < 0.0 || seconds > 65535.0 / fpga::kBasebandRateHz) {
     error_ = "delay out of the 16-bit register range (0 .. 2.6 ms)";
     return *this;
   }
   config_.jam_delay_samples =
-      static_cast<std::uint32_t>(seconds * 25e6);
+      static_cast<std::uint32_t>(seconds * fpga::kBasebandRateHz);
   return *this;
 }
 

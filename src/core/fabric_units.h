@@ -1,7 +1,8 @@
 // Host-boundary unit conversions for programming the fabric registers.
 //
 // The fabric model in src/fpga is pure fixed-point — no float or double
-// survives past the register bus (tools/fabric_lint.py enforces this). The
+// survives past the register bus (`python3 tools/rjf_analyze --pass fabric`
+// enforces this). The
 // operator-facing units, however, are continuous: energy thresholds are
 // specified in dB (paper: "any energy level change between 3dB and 30dB")
 // and correlator templates start life as float baseband waveforms rendered

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "fpga/cross_correlator.h"
+#include "fpga/dsp_core.h"
 #include "fpga/register_file.h"
 
 namespace rjf::core {
@@ -50,7 +51,7 @@ struct JammerConfig {
 
   /// Uptime helper: seconds -> 25 MSPS samples (paper range 40 ns .. ~40 s).
   static std::uint32_t samples_from_seconds(double seconds) noexcept {
-    const double s = seconds * 25e6;
+    const double s = seconds * fpga::kBasebandRateHz;
     if (s <= 1.0) return 1;
     if (s >= 4294967295.0) return 0xFFFFFFFFu;
     return static_cast<std::uint32_t>(s);

@@ -146,18 +146,4 @@ DetectionRunResult run_target_detection_experiment(
   return run_detection_experiment(jammer, frame, tap, config);
 }
 
-SweepReport run_target_detection_sweep(const JammerConfig& jammer_config,
-                                       const ProtocolTarget& target,
-                                       std::size_t rate_index,
-                                       std::span<const std::uint8_t> psdu,
-                                       DetectorTap tap,
-                                       DetectionRunConfig base,
-                                       std::span<const double> snr_points_db,
-                                       const SweepConfig& sweep) {
-  const dsp::cvec frame = target.make_frame(rate_index, psdu, 0x5D);
-  base.tx_rate_hz = target.native_rate_hz;
-  return run_detection_sweep(jammer_config, frame, tap, base, snr_points_db,
-                             sweep);
-}
-
 }  // namespace rjf::core

@@ -14,10 +14,10 @@
 //   * a MAC cadence model (frame airtime + the paper's 130 frames/s
 //     trial cadence, for duty-cycle accounting).
 //
-// The detection harness, the sweep engine, the campaign runner and the
-// fault harness all consume a target handle instead of hard-coding the
-// 802.11a/g OFDM path; `wifi_ofdm` reproduces that path bit-for-bit, and
-// `wifi_dsss` makes 802.11b DSSS/CCK a first-class sweep subject. Adding a
+// The detection harness and the campaign runner (and through it the fault
+// axis) consume a target handle instead of hard-coding the 802.11a/g OFDM
+// path; `wifi_ofdm` reproduces that path bit-for-bit, and `wifi_dsss`
+// makes 802.11b DSSS/CCK a first-class campaign subject. Adding a
 // standard (802.11p, 5G PUSCH, BLE) means adding one registry entry — see
 // DESIGN.md §14.
 //
@@ -27,11 +27,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/sweep.h"
+#include "core/detection_experiment.h"
 
 namespace rjf::core {
 
@@ -121,14 +123,5 @@ struct ProtocolTarget {
     ReactiveJammer& jammer, const ProtocolTarget& target,
     std::size_t rate_index, std::span<const std::uint8_t> psdu,
     DetectorTap tap, DetectionRunConfig config);
-
-/// run_detection_sweep with the frame and native rate supplied by the
-/// target. For wifi_ofdm this reproduces the hand-rolled Transmitter +
-/// run_detection_sweep path bit-for-bit (same frame bytes, same seeds).
-[[nodiscard]] SweepReport run_target_detection_sweep(
-    const JammerConfig& jammer_config, const ProtocolTarget& target,
-    std::size_t rate_index, std::span<const std::uint8_t> psdu,
-    DetectorTap tap, DetectionRunConfig base,
-    std::span<const double> snr_points_db, const SweepConfig& sweep);
 
 }  // namespace rjf::core

@@ -2,45 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "dsp/rng.h"
-#include "obs/telemetry.h"
 
 namespace rjf::core {
-
-namespace {
-
-/// Default progress sink: a one-line stderr ticker for long campaigns.
-void print_progress_line(const SweepProgress& p) {
-  std::fprintf(stderr,
-               "[sweep] shards %zu/%zu  trials %" PRIu64 "/%" PRIu64
-               "  %.0f trials/s  eta %.1fs  faults %" PRIu64 "\n",
-               p.shards_done, p.shards_total, p.trials_done, p.trials_total,
-               p.trials_per_second, p.eta_seconds, p.faults);
-}
-
-/// Sum of the fault.* counters in one shard's registry.
-std::uint64_t count_faults(const obs::MetricsRegistry& metrics) {
-  std::uint64_t faults = 0;
-  for (const auto& [name, value] : metrics.counters())
-    if (name.rfind("fault.", 0) == 0) faults += value;
-  return faults;
-}
-
-std::string lane_name(const ShardTask& task, double snr_db) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "shard %zu / snr %g dB", task.index, snr_db);
-  return std::string(buf);
-}
-
-}  // namespace
 
 std::size_t resolve_shard_trials(std::size_t num_points,
                                  std::size_t trials_per_point,
@@ -133,165 +101,6 @@ unsigned run_shards(std::span<const ShardTask> tasks, unsigned threads,
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
   return threads;
-}
-
-SweepReport run_detection_sweep(const JammerConfig& jammer_config,
-                                std::span<const dsp::cfloat> frame_native,
-                                DetectorTap tap,
-                                const DetectionRunConfig& base,
-                                std::span<const double> snr_points_db,
-                                const SweepConfig& sweep) {
-  const auto started = std::chrono::steady_clock::now();  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
-
-  // Per-point read-only trial plans (pre-rendered, power-scaled variants).
-  // Point p's trials derive from derive_seed(sweep.seed, p), matching a
-  // sequential run_detection_experiment with that seed. Plans build lazily
-  // from whichever worker reaches the point first, so the per-point
-  // resample/scale prep overlaps shard execution instead of running
-  // serially up front (each plan is a pure function of its index, so the
-  // builder's thread cannot affect its contents).
-  LazyPlanTable plans(snr_points_db.size(), [&](std::size_t p) {
-    DetectionRunConfig config = base;
-    config.snr_db = snr_points_db[p];
-    config.num_frames = sweep.trials_per_point;
-    config.seed = dsp::derive_seed(sweep.seed, p);
-    return prepare_detection_trials(frame_native, tap, config);
-  });
-
-  const std::vector<ShardTask> tasks =
-      make_shard_schedule(snr_points_db.size(), sweep);
-
-  // Outcome slots keyed by shard index: workers write disjoint entries.
-  std::vector<DetectionTrialCounts> outcomes(tasks.size());
-  std::vector<obs::MetricsRegistry> shard_metrics(tasks.size());
-  std::vector<std::uint64_t> shard_trials(tasks.size(), 0);
-  std::vector<obs::TraceRecorder::TraceLane> shard_lanes(
-      sweep.trace_events_per_shard > 0 ? tasks.size() : 0);
-
-  // Progress accounting (side channel only — never feeds the report's
-  // deterministic fields).
-  std::uint64_t trials_total = 0;
-  for (const ShardTask& task : tasks) trials_total += task.trials;
-  std::atomic<std::size_t> shards_done{0};
-  std::atomic<std::uint64_t> trials_done{0};
-  std::atomic<std::uint64_t> faults_seen{0};
-  std::mutex progress_mutex;
-
-  const unsigned pool_size =
-      run_shards(tasks, sweep.threads, [&](const ShardTask& task) {
-        // Every shard programs its own jammer/fabric instance from the
-        // shared personality: no mutable state crosses shard boundaries.
-        ReactiveJammer jammer(jammer_config);
-        std::optional<obs::Telemetry> telemetry;
-        if (sweep.trace_events_per_shard > 0) {
-          obs::TelemetryConfig tc;
-          tc.trace_capacity = sweep.trace_events_per_shard;
-          tc.probe_enabled = false;
-          telemetry.emplace(tc);
-          jammer.attach_trace(&*telemetry);
-        }
-        outcomes[task.index] =
-            run_detection_trials(jammer, plans.get(task.point),
-                                 task.first_trial, task.trials,
-                                 &shard_metrics[task.index]);
-        shard_trials[task.index] = task.trials;
-        if (telemetry.has_value()) {
-          jammer.attach_trace(nullptr);
-          telemetry->flush();
-          telemetry->refresh_gauges();
-          // Fold the shard's fabric event counters/histograms into its
-          // metrics slot, minus the wall-clock-derived entries: merged
-          // campaign metrics must depend only on the deterministic event
-          // stream.
-          obs::MetricsRegistry fabric_metrics = telemetry->metrics();
-          fabric_metrics.erase_counter("stream_wall_ns");
-          fabric_metrics.erase_gauge("host_throughput_msps");
-          shard_metrics[task.index].merge(fabric_metrics);
-          obs::TraceRecorder::TraceLane& lane = shard_lanes[task.index];
-          lane.name = lane_name(task, snr_points_db[task.point]);
-          lane.events = telemetry->trace().events();
-          lane.annotations = telemetry->personalities();
-        }
-
-        const std::size_t done =
-            shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
-        trials_done.fetch_add(task.trials, std::memory_order_relaxed);
-        faults_seen.fetch_add(count_faults(shard_metrics[task.index]),
-                              std::memory_order_relaxed);
-        if (sweep.progress_every_shards > 0 &&
-            (done % sweep.progress_every_shards == 0 ||
-             done == tasks.size())) {
-          SweepProgress prog;
-          prog.shards_done = done;
-          prog.shards_total = tasks.size();
-          prog.trials_done = trials_done.load(std::memory_order_relaxed);
-          prog.trials_total = trials_total;
-          prog.faults = faults_seen.load(std::memory_order_relaxed);
-          prog.elapsed_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
-                  .count();
-          if (prog.elapsed_seconds > 0.0)
-            prog.trials_per_second =
-                static_cast<double>(prog.trials_done) / prog.elapsed_seconds;
-          if (prog.trials_per_second > 0.0)
-            prog.eta_seconds =
-                static_cast<double>(trials_total - prog.trials_done) /
-                prog.trials_per_second;
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          if (sweep.progress)
-            sweep.progress(prog);
-          else
-            print_progress_line(prog);
-        }
-      });
-
-  SweepReport report;
-  report.threads_used = std::max(1u, pool_size);
-  report.shards = tasks.size();
-  report.shard_trials = std::move(shard_trials);
-  report.points.resize(snr_points_db.size());
-  for (std::size_t p = 0; p < snr_points_db.size(); ++p) {
-    report.points[p].snr_db = snr_points_db[p];
-    report.points[p].seed = dsp::derive_seed(sweep.seed, p);
-    report.points[p].result.frames_sent = sweep.trials_per_point;
-  }
-
-  // Deterministic merge: fold shard outcomes and metrics in index order.
-  std::vector<DetectionTrialCounts> totals(snr_points_db.size());
-  for (const ShardTask& task : tasks) {
-    totals[task.point].merge(outcomes[task.index]);
-    report.metrics.merge(shard_metrics[task.index]);
-  }
-  for (std::size_t p = 0; p < snr_points_db.size(); ++p) {
-    auto& result = report.points[p].result;
-    result.frames_detected = totals[p].frames_detected;
-    result.total_detections = totals[p].total_detections;
-    if (result.frames_sent > 0) {
-      result.probability = static_cast<double>(result.frames_detected) /
-                           static_cast<double>(result.frames_sent);
-      result.detections_per_frame =
-          static_cast<double>(result.total_detections) /
-          static_cast<double>(result.frames_sent);
-    }
-  }
-
-  report.shard_traces = std::move(shard_lanes);
-
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
-          .count();
-
-  // Campaign-level aggregates ride the same registry as the merged shard
-  // counters. Counters stay deterministic (schedule-derived); wall-clock
-  // rates are gauges, which merges treat as point-in-time readings.
-  report.metrics.counter("campaign.shards") = report.shards;
-  report.metrics.counter("campaign.trials") = report.total_trials();
-  report.metrics.counter("campaign.points") = report.points.size();
-  report.metrics.set_gauge("campaign.threads",
-                           static_cast<double>(report.threads_used));
-  report.metrics.set_gauge("campaign.wall_s", report.wall_seconds);
-  report.metrics.set_gauge("campaign.trials_per_s", report.trials_per_second());
-  return report;
 }
 
 }  // namespace rjf::core

@@ -1,14 +1,15 @@
-// Deterministic parallel sweep engine.
+// Deterministic shard scheduler.
 //
 // Every headline result in the paper is a sweep — P_det vs SNR over 10000
 // frames per point (Figs. 6-8), iperf bandwidth/PRR vs SIR (Figs. 10-11) —
 // and each trial within a point is independent by construction (§3.2).
-// The engine exploits that: a sweep of P points × T trials is cut into
-// shards of at most `shard_trials` consecutive trials, the shards are
-// executed by a pool of worker threads, and the per-shard outcomes are
-// merged back in shard-index order.
+// A grid of P points × T trials is cut into shards of at most
+// `shard_trials` consecutive trials of one point, and the shards are
+// executed by a pool of worker threads. Detection grids run through one
+// executor built on this scheduler, run_campaign (core/campaign.h); the
+// Figs. 10-11 network sweeps drive it directly.
 //
-// Determinism guarantee: the aggregate counts of a sweep depend only on
+// Determinism guarantee: the aggregate counts of a grid depend only on
 // (seed, points, trials_per_point) — NOT on the thread count, the shard
 // size, or the order in which the scheduler happened to run the shards.
 // Three properties enforce it:
@@ -22,40 +23,40 @@
 //      fabric instance (built from the same JammerConfig), its own noise
 //      and impairment RNGs, and its own obs::MetricsRegistry; the
 //      read-only DetectionTrialPlan is the only shared data.
-//   3. Merging is associative bookkeeping. Shard outcomes land in a
-//      pre-sized slot vector keyed by shard index; the engine folds them
-//      sequentially in index order after the pool drains, so floating
-//      summaries are computed from identical integer totals every run.
+//   3. Merging is associative bookkeeping. Shard outcomes are unsigned
+//      integer totals that fold by addition, so any completion order gives
+//      the same sums, and floating summaries are computed from them once.
 //
 // See DESIGN.md "Sweep engine" for the full scheme.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
-
-#include "core/detection_experiment.h"
-#include "obs/metrics.h"
-#include "obs/trace_recorder.h"
 
 namespace rjf::core {
 
 /// Snapshot handed to the progress callback as shards complete: campaign
-/// throughput, ETA and the fault counters accumulated so far, so a long
-/// run is observable without waiting for the report.
+/// throughput, ETA and the faults injected so far, so a long run is
+/// observable without waiting for the report. The done/total pairs count
+/// the whole campaign, shards already durable before this run included;
+/// the rate and ETA count only this run's trials.
 struct SweepProgress {
   std::size_t shards_done = 0;
   std::size_t shards_total = 0;
   std::uint64_t trials_done = 0;
   std::uint64_t trials_total = 0;
   double elapsed_seconds = 0.0;
-  double trials_per_second = 0.0;
-  double eta_seconds = 0.0;          // remaining trials / current rate
-  std::uint64_t faults = 0;          // sum of fault.* counters so far
+  double trials_per_second = 0.0;    // this run's trials / elapsed
+  double eta_seconds = 0.0;          // this run's remaining trials / rate
+  std::uint64_t faults = 0;          // faults injected by this run so far
 };
 
+/// The shard scheduler's knobs. The sweep presets (core/campaign.h) map
+/// them onto a one-rate CampaignSpec; rjf_bench and bench/wifi_sweep.h cut
+/// their own grids with make_shard_schedule/run_shards.
 struct SweepConfig {
   std::size_t trials_per_point = 1000;
   /// Work-unit granularity. Smaller shards balance better across workers;
@@ -66,18 +67,6 @@ struct SweepConfig {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   unsigned threads = 0;
   std::uint64_t seed = 1;
-  /// Report progress every N completed shards (0 = silent). Reports go to
-  /// `progress`, or to a one-line stderr ticker when `progress` is empty.
-  /// Progress is a side channel: it never affects the deterministic result.
-  std::size_t progress_every_shards = 0;
-  std::function<void(const SweepProgress&)> progress;
-  /// Attach a per-shard Telemetry bundle (trace ring of this many events,
-  /// probes off) to every shard's jammer (0 = no per-shard telemetry).
-  /// Shard event counters and latency histograms merge into
-  /// SweepReport::metrics (minus wall-clock counters, keeping the merge
-  /// bit-identical across thread counts), and each shard's trace becomes a
-  /// lane of SweepReport::shard_traces / write_campaign_trace().
-  std::size_t trace_events_per_shard = 0;
 };
 
 /// One schedulable unit: a contiguous range of trials of one sweep point.
@@ -126,64 +115,5 @@ inline constexpr std::size_t kMaxAutoShardTrials = 4096;
 /// tasks.size() (0 when there is no work).
 unsigned run_shards(std::span<const ShardTask> tasks, unsigned threads,
                     const std::function<void(const ShardTask&)>& kernel);
-
-struct SweepPointReport {
-  double snr_db = 0.0;
-  std::uint64_t seed = 0;  // per-point base seed the trials derived from
-  DetectionRunResult result;
-};
-
-struct SweepReport {
-  std::vector<SweepPointReport> points;
-  unsigned threads_used = 1;
-  std::size_t shards = 0;
-  double wall_seconds = 0.0;
-  /// Trials executed per shard, by shard index (diagnostics: the schedule
-  /// is deterministic, so this vector is too).
-  std::vector<std::uint64_t> shard_trials;
-  /// Per-shard registries merged in shard-index order: sweep.trials,
-  /// sweep.frames_detected, sweep.detections counters and the
-  /// sweep.detections_per_trial histogram. With trace_events_per_shard set,
-  /// also the merged fabric event counters and latency histograms from the
-  /// per-shard telemetry, plus the campaign.* aggregates (shards, trials,
-  /// threads, wall_s, trials_per_s) stamped by the engine.
-  obs::MetricsRegistry metrics;
-  /// One trace lane per shard (trace_events_per_shard > 0), keyed by shard
-  /// index, each named after its shard and SNR point.
-  std::vector<obs::TraceRecorder::TraceLane> shard_traces;
-
-  /// Merge the shard lanes into one Chrome trace (one process per shard;
-  /// see TraceRecorder::write_merged_chrome_trace). False when there are
-  /// no lanes or the file cannot be written.
-  [[nodiscard]] bool write_campaign_trace(const std::string& path) const {
-    if (shard_traces.empty()) return false;
-    return obs::TraceRecorder::write_merged_chrome_trace(path, shard_traces);
-  }
-
-  [[nodiscard]] std::size_t total_trials() const noexcept {
-    std::size_t n = 0;
-    for (const auto& p : points) n += p.result.frames_sent;
-    return n;
-  }
-  [[nodiscard]] double trials_per_second() const noexcept {
-    return wall_seconds > 0.0
-               ? static_cast<double>(total_trials()) / wall_seconds
-               : 0.0;
-  }
-};
-
-/// Fig. 6/7/8-style parallel detection sweep: for each SNR point, run
-/// `sweep.trials_per_point` independent trials of `frame_native` against a
-/// fresh jammer programmed with `jammer_config`, sharded across the worker
-/// pool. `base` supplies the non-swept knobs (noise floor, lead-in, rates,
-/// CFO bound); its snr_db / num_frames / seed are overridden per point.
-/// Point p's trials derive from seed dsp::derive_seed(sweep.seed, p), so
-/// the per-point aggregates equal a sequential run_detection_experiment()
-/// with that seed, bit for bit.
-[[nodiscard]] SweepReport run_detection_sweep(
-    const JammerConfig& jammer_config,
-    std::span<const dsp::cfloat> frame_native, DetectorTap tap,
-    const DetectionRunConfig& base, std::span<const double> snr_points_db,
-    const SweepConfig& sweep);
 
 }  // namespace rjf::core

@@ -1,196 +1,24 @@
 #include "fault/fault_experiment.h"
 
-#include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "dsp/rng.h"
-#include "fpga/dsp_core.h"
 
 namespace rjf::fault {
 
-namespace {
-
-// Latency histogram binning: 64 ticks (640 ns) per bin out to ~164 us,
-// matching telemetry's fault_recovery_ticks shape.
-constexpr std::uint64_t kLatencyWidth = 64;
-constexpr std::uint64_t kLatencyBins = 256;
-
-// Per-shard accumulation beyond the standard detection counts.
-struct ShardOutcome {
-  core::DetectionTrialCounts counts;
-  std::uint64_t injected = 0;
-  std::uint64_t overflow_gaps = 0;
-  std::uint64_t samples_lost = 0;
-  std::uint64_t latency_sum = 0;
-  std::uint64_t latency_count = 0;
-};
-
-}  // namespace
-
-FaultSweepReport run_fault_robustness_sweep(
+core::CampaignReport run_fault_robustness_sweep(
     const core::JammerConfig& jammer_config,
     std::span<const dsp::cfloat> frame_native, core::DetectorTap tap,
     const core::DetectionRunConfig& base, std::span<const double> snr_points_db,
     std::span<const double> fault_scales, const FaultPlanConfig& fault_base,
     const core::SweepConfig& sweep) {
-  const auto started = std::chrono::steady_clock::now();  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
-  const std::size_t num_snrs = snr_points_db.size();
-  const std::size_t num_points = fault_scales.size() * num_snrs;
-
-  // Per-point read-only state: the trial plan (shared with the clean sweep
-  // seeding scheme, so scale 0 reproduces run_detection_sweep), the scaled
-  // fault config (its horizon is set per shard from the plan's capture
-  // length), and the root seed of the point's per-trial fault streams.
-  // Plans build lazily from the worker pool — the resample/scale prep is
-  // the expensive part of per-point setup and used to run serially up
-  // front; the cheap fault configs stay precomputed.
-  core::LazyPlanTable plans(num_points, [&](std::size_t p) {
-    core::DetectionRunConfig config = base;
-    config.snr_db = snr_points_db[p % num_snrs];
-    config.num_frames = sweep.trials_per_point;
-    config.seed = dsp::derive_seed(sweep.seed, p);
-    return core::prepare_detection_trials(frame_native, tap, config);
-  });
-  std::vector<FaultPlanConfig> fault_configs;
-  std::vector<std::uint64_t> fault_seeds;
-  fault_configs.reserve(num_points);
-  fault_seeds.reserve(num_points);
-  for (std::size_t s = 0; s < fault_scales.size(); ++s) {
-    for (std::size_t k = 0; k < num_snrs; ++k) {
-      const std::size_t p = s * num_snrs + k;
-      fault_configs.push_back(fault_base.scaled(fault_scales[s]));
-      fault_seeds.push_back(dsp::derive_seed(fault_base.seed, p));
-    }
-  }
-
-  const std::vector<core::ShardTask> tasks =
-      core::make_shard_schedule(num_points, sweep);
-
-  std::vector<ShardOutcome> outcomes(tasks.size());
-  std::vector<obs::MetricsRegistry> shard_metrics(tasks.size());
-
-  const unsigned pool_size =
-      core::run_shards(tasks, sweep.threads, [&](const core::ShardTask& task) {
-        core::ReactiveJammer jammer(jammer_config);
-        ShardOutcome& out = outcomes[task.index];
-        obs::MetricsRegistry& reg = shard_metrics[task.index];
-        obs::Histogram& per_trial =
-            reg.histogram("sweep.detections_per_trial", 0, 1, 15);
-        const core::DetectionTrialPlan& plan = plans.get(task.point);
-        const std::uint64_t lead_ticks =
-            static_cast<std::uint64_t>(plan.lead_in) * fpga::kClocksPerSample;
-        std::size_t max_variant = 0;
-        for (const dsp::cvec& v : plan.variants)
-          max_variant = std::max(max_variant, v.size());
-        const std::uint64_t horizon = plan.lead_in + max_variant + plan.tail;
-
-        for (std::size_t t = task.first_trial;
-             t < task.first_trial + task.trials; ++t) {
-          // The trial's own fault schedule, keyed on (point, trial) alone.
-          FaultPlanConfig fc = fault_configs[task.point];
-          fc.horizon_samples = horizon;
-          fc.seed = dsp::derive_seed(fault_seeds[task.point], t);
-          FaultInjector injector(FaultPlan::generate(fc));
-          jammer.attach_fault_hooks(&injector, &injector);
-
-          const core::DetectionTrialOutcome trial =
-              core::run_detection_trial(jammer, plan, t);
-          jammer.attach_fault_hooks(nullptr, nullptr);
-
-          out.counts.total_detections += trial.events;
-          if (trial.events > 0) ++out.counts.frames_detected;
-          per_trial.record(trial.events);
-          out.injected += injector.injected_total();
-          out.overflow_gaps += trial.overflow_gaps;
-          out.samples_lost += trial.samples_lost;
-          if (trial.jam_triggers > 0 &&
-              trial.last_trigger_vita >= lead_ticks) {
-            const std::uint64_t latency = trial.last_trigger_vita - lead_ticks;
-            out.latency_sum += latency;
-            ++out.latency_count;
-            reg.histogram("fault.trigger_latency_ticks", 0, kLatencyWidth,
-                          kLatencyBins)
-                .record(latency);
-          }
-        }
-
-        reg.add("sweep.trials", task.trials);
-        reg.add("sweep.frames_detected", out.counts.frames_detected);
-        reg.add("sweep.detections", out.counts.total_detections);
-        // Fault counters only when something happened, so the scale-0 row's
-        // registries match the clean sweep's exactly.
-        if (out.injected > 0) reg.add("fault.injected", out.injected);
-        if (out.overflow_gaps > 0) {
-          reg.add("fault.overflow_gaps", out.overflow_gaps);
-          reg.add("fault.samples_lost", out.samples_lost);
-        }
-      });
-
-  FaultSweepReport report;
-  report.threads_used = std::max(1u, pool_size);
-  report.shards = tasks.size();
-  report.points.resize(num_points);
-
-  std::vector<ShardOutcome> totals(num_points);
-  for (const core::ShardTask& task : tasks) {
-    ShardOutcome& tot = totals[task.point];
-    const ShardOutcome& shard = outcomes[task.index];
-    tot.counts.merge(shard.counts);
-    tot.injected += shard.injected;
-    tot.overflow_gaps += shard.overflow_gaps;
-    tot.samples_lost += shard.samples_lost;
-    tot.latency_sum += shard.latency_sum;
-    tot.latency_count += shard.latency_count;
-    report.metrics.merge(shard_metrics[task.index]);
-  }
-
-  for (std::size_t s = 0; s < fault_scales.size(); ++s) {
-    for (std::size_t k = 0; k < num_snrs; ++k) {
-      const std::size_t p = s * num_snrs + k;
-      FaultSweepPoint& point = report.points[p];
-      point.fault_scale = fault_scales[s];
-      point.snr_db = snr_points_db[k];
-      point.result.frames_sent = sweep.trials_per_point;
-      point.result.frames_detected = totals[p].counts.frames_detected;
-      point.result.total_detections = totals[p].counts.total_detections;
-      if (point.result.frames_sent > 0) {
-        point.result.probability =
-            static_cast<double>(point.result.frames_detected) /
-            static_cast<double>(point.result.frames_sent);
-        point.result.detections_per_frame =
-            static_cast<double>(point.result.total_detections) /
-            static_cast<double>(point.result.frames_sent);
-      }
-      point.faults_injected = totals[p].injected;
-      point.overflow_gaps = totals[p].overflow_gaps;
-      point.samples_lost = totals[p].samples_lost;
-      point.trigger_latency_count = totals[p].latency_count;
-      if (totals[p].latency_count > 0)
-        point.trigger_latency_mean_ticks =
-            static_cast<double>(totals[p].latency_sum) /
-            static_cast<double>(totals[p].latency_count);
-    }
-  }
-
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
-          .count();
-  return report;
-}
-
-FaultSweepReport run_target_fault_robustness_sweep(
-    const core::ProtocolTarget& target, std::size_t rate_index,
-    std::span<const std::uint8_t> psdu, const core::JammerConfig& jammer_config,
-    core::DetectorTap tap, core::DetectionRunConfig base,
-    std::span<const double> snr_points_db, std::span<const double> fault_scales,
-    const FaultPlanConfig& fault_base, const core::SweepConfig& sweep) {
-  const dsp::cvec frame = target.make_frame(rate_index, psdu, 0x5D);
-  base.tx_rate_hz = target.native_rate_hz;
-  return run_fault_robustness_sweep(jammer_config, frame, tap, base,
-                                    snr_points_db, fault_scales, fault_base,
-                                    sweep);
+  core::CampaignSpec spec = core::sweep_campaign_spec(
+      jammer_config, tap, base, snr_points_db, sweep);
+  spec.grid.fault_scales.assign(fault_scales.begin(), fault_scales.end());
+  spec.make_trial_hook = campaign_fault_hook_factory(spec.grid, fault_base);
+  const dsp::cvec frame(frame_native.begin(), frame_native.end());
+  return core::run_campaign_frames(spec, {&frame, 1});
 }
 
 namespace {

@@ -1,10 +1,11 @@
 // Fault-robustness sweep: detection probability and trigger latency as a
 // function of fault intensity × SNR.
 //
-// Reuses the deterministic sweep engine (core/sweep.h) over a fault-major
-// grid: point index p = scale_index * num_snrs + snr_index. Trial plans
-// derive from dsp::derive_seed(sweep.seed, p) exactly like the clean
-// detection sweep, so the scale-0 row of the grid reproduces
+// A one-rate campaign grid (core/campaign.h) whose fault axis is
+// campaign_fault_hook_factory: point index p = scale_index * num_snrs +
+// snr_index. Trial plans derive from dsp::derive_seed(sweep.seed, p)
+// exactly like the clean detection sweep, and a scale of 0.0 attaches no
+// injector at all, so the scale-0 row of the grid reproduces
 // core::run_detection_sweep bit-for-bit (the zero-fault inertness
 // contract). Each trial generates its own FaultPlan from
 // derive_seed(derive_seed(fault_base.seed, p), trial) — fault schedules,
@@ -13,73 +14,30 @@
 #pragma once
 
 #include "core/campaign.h"
-#include "core/scenario.h"
-#include "core/sweep.h"
 #include "fault/fault_injector.h"
 
 namespace rjf::fault {
 
-struct FaultSweepPoint {
-  double fault_scale = 0.0;
-  double snr_db = 0.0;
-  core::DetectionRunResult result;
-  std::uint64_t faults_injected = 0;   // timeline faults entering captures
-  std::uint64_t overflow_gaps = 0;
-  std::uint64_t samples_lost = 0;
-  // Frame-start -> jam-trigger latency over trials that triggered, in
-  // fabric ticks (10 ns); measured to the trial's last trigger.
-  std::uint64_t trigger_latency_count = 0;
-  double trigger_latency_mean_ticks = 0.0;
-};
-
-struct FaultSweepReport {
-  /// Fault-major grid: points[s * num_snrs + k] is scale s, SNR k.
-  std::vector<FaultSweepPoint> points;
-  unsigned threads_used = 1;
-  std::size_t shards = 0;
-  double wall_seconds = 0.0;
-  /// Per-shard registries merged in shard-index order; carries the clean
-  /// sweep.* series plus fault.* counters and the
-  /// fault.trigger_latency_ticks histogram when faults were injected.
-  obs::MetricsRegistry metrics;
-
-  [[nodiscard]] const FaultSweepPoint& at(std::size_t scale_index,
-                                          std::size_t snr_index,
-                                          std::size_t num_snrs) const {
-    return points[scale_index * num_snrs + snr_index];
-  }
-};
-
 /// Run the grid. `fault_base` holds the rates at scale 1.0 (its
-/// horizon_samples is overridden per point to cover the capture, its seed
+/// horizon_samples is overridden per trial to cover the capture, its seed
 /// is the root of the per-trial schedule streams); `fault_scales` is the
 /// degradation-curve x-axis — include 0.0 to anchor the clean baseline.
-[[nodiscard]] FaultSweepReport run_fault_robustness_sweep(
+/// Row (s, k) of the report is points[s * snr_points_db.size() + k].
+[[nodiscard]] core::CampaignReport run_fault_robustness_sweep(
     const core::JammerConfig& jammer_config,
     std::span<const dsp::cfloat> frame_native, core::DetectorTap tap,
     const core::DetectionRunConfig& base, std::span<const double> snr_points_db,
     std::span<const double> fault_scales, const FaultPlanConfig& fault_base,
     const core::SweepConfig& sweep);
 
-/// Run the grid against a registered protocol target (core/scenario.h):
-/// the victim frame is `psdu` through the target's transmitter at
-/// `rate_index`, and `base.tx_rate_hz` is overridden with the target's
-/// native rate. Everything else matches run_fault_robustness_sweep.
-[[nodiscard]] FaultSweepReport run_target_fault_robustness_sweep(
-    const core::ProtocolTarget& target, std::size_t rate_index,
-    std::span<const std::uint8_t> psdu, const core::JammerConfig& jammer_config,
-    core::DetectorTap tap, core::DetectionRunConfig base,
-    std::span<const double> snr_points_db, std::span<const double> fault_scales,
-    const FaultPlanConfig& fault_base, const core::SweepConfig& sweep);
-
 /// The campaign runner's fault axis. Returns a CampaignSpec::make_trial_hook
 /// factory whose hooks attach a per-trial FaultInjector built from
 /// `fault_base` scaled by the point's grid.fault_scales entry, seeded
-/// derive_seed(derive_seed(fault_base.seed, point), trial) — the same
-/// (point, trial) keying as run_fault_robustness_sweep, so campaign results
-/// are index-deterministic and the scale-0.0 rows stay byte-identical to a
-/// hookless campaign (zero-fault inertness). One hook is created per shard;
-/// hooks hold no shared state, so no locking is involved.
+/// derive_seed(derive_seed(fault_base.seed, point), trial), so campaign
+/// results are index-deterministic and the scale-0.0 rows stay
+/// byte-identical to a hookless campaign (zero-fault inertness). One hook
+/// is created per shard; hooks hold no shared state, so no locking is
+/// involved.
 [[nodiscard]] std::function<std::unique_ptr<core::CampaignTrialHook>()>
 campaign_fault_hook_factory(core::CampaignGrid grid,
                             FaultPlanConfig fault_base);

@@ -38,8 +38,8 @@
 //                      gate in CI enforces the zero-overhead claim).
 //
 // Raw arithmetic casts (static_cast between integer types) inside the
-// fabric model are confined to this header — tools/fabric_lint.py fails the
-// build on any that appear elsewhere in src/fpga.
+// fabric model are confined to this header — `python3 tools/rjf_analyze
+// --pass fabric` fails the build on any that appear elsewhere in src/fpga.
 #pragma once
 
 #include <bit>

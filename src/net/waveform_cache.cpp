@@ -6,6 +6,7 @@
 #include "dsp/db.h"
 #include "obs/metrics.h"
 #include "dsp/resampler.h"
+#include "fpga/dsp_core.h"
 #include "phy80211/ofdm.h"
 #include "phy80211/transmitter.h"
 
@@ -29,7 +30,7 @@ std::shared_ptr<const CachedWaveform> build(
   wf->w20 = tx.transmit(psdu);
   dsp::set_mean_power(std::span<dsp::cfloat>(wf->w20), mean_power);
   wf->w25 =
-      dsp::resample(wf->w20, phy80211::kSampleRateHz, kJammerSampleRateHz);
+      dsp::resample(wf->w20, phy80211::kSampleRateHz, fpga::kBasebandRateHz);
   wf->duration_s =
       static_cast<double>(wf->w20.size()) / phy80211::kSampleRateHz;
   return wf;

@@ -34,13 +34,9 @@ class MetricsRegistry;
 
 namespace rjf::net {
 
-/// Jammer-domain sample rate the cached w25 is resampled to (the fabric
-/// ADC clock of the paper's rig).
-inline constexpr double kJammerSampleRateHz = 25e6;
-
 struct CachedWaveform {
   dsp::cvec w20;        // client-domain waveform at the requested mean power
-  dsp::cvec w25;        // same waveform resampled to kJammerSampleRateHz
+  dsp::cvec w25;        // same waveform resampled to fpga::kBasebandRateHz
   double duration_s = 0.0;  // w20 duration at phy80211::kSampleRateHz
 };
 

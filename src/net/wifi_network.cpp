@@ -6,16 +6,15 @@
 #include "dsp/db.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
+#include "fpga/dsp_core.h"
 #include "phy80211/ofdm.h"
 #include "phy80211/transmitter.h"
 
 namespace rjf::net {
 namespace {
 
-constexpr double kFabricRate = 25e6;
+using fpga::kBasebandRateHz;
 constexpr double kWifiRate = phy80211::kSampleRateHz;
-static_assert(kFabricRate == kJammerSampleRateHz,
-              "WaveformCache resamples to the jammer fabric rate");
 constexpr std::size_t kLeadSamples25 = 220;  // ~8.8 us noise head per capture
 
 // Mean power of the fabric WGN generator (LFSR CLT shaper): measured once
@@ -59,10 +58,11 @@ void WifiNetworkSim::attach_telemetry(obs::Telemetry* telemetry) {
 
 void WifiNetworkSim::sync_jammer_to(double now) {
   if (!jammer_ || now <= jammer_time_s_) return;
-  const auto gap = static_cast<std::uint64_t>((now - jammer_time_s_) * kFabricRate);
+  const auto gap =
+      static_cast<std::uint64_t>((now - jammer_time_s_) * kBasebandRateHz);
   if (gap == 0) return;
   jammer_->radio().core().fast_forward(gap);
-  jammer_time_s_ += static_cast<double>(gap) / kFabricRate;
+  jammer_time_s_ += static_cast<double>(gap) / kBasebandRateHz;
 }
 
 bool WifiNetworkSim::cca_busy() {
@@ -120,11 +120,11 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
     static const double kWgnPower = wgn_generator_power();
     jam_scale = std::sqrt(config_.jammer_tx_power / kWgnPower);
 
-    const double capture_start = now - kLeadSamples25 / kFabricRate;
+    const double capture_start = now - kLeadSamples25 / kBasebandRateHz;
     sync_jammer_to(capture_start);
     jam_t0 = jammer_time_s_;
     const auto lead = static_cast<std::size_t>(
-        std::max(0.0, (now - jammer_time_s_)) * kFabricRate);
+        std::max(0.0, (now - jammer_time_s_)) * kBasebandRateHz);
     const std::size_t tail = 64;
     dsp::cvec capture(lead + rc.w25.size() + tail);
     dsp::NoiseSource noise(config_.jammer_noise_power, rng_.next());
@@ -136,7 +136,7 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
     jam_tx25 = std::move(res.tx);
     for (auto& s : jam_tx25) s *= static_cast<float>(jam_scale);
     bursts = std::move(res.bursts);
-    jammer_time_s_ += static_cast<double>(capture.size()) / kFabricRate;
+    jammer_time_s_ += static_cast<double>(capture.size()) / kBasebandRateHz;
 
     // Measured-SIR bookkeeping (paper: SIR at the AP during jam bursts).
     for (const auto& b : bursts) {
@@ -163,8 +163,9 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
       if (s1 <= s0) continue;
       const dsp::cvec slice20 = dsp::resample(
           std::span<const dsp::cfloat>(jam_tx25.data() + s0, s1 - s0),
-          kFabricRate, kWifiRate);
-      const double slice_t0 = jam_t0 + static_cast<double>(s0) / kFabricRate;
+          kBasebandRateHz, kWifiRate);
+      const double slice_t0 =
+          jam_t0 + static_cast<double>(s0) / kBasebandRateHz;
       const auto j0 = static_cast<long>(
           std::llround((slice_t0 - win_start) * kWifiRate));
       for (std::size_t m = 0; m < slice20.size(); ++m) {
@@ -231,11 +232,11 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
     // Cached alongside w20 — this used to be a fresh polyphase resample
     // on every single exchange.
     const dsp::cvec& ack25 = ack_wave_->w25;
-    const double capture_start = ack_start - 64 / kFabricRate;
+    const double capture_start = ack_start - 64 / kBasebandRateHz;
     sync_jammer_to(capture_start);
     ack_jam_t0 = jammer_time_s_;
     const auto lead = static_cast<std::size_t>(
-        std::max(0.0, (ack_start - jammer_time_s_)) * kFabricRate);
+        std::max(0.0, (ack_start - jammer_time_s_)) * kBasebandRateHz);
     dsp::cvec capture(lead + ack25.size() + 32);
     dsp::NoiseSource noise(config_.jammer_noise_power, rng_.next());
     noise.fill(capture);
@@ -247,7 +248,7 @@ WifiNetworkSim::ExchangeOutcome WifiNetworkSim::exchange(
     ack_jam25 = std::move(res.tx);
     for (auto& s : ack_jam25) s *= static_cast<float>(jam_scale);
     ack_bursts = std::move(res.bursts);
-    jammer_time_s_ += static_cast<double>(capture.size()) / kFabricRate;
+    jammer_time_s_ += static_cast<double>(capture.size()) / kBasebandRateHz;
   }
 
   const bool jam_overlaps_ack = !ack_bursts.empty();

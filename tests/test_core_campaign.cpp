@@ -1,5 +1,6 @@
 // Campaign runner: grid indexing, shard-store durability (torn tails,
-// corrupt records, identity mismatch), and the headline guarantee — a
+// corrupt records and headers, identity mismatch), progress scopes, the
+// no-store mode, and the headline guarantee — a
 // campaign killed at any shard boundary and resumed, at any thread count
 // and any shard granularity, merges to a report byte-identical to an
 // uninterrupted single-process run.
@@ -239,6 +240,133 @@ TEST(Campaign, StoreFromOlderTrialSynthesisIsRejected) {
   write_partial_store(spec.fingerprint());
   EXPECT_NO_THROW((void)run_campaign(spec, path));
   std::remove(path.c_str());
+}
+
+/// Overwrite 64-bit word `word` of the store file (header words 0..7, then
+/// records of ShardRecord::kWords each).
+void poke_word(const std::string& path, std::size_t word, std::uint64_t value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(word * sizeof(std::uint64_t)));
+  f.write(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+// Regression: resume trusted the header's shard_trials as is. A header
+// whose shard_trials read 20 instead of 16 cut a schedule whose shard 0
+// covered trials 0..19 while the stored record covered 0..15, so the
+// resumed report claimed complete=1 with 40 of point 0's 48 trials
+// (P_det 1.000 where the uninterrupted run reads 0.979). Both a
+// granularity and a shard count the recomputed schedule disagrees with
+// must reject the store, not merge it.
+TEST(Campaign, CorruptHeaderIsRejectedNotMerged) {
+  const std::string path = temp_store("rjf_campaign_bad_header.rjfc");
+  CampaignSpec spec = small_spec();
+  spec.max_shards_this_run = 2;
+  (void)run_campaign(spec, path);
+  spec.max_shards_this_run = 0;
+
+  poke_word(path, 6, 20);  // shard_trials 16 -> 20 (still 6 shards)
+  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+
+  poke_word(path, 6, 16);
+  poke_word(path, 7, 7);   // num_shards 6 -> 7
+  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+
+  poke_word(path, 7, 6);   // restored: resumes to the uninterrupted result
+  const std::string ref_path = temp_store("rjf_campaign_bad_header_ref.rjfc");
+  EXPECT_EQ(run_campaign(spec, path).to_csv(),
+            run_campaign(spec, ref_path).to_csv());
+  std::remove(ref_path.c_str());
+  std::remove(path.c_str());
+}
+
+// Regression: a record passes its checksum but covers trials its schedule
+// entry does not (first_trial off by one). Pre-fix it merged silently.
+TEST(Campaign, RecordOutsideItsScheduleEntryIsRejected) {
+  const std::string path = temp_store("rjf_campaign_bad_record.rjfc");
+  const CampaignSpec spec = small_spec();
+  const auto write_store = [&](std::uint64_t first_trial) {
+    ShardStoreHeader header;
+    header.fingerprint = spec.fingerprint();
+    header.campaign_seed = spec.seed;
+    header.num_points = spec.grid.num_points();
+    header.trials_per_point = spec.grid.trials_per_point;
+    header.shard_trials = spec.shard_trials;
+    header.num_shards = 6;
+    auto store = ShardStore::create(path, header);
+    ASSERT_NE(store, nullptr);
+    ShardRecord record;
+    record.shard_index = 1;  // point 0, trials 16..31
+    record.first_trial = first_trial;
+    record.trials = spec.shard_trials;
+    ASSERT_TRUE(store->append(record));
+  };
+  write_store(17);
+  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+  write_store(16);  // control: the schedule's own range resumes
+  EXPECT_NO_THROW((void)run_campaign(spec, path));
+  std::remove(path.c_str());
+}
+
+// Progress after a resume counts the whole campaign in both pairs: with 4
+// of 8 16-trial shards durable, the first report of the resumed run reads
+// shards 5/8 and trials 80/128. Pre-fix the trial pair counted only this
+// run (16/64) while the shard pair counted the campaign.
+TEST(Campaign, ResumedProgressCountsTheWholeCampaign) {
+  const std::string path = temp_store("rjf_campaign_progress.rjfc");
+  CampaignSpec spec = small_spec();
+  spec.grid.trials_per_point = 64;  // 2 points x 4 shards of 16
+  spec.max_shards_this_run = 4;
+  (void)run_campaign(spec, path);
+
+  spec.max_shards_this_run = 0;
+  spec.progress_every_shards = 1;
+  std::vector<SweepProgress> progress;
+  spec.progress = [&](const SweepProgress& p) { progress.push_back(p); };
+  const CampaignReport resumed = run_campaign(spec, path);
+  EXPECT_TRUE(resumed.complete);
+  ASSERT_EQ(progress.size(), 4u);
+  EXPECT_EQ(progress[0].shards_done, 5u);
+  EXPECT_EQ(progress[0].shards_total, 8u);
+  EXPECT_EQ(progress[0].trials_done, 80u);
+  EXPECT_EQ(progress[0].trials_total, 128u);
+  EXPECT_EQ(progress.back().shards_done, 8u);
+  EXPECT_EQ(progress.back().trials_done, 128u);
+  std::remove(path.c_str());
+}
+
+// An empty store path runs with no store: the report folds in memory, is
+// byte-identical to the file-backed run, and nothing lands on disk.
+TEST(Campaign, NoStoreRunMatchesFileBackedRunAndWritesNothing) {
+  const CampaignSpec spec = small_spec();
+  const std::string path = temp_store("rjf_campaign_filed.rjfc");
+  const CampaignReport filed = run_campaign(spec, path);
+  std::remove(path.c_str());
+
+  // Run from an empty directory, so any file the run created shows up.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "rjf_campaign_nostore";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  CampaignReport in_memory;
+  try {
+    in_memory = run_campaign(spec, "");
+  } catch (...) {
+    std::filesystem::current_path(cwd);
+    throw;
+  }
+  std::filesystem::current_path(cwd);
+
+  EXPECT_TRUE(in_memory.complete);
+  EXPECT_EQ(in_memory.to_csv(), filed.to_csv());
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+
+  // A batch window without a store could never resume.
+  CampaignSpec windowed = spec;
+  windowed.max_shards_this_run = 1;
+  EXPECT_THROW((void)run_campaign(windowed, ""), std::invalid_argument);
 }
 
 // The headline guarantee. One uninterrupted single-thread run is the

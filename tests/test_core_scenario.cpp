@@ -1,6 +1,7 @@
 // Protocol-target scenario registry: lookups, decode ground truth, the
-// wifi_ofdm equivalence contract (target path bit-identical to the
-// hand-rolled Transmitter + run_detection_sweep path), and 802.11b DSSS as
+// wifi_ofdm equivalence contract (run_campaign against the target
+// bit-identical to the hand-rolled Transmitter + run_detection_sweep path),
+// and 802.11b DSSS as
 // a first-class campaign subject (kill/resume byte-identity across thread
 // counts, mirroring test_core_campaign.cpp).
 #include <gtest/gtest.h>
@@ -102,9 +103,9 @@ TEST(Scenario, OfdmReactivePresetMatchesLegacyWifiPreset) {
   EXPECT_EQ(via_target.xcorr_template->coef_q, legacy.xcorr_template->coef_q);
 }
 
-// The refactor contract: driving the sweep through the wifi_ofdm target
-// handle reproduces the pre-refactor hand-rolled path (explicit
-// phy80211::Transmitter + run_detection_sweep) bit for bit.
+// The refactor contract: a one-rate run_campaign against the wifi_ofdm
+// target, with no store, reproduces the pre-refactor hand-rolled path
+// (explicit phy80211::Transmitter + run_detection_sweep) bit for bit.
 TEST(Scenario, OfdmTargetSweepBitIdenticalToHandRolledPath) {
   JammerConfig jammer;
   jammer.detection = DetectionMode::kCrossCorrelator;
@@ -125,16 +126,31 @@ TEST(Scenario, OfdmTargetSweepBitIdenticalToHandRolledPath) {
   const phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
   const dsp::cvec frame = tx.transmit(psdu);
   base.tx_rate_hz = 20e6;
-  const SweepReport hand_rolled = run_detection_sweep(
+  const CampaignReport hand_rolled = run_detection_sweep(
       jammer, frame, DetectorTap::kXcorr, base, snrs, sweep);
 
-  const SweepReport via_target = run_target_detection_sweep(
-      jammer, target_or_throw("wifi_ofdm"), 7, psdu, DetectorTap::kXcorr,
-      base, snrs, sweep);
+  CampaignSpec spec;
+  spec.target = "wifi_ofdm";
+  spec.jammer = jammer;
+  spec.tap = DetectorTap::kXcorr;
+  spec.base = base;
+  spec.psdu_bytes = psdu.size();
+  spec.psdu_fill = 0xA5;
+  spec.scrambler_seed = 0x5D;
+  spec.grid.rate_indices = {7};  // 54 Mb/s
+  spec.grid.snrs_db.assign(std::begin(snrs), std::end(snrs));
+  spec.grid.trials_per_point = sweep.trials_per_point;
+  spec.shard_trials = sweep.shard_trials;
+  spec.threads = sweep.threads;
+  spec.seed = sweep.seed;
+  const CampaignReport via_target = run_campaign(spec, "");
 
   ASSERT_EQ(via_target.points.size(), hand_rolled.points.size());
   for (std::size_t p = 0; p < hand_rolled.points.size(); ++p) {
-    EXPECT_EQ(via_target.points[p].seed, hand_rolled.points[p].seed);
+    EXPECT_EQ(via_target.points[p].rate_mbps, 54.0);
+    EXPECT_EQ(via_target.points[p].snr_db, hand_rolled.points[p].snr_db);
+    EXPECT_EQ(via_target.points[p].trials_done,
+              hand_rolled.points[p].trials_done);
     EXPECT_EQ(via_target.points[p].result.frames_detected,
               hand_rolled.points[p].result.frames_detected);
     EXPECT_EQ(via_target.points[p].result.total_detections,
@@ -237,8 +253,9 @@ TEST(ScenarioCampaign, TargetIdentityIsPartOfTheFingerprint) {
   EXPECT_NE(subset.fingerprint(), dsss.fingerprint());
 }
 
-// The fault harness's target overload is a pure composition: identical to
-// rendering the target's frame by hand and calling the frame-based sweep.
+// A faulted campaign against a target is a pure composition: identical to
+// rendering the target's frame by hand and calling the frame-based fault
+// sweep preset.
 TEST(ScenarioFault, TargetFaultSweepMatchesHandRolledFrame) {
   JammerConfig jammer;
   jammer.detection = DetectionMode::kCrossCorrelator;
@@ -264,13 +281,27 @@ TEST(ScenarioFault, TargetFaultSweepMatchesHandRolledFrame) {
   const dsp::cvec frame = dsss.make_frame(3, psdu, 0x5D);
   DetectionRunConfig hand_base = base;
   hand_base.tx_rate_hz = dsss.native_rate_hz;
-  const fault::FaultSweepReport hand_rolled = fault::run_fault_robustness_sweep(
+  const CampaignReport hand_rolled = fault::run_fault_robustness_sweep(
       jammer, frame, DetectorTap::kXcorr, hand_base, snrs, scales, fault_base,
       sweep);
-  const fault::FaultSweepReport via_target =
-      fault::run_target_fault_robustness_sweep(dsss, 3, psdu, jammer,
-                                               DetectorTap::kXcorr, base, snrs,
-                                               scales, fault_base, sweep);
+
+  CampaignSpec spec;
+  spec.target = dsss.name;
+  spec.jammer = jammer;
+  spec.tap = DetectorTap::kXcorr;
+  spec.base = base;
+  spec.psdu_bytes = psdu.size();
+  spec.psdu_fill = 0xA5;
+  spec.grid.rate_indices = {3};  // 11 Mb/s
+  spec.grid.fault_scales.assign(std::begin(scales), std::end(scales));
+  spec.grid.snrs_db.assign(std::begin(snrs), std::end(snrs));
+  spec.grid.trials_per_point = sweep.trials_per_point;
+  spec.shard_trials = sweep.shard_trials;
+  spec.threads = sweep.threads;
+  spec.seed = sweep.seed;
+  spec.make_trial_hook = fault::campaign_fault_hook_factory(spec.grid,
+                                                            fault_base);
+  const CampaignReport via_target = run_campaign(spec, "");
 
   ASSERT_EQ(via_target.points.size(), hand_rolled.points.size());
   for (std::size_t p = 0; p < hand_rolled.points.size(); ++p) {

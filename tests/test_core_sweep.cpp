@@ -1,6 +1,7 @@
 // Deterministic parallel sweep engine: shard scheduling, seed derivation,
 // worker-pool execution, trial independence of the detection harness, and
-// the bit-identical-across-thread-counts guarantee.
+// the bit-identical-across-thread-counts guarantee of the detection sweep
+// preset and the campaign executor under it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,10 +13,12 @@
 #include <map>
 #include <numbers>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "core/campaign.h"
 #include "core/detection_experiment.h"
 #include "core/presets.h"
 #include "core/sweep.h"
@@ -49,6 +52,20 @@ DetectionRunConfig small_run(std::size_t frames, std::uint64_t seed) {
   config.tail = 64;
   config.seed = seed;
   return config;
+}
+
+/// The one-rate grid run_detection_sweep runs, as a CampaignSpec, for the
+/// knobs only the executor has (tracing, progress, batch windows).
+CampaignSpec sweep_spec(std::span<const double> snrs, std::size_t trials,
+                        std::size_t shard_trials, unsigned threads,
+                        std::uint64_t seed) {
+  SweepConfig sweep;
+  sweep.trials_per_point = trials;
+  sweep.shard_trials = shard_trials;
+  sweep.threads = threads;
+  sweep.seed = seed;
+  return sweep_campaign_spec(xcorr_config(), DetectorTap::kXcorr,
+                             small_run(0, 0), snrs, sweep);
 }
 
 TEST(DeriveSeed, StreamsAreDistinctAndReproducible) {
@@ -353,32 +370,35 @@ TEST(SweepEngine, ReportBookkeeping) {
                                           DetectorTap::kXcorr,
                                           small_run(0, 0), snrs, sweep);
   EXPECT_EQ(report.threads_used, 2u);
-  EXPECT_EQ(report.shards, 3u);  // 8 + 8 + 4
-  ASSERT_EQ(report.shard_trials.size(), 3u);
-  EXPECT_EQ(report.shard_trials[0], 8u);
-  EXPECT_EQ(report.shard_trials[2], 4u);
-  EXPECT_EQ(report.total_trials(), 20u);
+  EXPECT_EQ(report.shards_total, 3u);  // 8 + 8 + 4
+  EXPECT_EQ(report.shards_run, 3u);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.trials_run, 20u);
+  ASSERT_EQ(report.points.size(), 1u);
+  EXPECT_EQ(report.points[0].trials_done, 20u);
+  EXPECT_EQ(report.points[0].snr_db, 6.0);
   EXPECT_EQ(report.metrics.counter_value("sweep.trials"), 20u);
   EXPECT_GT(report.wall_seconds, 0.0);
+  // The preset runs with no store: a batch window could never resume.
+  CampaignSpec windowed = sweep_spec(snrs, 20, 8, 2, 1);
+  windowed.max_shards_this_run = 1;
+  const dsp::cvec frames[] = {frame};
+  EXPECT_THROW((void)run_campaign_frames(windowed, frames),
+               std::invalid_argument);
 }
 
 // Campaign observability: per-shard telemetry merged into the report, the
 // campaign.* aggregates, the progress side channel, and the merged
 // multi-lane Chrome trace.
 TEST(SweepEngine, CampaignMetricsProgressAndShardTraces) {
-  const auto frame = test_frame();
-  SweepConfig sweep;
-  sweep.trials_per_point = 20;
-  sweep.shard_trials = 8;
-  sweep.threads = 2;
-  sweep.trace_events_per_shard = 4096;
-  sweep.progress_every_shards = 1;
-  std::vector<SweepProgress> progress;
-  sweep.progress = [&](const SweepProgress& p) { progress.push_back(p); };
+  const dsp::cvec frames[] = {test_frame()};
   const double snrs[] = {6.0};
-  const auto report = run_detection_sweep(xcorr_config(), frame,
-                                          DetectorTap::kXcorr,
-                                          small_run(0, 0), snrs, sweep);
+  CampaignSpec spec = sweep_spec(snrs, 20, 8, 2, 1);
+  spec.trace_events_per_shard = 4096;
+  spec.progress_every_shards = 1;
+  std::vector<SweepProgress> progress;
+  spec.progress = [&](const SweepProgress& p) { progress.push_back(p); };
+  const auto report = run_campaign_frames(spec, frames);
 
   // Campaign aggregates: counters are schedule-derived, rates are gauges.
   EXPECT_EQ(report.metrics.counter_value("campaign.shards"), 3u);
@@ -422,12 +442,10 @@ TEST(SweepEngine, CampaignMetricsProgressAndShardTraces) {
   std::remove(path.c_str());
 
   // Without per-shard telemetry there are no lanes and no merged trace.
-  SweepConfig plain = sweep;
+  CampaignSpec plain = spec;
   plain.trace_events_per_shard = 0;
   plain.progress_every_shards = 0;
-  const auto bare = run_detection_sweep(xcorr_config(), frame,
-                                        DetectorTap::kXcorr,
-                                        small_run(0, 0), snrs, plain);
+  const auto bare = run_campaign_frames(plain, frames);
   EXPECT_TRUE(bare.shard_traces.empty());
   EXPECT_FALSE(bare.write_campaign_trace(path));
 }
@@ -437,25 +455,17 @@ TEST(SweepEngine, CampaignMetricsProgressAndShardTraces) {
 // (wall-clock ones are stripped before the merge) is identical at any
 // thread count, and the detection results match a telemetry-free run.
 TEST(SweepEngine, TelemetryAttachedSweepIsBitIdenticalAcrossThreads) {
-  const auto frame = test_frame();
+  const dsp::cvec frames[] = {test_frame()};
   const double snrs[] = {3.0, 9.0};
-  SweepConfig reference;
-  reference.trials_per_point = 24;
-  reference.shard_trials = 8;
-  reference.threads = 1;
-  reference.seed = 0xAB;
-  const auto plain = run_detection_sweep(
-      xcorr_config(), frame, DetectorTap::kXcorr, small_run(0, 0), snrs,
-      reference);
+  const CampaignSpec reference = sweep_spec(snrs, 24, 8, 1, 0xAB);
+  const auto plain = run_campaign_frames(reference, frames);
 
-  SweepConfig traced = reference;
+  CampaignSpec traced = reference;
   traced.trace_events_per_shard = 4096;
   std::map<std::string, std::uint64_t> golden;
   for (const unsigned threads : {1u, 2u, 4u}) {
     traced.threads = threads;
-    const auto report = run_detection_sweep(
-        xcorr_config(), frame, DetectorTap::kXcorr, small_run(0, 0), snrs,
-        traced);
+    const auto report = run_campaign_frames(traced, frames);
     // Attaching telemetry must not change the detection outcome.
     ASSERT_EQ(report.points.size(), plain.points.size());
     for (std::size_t p = 0; p < plain.points.size(); ++p) {

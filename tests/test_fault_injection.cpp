@@ -370,7 +370,7 @@ struct SweepFixture {
     fault_base.overflow_rate = 1e-4;
   }
 
-  FaultSweepReport run(unsigned threads, std::size_t shard_trials) const {
+  core::CampaignReport run(unsigned threads, std::size_t shard_trials) const {
     core::SweepConfig sweep;
     sweep.trials_per_point = 12;
     sweep.shard_trials = shard_trials;
@@ -383,7 +383,8 @@ struct SweepFixture {
   }
 };
 
-void expect_same_grid(const FaultSweepReport& a, const FaultSweepReport& b) {
+void expect_same_grid(const core::CampaignReport& a,
+                      const core::CampaignReport& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t p = 0; p < a.points.size(); ++p) {
     EXPECT_EQ(a.points[p].result.frames_detected,
@@ -433,8 +434,10 @@ TEST(FaultSweep, ZeroFaultRowMatchesCleanSweep) {
   const auto clean = core::run_detection_sweep(
       fx.config, fx.frame, core::DetectorTap::kXcorr, base, fx.snrs, sweep);
 
+  // Scale-major grid: the scale-0 row is the first snrs.size() points.
   for (std::size_t k = 0; k < fx.snrs.size(); ++k) {
-    const auto& zero_row = faulted.at(0, k, fx.snrs.size());
+    const auto& zero_row = faulted.points[k];
+    EXPECT_EQ(zero_row.fault_scale, 0.0);
     EXPECT_EQ(zero_row.faults_injected, 0u);
     EXPECT_EQ(zero_row.overflow_gaps, 0u);
     EXPECT_EQ(zero_row.result.frames_detected,

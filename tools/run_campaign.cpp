@@ -190,10 +190,11 @@ int main(int argc, char** argv) {
     spec.progress_every_shards = 25;
     spec.progress = [](const rjf::core::SweepProgress& p) {
       std::fprintf(stderr,
-                   "[campaign] shards %zu/%zu  trials %llu  %.0f trials/s  "
-                   "eta %.0fs\n",
+                   "[campaign] shards %zu/%zu  trials %llu/%llu  %.0f "
+                   "trials/s  eta %.0fs\n",
                    p.shards_done, p.shards_total,
                    static_cast<unsigned long long>(p.trials_done),
+                   static_cast<unsigned long long>(p.trials_total),
                    p.trials_per_second, p.eta_seconds);
     };
   }
