@@ -4,7 +4,7 @@
 // two process-style windows against one shard store (the first window stops
 // after half the shards, the second resumes and finishes) — and byte-
 // compares the merged CSVs. Emits BENCH_campaign.json (override path with
-// RJF_CAMPAIGN_JSON):
+// RJF_BENCH_JSON):
 //
 //   campaign_deterministic            resumed CSV == uninterrupted CSV (0/1)
 //   campaign_resume_overhead          (window1 + window2 wall) / full wall
@@ -97,7 +97,6 @@ int main() {
       deterministic ? "yes" : "NO — DETERMINISM VIOLATION", overhead,
       static_cast<unsigned long long>(window2.trials_replayed));
 
-  const char* json_path = std::getenv("RJF_CAMPAIGN_JSON");
   bench::JsonWriter json;
   json.set("campaign_points", static_cast<std::uint64_t>(spec.grid.num_points()));
   json.set("campaign_trials_per_point",
@@ -113,9 +112,7 @@ int main() {
   json.set("campaign_resume_replayed_trials", window2.trials_replayed);
   json.set("campaign_deterministic",
            static_cast<std::uint64_t>(deterministic ? 1 : 0));
-  const std::string path =
-      json_path != nullptr ? json_path : "BENCH_campaign.json";
-  if (json.write_file(path)) std::printf("wrote %s\n", path.c_str());
+  bench::write_json(json, "BENCH_campaign.json");
 
   bench::print_footer();
   return deterministic ? 0 : 1;

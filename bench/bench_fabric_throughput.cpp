@@ -210,11 +210,6 @@ int main(int argc, char** argv) {
   if (traced > 0.0 && block > 0.0)
     json.set("trace_attached_slowdown", block / traced);
 
-  const char* path = std::getenv("RJF_BENCH_JSON");
-  const std::string out = path ? path : "BENCH_fabric.json";
-  if (!json.write_file(out))
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-  else
-    std::printf("wrote %s\n", out.c_str());
+  bench::write_json(json, "BENCH_fabric.json");
   return 0;
 }

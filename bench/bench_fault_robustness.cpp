@@ -4,7 +4,7 @@
 // glitches) swept over fault intensity × SNR, plus a settings-bus
 // drop/stall scenario exercising the bounded-retry recovery path.
 //
-// Emits BENCH_fault.json (override path with RJF_FAULT_JSON) with the
+// Emits BENCH_fault.json (override path with RJF_BENCH_JSON) with the
 // clean/heavy detection rates, latency degradation, fault totals, and two
 // gates CI enforces with tools/check_bench_regression.py:
 //   fault_deterministic      1 iff the faulted grid is bit-identical at
@@ -195,10 +195,7 @@ int main() {
   json.set("fault_bus_writes_retried", bus.writes_retried());
   json.set("fault_bus_writes_abandoned", bus.writes_abandoned());
 
-  const char* json_path = std::getenv("RJF_FAULT_JSON");
-  const std::string path =
-      json_path != nullptr ? json_path : "BENCH_fault.json";
-  if (json.write_file(path)) std::printf("wrote %s\n", path.c_str());
+  bench::write_json(json, "BENCH_fault.json");
 
   bench::print_footer();
   return (deterministic && zero_fault_mismatch == 0) ? 0 : 1;

@@ -183,11 +183,6 @@ int main(int argc, char** argv) {
   if (const double s = ratio("BM_ViterbiSoft", "BM_ViterbiSoftReference"))
     json.set("viterbi_soft_speedup", s);
 
-  const char* path = std::getenv("RJF_BENCH_JSON");
-  const std::string out = path ? path : "BENCH_phy.json";
-  if (!json.write_file(out))
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-  else
-    std::printf("wrote %s\n", out.c_str());
+  bench::write_json(json, "BENCH_phy.json");
   return 0;
 }

@@ -2,7 +2,7 @@
 // methodology) for every registered target, driven entirely through the
 // scenario layer (core/scenario.h): each curve is a one-rate run_campaign
 // against the target, with no store. Emits BENCH_scenarios.json (override
-// path with RJF_SCENARIO_JSON):
+// path with RJF_BENCH_JSON):
 //
 //   scenario_targets                     registry size
 //   scenario_<name>_pdet_high_snr        min over swept rates of P_det at
@@ -146,10 +146,7 @@ int main() {
            static_cast<std::uint64_t>(deterministic ? 1 : 0));
   json.set("scenario_wall_s", total_wall);
 
-  const char* json_path = std::getenv("RJF_SCENARIO_JSON");
-  const std::string path =
-      json_path != nullptr ? json_path : "BENCH_scenarios.json";
-  if (json.write_file(path)) std::printf("wrote %s\n", path.c_str());
+  bench::write_json(json, "BENCH_scenarios.json");
 
   bench::print_footer();
   return deterministic ? 0 : 1;

@@ -2,7 +2,7 @@
 // run_detection_sweep preset over the campaign executor) at 1, 2 and N
 // worker threads.
 //
-// Emits BENCH_sweep.json (override path with RJF_SWEEP_JSON) with the
+// Emits BENCH_sweep.json (override path with RJF_BENCH_JSON) with the
 // single-thread and N-thread trial rates, the measured speedup, the
 // parallel efficiency, and a sweep_deterministic flag proving that every
 // thread count produced bit-identical aggregate counts — the engine's core
@@ -117,7 +117,6 @@ int main() {
   std::printf("\naggregates bit-identical across thread counts: %s\n",
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  const char* json_path = std::getenv("RJF_SWEEP_JSON");
   bench::JsonWriter json;
   json.set("sweep_trials_per_point", static_cast<std::uint64_t>(sweep.trials_per_point));
   json.set("sweep_points", static_cast<std::uint64_t>(snrs.size()));
@@ -140,9 +139,7 @@ int main() {
   if (trials_run > 0)
     json.set("sweep_deterministic",
              static_cast<std::uint64_t>(deterministic ? 1 : 0));
-  const std::string path = json_path != nullptr ? json_path : "BENCH_sweep.json";
-  if (json.write_file(path))
-    std::printf("wrote %s\n", path.c_str());
+  bench::write_json(json, "BENCH_sweep.json");
 
   bench::print_footer();
   return deterministic ? 0 : 1;

@@ -5,6 +5,8 @@
 //   RJF_BENCH_FRAMES    frames per detection point   (default 400;  paper 10000)
 //   RJF_BENCH_DURATION  seconds per iperf test point (default 0.12; paper 60)
 //   RJF_BENCH_THREADS   sweep-engine worker threads  (default: host_cores())
+//   RJF_BENCH_JSON      path of the bench's JSON results
+//                       (default BENCH_<name>.json in the working directory)
 //
 // A knob that is set must hold a positive number: anything else (empty,
 // non-numeric, trailing junk, zero, negative) stops the bench with exit
@@ -110,6 +112,17 @@ inline std::string process_temp_path(const std::string& stem,
   const char* tmp = std::getenv("TMPDIR");
   return std::string(tmp != nullptr ? tmp : "/tmp") + "/" + stem + "." +
          std::to_string(static_cast<long long>(getpid())) + ext;
+}
+
+/// Write `json` to $RJF_BENCH_JSON, or to `default_path` when unset, and
+/// say where it went.
+inline void write_json(const JsonWriter& json, const char* default_path) {
+  const char* env = std::getenv("RJF_BENCH_JSON");
+  const std::string path = env != nullptr ? env : default_path;
+  if (json.write_file(path))
+    std::printf("wrote %s\n", path.c_str());
+  else
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

@@ -39,9 +39,9 @@ struct SweepResult {
 /// Telemetry bundle (probes off) attached to its embedded jammer; the
 /// per-point fabric counters are merged into `campaign_metrics` in point
 /// order after the pool drains, so the merged counters are bit-identical
-/// at any thread count (stream_wall_ns, the only wall-clock-derived
-/// counter, is stripped first). WaveformCache hit/miss/eviction counters
-/// ride along as cross-thread diagnostics outside that guarantee.
+/// at any thread count (Telemetry::deterministic_metrics() strips the
+/// wall-clock-derived entries first). WaveformCache hit/miss/eviction
+/// counters ride along as cross-thread diagnostics outside that guarantee.
 inline SweepResult run_sweep(const std::string& label,
                              const std::optional<core::JammerConfig>& jammer,
                              const std::vector<double>& jam_powers,
@@ -82,11 +82,7 @@ inline SweepResult run_sweep(const std::string& label,
         run.report.prr_percent(), run.jam_triggers, run.mean_tx_rate_mbps};
     if (telemetry.has_value()) {
       sim.attach_telemetry(nullptr);
-      telemetry->flush();
-      telemetry->refresh_gauges();
-      point_metrics[task.point] = telemetry->metrics();
-      point_metrics[task.point].erase_counter("stream_wall_ns");
-      point_metrics[task.point].erase_gauge("host_throughput_msps");
+      point_metrics[task.point] = telemetry->deterministic_metrics();
     }
   });
   if (campaign_metrics != nullptr) {

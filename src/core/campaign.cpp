@@ -214,7 +214,7 @@ std::uint64_t CampaignSpec::fingerprint() const {
   h = fold_word(h, base.lead_in);
   h = fold_word(h, base.tail);
   h = fold_double(h, base.tx_rate_hz);
-  h = fold_word(h, base.timing_phases);
+  h = fold_word(h, kTimingPhases);
   h = fold_double(h, base.max_cfo_hz);
   // Detector identity: mode + thresholds. Template taps are derived from
   // the config's template vector; fold its values too so a retuned
@@ -483,16 +483,9 @@ CampaignReport execute_grid(const CampaignSpec& spec,
 
         if (telemetry.has_value()) {
           jammer.attach_trace(nullptr);
-          telemetry->flush();
-          telemetry->refresh_gauges();
-          // Fold the shard's fabric event counters/histograms into its
-          // metrics slot, minus the wall-clock-derived entries: merged
-          // campaign metrics must depend only on the deterministic event
-          // stream.
-          obs::MetricsRegistry fabric_metrics = telemetry->metrics();
-          fabric_metrics.erase_counter("stream_wall_ns");
-          fabric_metrics.erase_gauge("host_throughput_msps");
-          metrics.merge(fabric_metrics);
+          // Merged campaign metrics must depend only on the deterministic
+          // event stream.
+          metrics.merge(telemetry->deterministic_metrics());
           obs::TraceRecorder::TraceLane& lane = shard_lanes[task.index];
           lane.name =
               lane_name(task, grid.snrs_db[grid.coords(task.point).snr_index]);

@@ -14,7 +14,7 @@
 //
 // Durability comes from the shard store: every completed shard appends one
 // fixed-width, checksummed record (point id, shard index, trial range,
-// DetectionTrialCounts, fault counters) to a flat binary file and flushes
+// detection counts, fault counters) to a flat binary file and flushes
 // it. A killed run resumes from the last durable record — the schedule is
 // recomputed, already-recorded shards are skipped, and the merged report is
 // a streaming fold over (stored records + freshly run shards) in which

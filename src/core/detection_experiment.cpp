@@ -25,14 +25,14 @@ DetectionTrialPlan prepare_detection_trials(
   // Pre-render the frame at the fabric rate for each fractional timing
   // phase; trials then pick a phase at random, modelling the free-running
   // TX/RX sample clocks.
-  const unsigned phases = std::max(config.timing_phases, 1u);
   const dsp::Resampler to_fabric(config.tx_rate_hz, fpga::kBasebandRateHz);
   const double target_power =
       config.noise_power * dsp::ratio_from_db(config.snr_db);
-  plan.variants.resize(phases);
-  for (unsigned p = 0; p < phases; ++p) {
+  plan.variants.resize(kTimingPhases);
+  for (unsigned p = 0; p < kTimingPhases; ++p) {
     plan.variants[p] = to_fabric.resample(
-        frame_native, static_cast<double>(p) / static_cast<double>(phases));
+        frame_native,
+        static_cast<double>(p) / static_cast<double>(kTimingPhases));
     dsp::set_mean_power(std::span<dsp::cfloat>(plan.variants[p]),
                         target_power);
   }
@@ -93,31 +93,18 @@ DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
   return outcome;
 }
 
-DetectionTrialCounts run_detection_trials(ReactiveJammer& jammer,
-                                          const DetectionTrialPlan& plan,
-                                          std::size_t first_trial,
-                                          std::size_t num_trials) {
-  DetectionTrialCounts counts;
-  for (std::size_t t = first_trial; t < first_trial + num_trials; ++t) {
-    const std::uint64_t events = run_detection_trial(jammer, plan, t).events;
-    counts.total_detections += events;
-    if (events > 0) ++counts.frames_detected;
-  }
-  return counts;
-}
-
 DetectionRunResult run_detection_experiment(
     ReactiveJammer& jammer, std::span<const dsp::cfloat> frame_native,
     DetectorTap tap, const DetectionRunConfig& config) {
   const DetectionTrialPlan plan =
       prepare_detection_trials(frame_native, tap, config);
-  const DetectionTrialCounts counts =
-      run_detection_trials(jammer, plan, 0, config.num_frames);
-
   DetectionRunResult result;
   result.frames_sent = config.num_frames;
-  result.frames_detected = counts.frames_detected;
-  result.total_detections = counts.total_detections;
+  for (std::size_t t = 0; t < config.num_frames; ++t) {
+    const std::uint64_t events = run_detection_trial(jammer, plan, t).events;
+    result.total_detections += events;
+    if (events > 0) ++result.frames_detected;
+  }
   result.probability = static_cast<double>(result.frames_detected) /
                        static_cast<double>(result.frames_sent);
   result.detections_per_frame =

@@ -25,8 +25,9 @@
 //
 // This layer is protocol-agnostic: callers hand in the frame waveform and
 // its native rate. The protocol-target registry (core/scenario.h) supplies
-// both from a target handle — run_target_detection_experiment and
-// run_campaign are the entry points experiments should use.
+// both from a target handle, and run_campaign is the entry point
+// experiments should use; run_detection_experiment is the sequential
+// reference the campaign executor is tested against.
 #pragma once
 
 #include <atomic>
@@ -43,6 +44,9 @@
 
 namespace rjf::core {
 
+/// Distinct fractional timing offsets each frame is pre-rendered at.
+inline constexpr unsigned kTimingPhases = 8;
+
 struct DetectionRunConfig {
   double snr_db = 10.0;
   double noise_power = 0.01;     // receiver noise floor (linear)
@@ -50,7 +54,6 @@ struct DetectionRunConfig {
   std::size_t lead_in = 256;     // noise-only samples before the frame
   std::size_t tail = 256;        // and after
   double tx_rate_hz = 20e6;      // native rate of the supplied frame
-  unsigned timing_phases = 8;    // distinct fractional timing offsets
   double max_cfo_hz = 3000.0;    // |CFO| bound, uniform per trial
   std::uint64_t seed = 1;
 };
@@ -127,18 +130,6 @@ class LazyPlanTable {
   std::atomic<std::size_t> built_{0};
 };
 
-/// Partial counts from a contiguous range of trials. Counts merge by plain
-/// addition, so shard outcomes combine associatively and commutatively —
-/// the aggregate is identical for any partition of the trial range.
-struct DetectionTrialCounts {
-  std::size_t frames_detected = 0;
-  std::uint64_t total_detections = 0;
-  void merge(const DetectionTrialCounts& other) noexcept {
-    frames_detected += other.frames_detected;
-    total_detections += other.total_detections;
-  }
-};
-
 /// Everything one trial produced, for harnesses (e.g. the campaign
 /// executor) that need per-trial detail beyond the aggregated counts.
 /// last_trigger_vita is capture-relative because the detector state (and
@@ -154,18 +145,9 @@ struct DetectionTrialOutcome {
 /// Run exactly one trial of `plan`. Draws the trial's impairments from the
 /// derived stream dsp::derive_seed(plan.seed, trial), flushes the fabric's
 /// detector state, streams the capture, and reads the tap. The outcome
-/// depends only on (plan.seed, trial) and the jammer's programmed state —
-/// run_detection_trials() is a loop over this kernel.
+/// depends only on (plan.seed, trial) and the jammer's programmed state.
 [[nodiscard]] DetectionTrialOutcome run_detection_trial(
     ReactiveJammer& jammer, const DetectionTrialPlan& plan, std::size_t trial);
-
-/// The per-trial kernel: run trials [first_trial, first_trial + num_trials)
-/// of `plan` through `jammer`. Each trial flushes the fabric's detector
-/// state and draws its impairments from its own derived RNG stream, so the
-/// result depends only on (plan.seed, trial index).
-[[nodiscard]] DetectionTrialCounts run_detection_trials(
-    ReactiveJammer& jammer, const DetectionTrialPlan& plan,
-    std::size_t first_trial, std::size_t num_trials);
 
 /// Unit phasor e^{j·w·k} for the per-trial CFO rotation; a pure function
 /// of (w, k), with no rotator state. The phase is formed and wrapped in
@@ -200,9 +182,9 @@ inline constexpr std::uint64_t kTrialSynthesisVersion = 2;
 
 /// Run the experiment: `frame_native` is the frame waveform at
 /// `config.tx_rate_hz` with arbitrary scale (re-scaled per-trial).
-/// Equivalent to prepare_detection_trials() + one run_detection_trials()
-/// over the whole range — the campaign executor's sharded execution
-/// reproduces this sequential path bit-for-bit.
+/// Equivalent to prepare_detection_trials() + run_detection_trial() for
+/// every trial in order — the sequential reference oracle the campaign
+/// executor's sharded execution reproduces bit-for-bit.
 [[nodiscard]] DetectionRunResult run_detection_experiment(
     ReactiveJammer& jammer, std::span<const dsp::cfloat> frame_native,
     DetectorTap tap, const DetectionRunConfig& config);

@@ -128,12 +128,11 @@ void ReactiveJammer::absorb_stream_faults(
     if (result.adc_clipped) m->add("fault.clipped_streams", 1);
   }
   // In-stream recovery (DspCore::fast_forward) already kept VITA time exact
-  // and flushed the detector pipelines across each gap; the policy reset
+  // and flushed the detector pipelines across each gap; this reset
   // additionally returns the whole fabric to a known-clean state for the
   // next capture. Never while a write is in flight: reset_detection_state()
   // re-latches registers, which would apply the write early.
-  if (result.overflow_gaps > 0 && policy_.reset_after_overflow &&
-      radio_.settings_bus().idle()) {
+  if (result.overflow_gaps > 0 && radio_.settings_bus().idle()) {
     reset_detection_state();
     if (m != nullptr) m->add("fault.detector_resets", 1);
   }

@@ -52,27 +52,11 @@ class ReactiveJammer {
   void tune(double freq_hz);
   void set_tx_gain(double db);
 
-  /// Degradation-recovery policy applied after each observe() call.
-  struct RecoveryPolicy {
-    /// After a stream with overflow gaps, flush detector state via
-    /// reset_detection_state() so half-formed correlator/FSM state built
-    /// from pre-gap samples cannot mis-trigger on post-gap data. Skipped
-    /// while a settings-bus write is in flight (the reset would race the
-    /// write's completion time).
-    bool reset_after_overflow = true;
-  };
-  void set_recovery_policy(const RecoveryPolicy& policy) noexcept {
-    policy_ = policy;
-  }
-  [[nodiscard]] const RecoveryPolicy& recovery_policy() const noexcept {
-    return policy_;
-  }
-
   /// Attach fault hooks to the radio (nullptr detaches; see
   /// radio/fault_hooks.h). observe() then absorbs whatever the hooks
   /// inject: overflow gaps are skipped with exact VITA accounting inside
   /// the stream, recovery counters land in the attached metrics registry,
-  /// and the recovery policy decides whether to flush detector state.
+  /// and a stream with overflow gaps flushes detector state.
   void attach_fault_hooks(radio::RxFaultHook* rx_hook,
                           radio::BusFaultHook* bus_hook) noexcept {
     radio_.attach_fault_hooks(rx_hook, bus_hook);
@@ -81,7 +65,7 @@ class ReactiveJammer {
   /// Run the radio over receive baseband at 25 MSPS; returns the emitted
   /// jamming waveform and per-call statistics. The whole block is pushed
   /// through the cycle-accurate core with the block-processing fast path.
-  /// Applies the recovery policy when the stream reports degradation.
+  /// Recovers (absorb_stream_faults) when the stream reports degradation.
   radio::UsrpN210::StreamResult observe(std::span<const dsp::cfloat> rx);
 
   /// Same pass over DDC-domain fabric samples, skipping the front-end gain
@@ -99,15 +83,18 @@ class ReactiveJammer {
   template <typename WriteFn>
   void program(const JammerConfig& config, WriteFn&& write);
 
-  /// Record fault metrics and apply the recovery policy after a stream.
-  /// A clean result (no gaps, no clipping) returns immediately, keeping
+  /// Record fault metrics after a stream and, after overflow gaps, flush
+  /// detector state via reset_detection_state() so half-formed
+  /// correlator/FSM state built from pre-gap samples cannot mis-trigger on
+  /// post-gap data. The flush is skipped while a settings-bus write is in
+  /// flight (the reset would race the write's completion time). A clean
+  /// result (no gaps, no clipping) returns immediately, keeping
   /// the zero-fault path identical to the unhooked one.
   void absorb_stream_faults(const radio::UsrpN210::StreamResult& result);
 
   JammerConfig config_;
   radio::UsrpN210 radio_;
   obs::Telemetry* telemetry_ = nullptr;
-  RecoveryPolicy policy_;
 };
 
 }  // namespace rjf::core

@@ -137,13 +137,4 @@ JammerConfig target_reactive_preset(const ProtocolTarget& target,
   return config;
 }
 
-DetectionRunResult run_target_detection_experiment(
-    ReactiveJammer& jammer, const ProtocolTarget& target,
-    std::size_t rate_index, std::span<const std::uint8_t> psdu,
-    DetectorTap tap, DetectionRunConfig config) {
-  const dsp::cvec frame = target.make_frame(rate_index, psdu, 0x5D);
-  config.tx_rate_hz = target.native_rate_hz;
-  return run_detection_experiment(jammer, frame, tap, config);
-}
-
 }  // namespace rjf::core

@@ -117,11 +117,4 @@ struct ProtocolTarget {
     const ProtocolTarget& target, double uptime_s,
     double false_alarm_per_s = 0.059);
 
-/// run_detection_experiment with the frame and native rate supplied by the
-/// target: `config.tx_rate_hz` is overridden with target.native_rate_hz.
-[[nodiscard]] DetectionRunResult run_target_detection_experiment(
-    ReactiveJammer& jammer, const ProtocolTarget& target,
-    std::size_t rate_index, std::span<const std::uint8_t> psdu,
-    DetectorTap tap, DetectionRunConfig config);
-
 }  // namespace rjf::core

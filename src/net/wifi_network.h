@@ -14,7 +14,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "channel/five_port.h"
 #include "core/reactive_jammer.h"
@@ -43,18 +45,8 @@ struct WifiNetworkConfig {
   double jammer_tx_power = 0.0;
 
   double client_tx_power = 1.0;   // mean power injected at port 2
-  double ap_noise_power = 1e-9;   // receiver noise floors
-  double client_noise_power = 1e-9;
-  double jammer_noise_power = 1e-9;
+  double ap_noise_power = 1e-9;   // AP receiver noise floor
 
-  /// CCA energy-detect threshold at the client (interference power above
-  /// which the medium reads busy and transmission defers).
-  double cca_threshold = 1.3e-8;
-
-  /// Give up on a datagram after deferring this long to a busy medium.
-  double cca_starvation_s = 20e-3;
-
-  phy80211::Rate initial_rate = phy80211::Rate::kMbps54;
   std::uint64_t seed = 1;
 };
 
@@ -93,9 +85,38 @@ class WifiNetworkSim {
     double airtime_s = 0.0;
   };
 
+  /// One transmitted waveform and its clean-channel decode verdict.
+  /// The verdict MUST live in the sim, not in a thread_local or the shared
+  /// cache: computing it consumes rng_.next() draws, so warmth inherited
+  /// from another sim on the same worker thread would desynchronise this
+  /// sim's RNG stream and break the sweep engine's any-thread-count
+  /// determinism guarantee. The waveform itself is a pure function of
+  /// (payload, rate, scrambler seed, power) and consumes no draws, so it
+  /// is shared through the process-wide WaveformCache.
+  struct TxSlot {
+    std::shared_ptr<const CachedWaveform> wave;
+    std::optional<bool> clean_ok;  // unset until first decoded unjammed
+  };
+
+  /// What the jammer emitted while hearing one frame: its 25 MSPS output,
+  /// scaled to jammer_tx_power, starting at wall time t0.
+  struct JamCapture {
+    dsp::cvec tx;
+    std::vector<radio::JamBurst> bursts;
+    double t0 = 0.0;
+  };
+
   /// Simulate one data+ACK exchange starting at `now` (seconds).
-  ExchangeOutcome exchange(double now, phy80211::Rate rate,
-                           const Bytes& psdu_payload, std::uint16_t seq);
+  ExchangeOutcome exchange(double now, phy80211::Rate rate);
+
+  /// Put `slot`'s frame on the air from port `from` at wall time `start`.
+  /// The jammer hears it from `lead` samples (25 MSPS) before `start` to
+  /// `tail` samples after its end and reacts into `jam`; port `to` then
+  /// decodes it under the provoked bursts. True when `to` decodes a frame
+  /// of type `type`.
+  bool deliver(TxSlot& slot, int from, int to, double start, std::size_t lead,
+               std::size_t tail, double rx_noise_power, FrameType type,
+               JamCapture& jam);
 
   /// Move the jammer's sample clock to wall time `now`.
   void sync_jammer_to(double now);
@@ -109,21 +130,8 @@ class WifiNetworkSim {
   dsp::Xoshiro256 rng_;
   phy80211::Receiver rx_;
 
-  // Waveform handles resolved through the process-wide WaveformCache.
-  // The cached samples are a pure function of (payload, rate, seed,
-  // power) and consume no rng_ draws, so sharing them across sims and
-  // threads is determinism-safe; the per-rate array just avoids a cache
-  // lookup per exchange.
-  std::array<std::shared_ptr<const CachedWaveform>, 8> rate_wave_;
-  std::shared_ptr<const CachedWaveform> ack_wave_;
-
-  // Clean-decode verdict caches. These MUST be members, not thread_local
-  // statics: a cold verdict consumes rng_.next() draws, so cache warmth
-  // inherited from another sim on the same worker thread would
-  // desynchronise this sim's RNG stream and break the sweep engine's
-  // any-thread-count determinism guarantee.
-  std::array<int, 8> clean_verdict_{};  // per rate: 0 unknown 1 ok 2 bad
-  int ack_clean_verdict_ = 0;
+  std::array<TxSlot, 8> data_;  // per rate
+  TxSlot ack_;
 
   // Jam-burst power bookkeeping for the measured-SIR output.
   double jam_power_at_ap_acc_ = 0.0;

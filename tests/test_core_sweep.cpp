@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/detection_experiment.h"
@@ -232,24 +233,28 @@ TEST(TrialIndependence, PerTrialResultsAreOrderIndependent) {
 
   // Batch: all trials through one jammer, in order.
   ReactiveJammer batch_jammer(sequenced);
-  const auto batch = run_detection_trials(batch_jammer, plan, 0, 24);
-  EXPECT_EQ(batch.frames_detected, 24u);  // every capture fires its sequence
+  std::vector<std::uint64_t> batch(24);
+  for (std::size_t t = 0; t < 24; ++t) {
+    batch[t] = run_detection_trial(batch_jammer, plan, t).events;
+    EXPECT_GT(batch[t], 0u) << "trial " << t;  // every capture fires
+  }
 
   // Isolation: each trial on its own fresh jammer, in REVERSE order.
-  DetectionTrialCounts isolated;
+  std::vector<std::uint64_t> isolated(24);
   for (std::size_t t = 24; t-- > 0;) {
     ReactiveJammer jammer(sequenced);
-    isolated.merge(run_detection_trials(jammer, plan, t, 1));
+    isolated[t] = run_detection_trial(jammer, plan, t).events;
   }
-  EXPECT_EQ(isolated.frames_detected, batch.frames_detected);
-  EXPECT_EQ(isolated.total_detections, batch.total_detections);
+  EXPECT_EQ(isolated, batch);
 
-  // Split at an arbitrary boundary on one reused jammer: same counts.
+  // Split at an arbitrary boundary on one reused jammer: same events.
   ReactiveJammer split_jammer(sequenced);
-  auto split = run_detection_trials(split_jammer, plan, 17, 7);
-  split.merge(run_detection_trials(split_jammer, plan, 0, 17));
-  EXPECT_EQ(split.frames_detected, batch.frames_detected);
-  EXPECT_EQ(split.total_detections, batch.total_detections);
+  std::vector<std::uint64_t> split(24);
+  for (std::size_t t = 17; t < 24; ++t)
+    split[t] = run_detection_trial(split_jammer, plan, t).events;
+  for (std::size_t t = 0; t < 17; ++t)
+    split[t] = run_detection_trial(split_jammer, plan, t).events;
+  EXPECT_EQ(split, batch);
 }
 
 TEST(TrialIndependence, DetectorStateIsFlushedBetweenCaptures) {
@@ -269,15 +274,14 @@ TEST(TrialIndependence, DetectorStateIsFlushedBetweenCaptures) {
       prepare_detection_trials(frame, DetectorTap::kEnergyHigh, config);
 
   ReactiveJammer fresh(energy_reactive_preset(1e-5, 10.0));
-  const auto clean = run_detection_trials(fresh, plan, 0, 1);
-  EXPECT_EQ(clean.frames_detected, 1u);  // the flushed detector still works
+  const auto clean = run_detection_trial(fresh, plan, 0);
+  EXPECT_GT(clean.events, 0u);  // the flushed detector still works
 
   ReactiveJammer warmed(energy_reactive_preset(1e-5, 10.0));
   dsp::cvec silent(4096, dsp::cfloat{0.0f, 0.0f});  // arms warmup, ref = 0
   (void)warmed.observe(silent);
-  const auto after = run_detection_trials(warmed, plan, 0, 1);
-  EXPECT_EQ(after.frames_detected, clean.frames_detected);
-  EXPECT_EQ(after.total_detections, clean.total_detections);
+  const auto after = run_detection_trial(warmed, plan, 0);
+  EXPECT_EQ(after.events, clean.events);
 }
 
 TEST(SweepEngine, MatchesSequentialHarnessBitForBit) {
