@@ -59,7 +59,7 @@ void BM_DspCoreRunBlock(benchmark::State& state) {
   program_detection_core(core);
   dsp::NoiseSource noise(0.01, 1);
   const dsp::iqvec samples = dsp::to_iq16(noise.block(4096));
-  std::vector<fpga::CoreOutput> out(samples.size() * fpga::kClocksPerSample);
+  std::vector<fpga::SamplePeriodOutput> out(samples.size());
   for (auto _ : state) {
     core.run_block(samples, out);
     benchmark::ClobberMemory();
@@ -86,7 +86,7 @@ void BM_DspCoreRunBlockTraced(benchmark::State& state) {
   core.set_ring(&telemetry.ring());
   dsp::NoiseSource noise(0.01, 1);
   const dsp::iqvec samples = dsp::to_iq16(noise.block(4096));
-  std::vector<fpga::CoreOutput> out(samples.size() * fpga::kClocksPerSample);
+  std::vector<fpga::SamplePeriodOutput> out(samples.size());
   for (auto _ : state) {
     core.run_block(samples, out);
     benchmark::ClobberMemory();

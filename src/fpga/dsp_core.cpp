@@ -127,18 +127,29 @@ CoreOutput DspCore::tick(std::optional<dsp::IQ16> rx) noexcept {
   return strobe ? strobe_tick(rx.value_or(dsp::IQ16{})) : idle_tick();
 }
 
+namespace {
+
+// Fold one fabric clock's TX output into its sample period's record.
+void fold(SamplePeriodOutput& rec, const JammerController::TxOut& tx) noexcept {
+  rec.rf_active = rec.rf_active || tx.rf_active;
+  if (tx.sample_strobe) {
+    rec.tx_strobe = true;
+    rec.tx = tx.sample;
+  }
+}
+
+}  // namespace
+
 template <bool kTraced>
 void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
-                             std::span<CoreOutput> out) noexcept {
-  std::size_t o = 0;
-  for (const dsp::IQ16 sample : rx) {
+                             std::span<SamplePeriodOutput> out) noexcept {
+  for (std::size_t m = 0; m < rx.size(); ++m) {
+    const dsp::IQ16 sample = rx[m];
+    SamplePeriodOutput& rec = out[m];
+    rec = SamplePeriodOutput{};
+
     // --- Strobe clock: detectors + edge logic (same body as strobe_tick,
     // with the event latch kept in a local so held_events_ stays clear).
-    CoreOutput& s = out[o++];
-    s = CoreOutput{};
-    s.vita_ticks = vita_ticks_;
-    s.rx_strobe = true;
-
     const auto xc = correlator_.step(sample);
     const auto en = energy_.step(sample);
     jammer_.record_rx(sample);
@@ -155,10 +166,6 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
     if (ev.energy_high) ++feedback_.energy_high_detections;
     if (ev.energy_low) ++feedback_.energy_low_detections;
 
-    s.xcorr_trigger = ev.xcorr;
-    s.energy_high = ev.energy_high;
-    s.energy_low = ev.energy_low;
-
     // When the FSM is disengaged and no event is asserted, clock() cannot
     // change state or fire, so the call is skipped outright.
     bool jam = false;
@@ -167,9 +174,10 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
       ++feedback_.jam_triggers;
       feedback_.last_trigger_vita = vita_ticks_;
     }
-    s.jam_trigger = jam;
-    // An idle jammer ignores a false trigger; skip the virtual clocking.
-    if (jam || jammer_.busy()) s.tx = jammer_.clock(jam);
+    // An idle jammer ignores a false trigger; skip the clocking.
+    JammerController::TxOut tx;
+    if (jam || jammer_.busy()) tx = jammer_.clock(jam);
+    fold(rec, tx);
 
     if constexpr (kTraced) {
       using obs::EventKind;
@@ -187,13 +195,13 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
                             hw::UInt<8>(stage).u64());
       }
       if (jam) ring_->push_event(EventKind::kJamTrigger, vita, 0);
-      if (s.tx.rf_active != prev_rf_) {
-        ring_->push_event(s.tx.rf_active ? EventKind::kJamStart
-                                         : EventKind::kJamEnd,
+      if (tx.rf_active != prev_rf_) {
+        ring_->push_event(tx.rf_active ? EventKind::kJamStart
+                                       : EventKind::kJamEnd,
                           vita, 0);
-        prev_rf_ = s.tx.rf_active;
+        prev_rf_ = tx.rf_active;
       }
-      if (s.tx.sample_strobe) probe_tx_ = s.tx.sample;
+      if (tx.sample_strobe) probe_tx_ = tx.sample;
       const bool interesting =
           ev.xcorr || ev.energy_high || ev.energy_low || jam;
       if (ring_->strobe_gate(interesting)) {
@@ -207,7 +215,7 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
         snap.energy_high = ev.energy_high;
         snap.energy_low = ev.energy_low;
         snap.jam_trigger = jam;
-        snap.rf_active = s.tx.rf_active;
+        snap.rf_active = tx.rf_active;
         snap.tx = probe_tx_;
         ring_->push_strobe(snap);
       }
@@ -221,13 +229,24 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
     // --- Idle clocks: detector outputs hold low; only the FSM window
     // countdown and the jammer's cycle timers can advance. With no events
     // asserted the FSM can time out but never fire, so jam_trigger is
-    // provably false here.
+    // provably false here. With neither running, the idle clocks change no
+    // state and put nothing on the air: only VITA time moves, and the ring
+    // owes a jam_end if a burst stopped on the strobe clock.
+    if (!fsm_.engaged() && !jammer_.busy()) {
+      if constexpr (kTraced) {
+        if (prev_rf_) {
+          ring_->push_event(obs::EventKind::kJamEnd, vita_ticks_, 0);
+          prev_rf_ = false;
+        }
+      }
+      vita_ticks_ += kClocksPerSample - 1;
+      continue;
+    }
     for (std::uint32_t c = 1; c < kClocksPerSample; ++c) {
-      CoreOutput& t = out[o++];
-      t = CoreOutput{};
-      t.vita_ticks = vita_ticks_;
+      JammerController::TxOut t;
       if (fsm_.engaged()) (void)fsm_.clock(DetectorEvents{});
-      if (jammer_.busy()) t.tx = jammer_.clock(false);
+      if (jammer_.busy()) t = jammer_.clock(false);
+      fold(rec, t);
       if constexpr (kTraced) {
         using obs::EventKind;
         const int stage = fsm_.stage();
@@ -237,13 +256,13 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
             ring_->push_event(EventKind::kFsmStage, vita_ticks_,
                               hw::UInt<8>(stage).u64());
         }
-        if (t.tx.rf_active != prev_rf_) {
-          ring_->push_event(t.tx.rf_active ? EventKind::kJamStart
-                                           : EventKind::kJamEnd,
+        if (t.rf_active != prev_rf_) {
+          ring_->push_event(t.rf_active ? EventKind::kJamStart
+                                        : EventKind::kJamEnd,
                             vita_ticks_, 0);
-          prev_rf_ = t.tx.rf_active;
+          prev_rf_ = t.rf_active;
         }
-        if (t.tx.sample_strobe) probe_tx_ = t.tx.sample;
+        if (t.sample_strobe) probe_tx_ = t.sample;
       }
       ++vita_ticks_;
     }
@@ -253,19 +272,18 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
 
 // rjf: realtime
 void DspCore::run_block(std::span<const dsp::IQ16> rx,
-                        std::span<CoreOutput> out) noexcept {
-  if (out.size() < rx.size() * kClocksPerSample) {
-    rx = rx.first(out.size() / kClocksPerSample);
-  }
+                        std::span<SamplePeriodOutput> out) noexcept {
+  if (out.size() < rx.size()) rx = rx.first(out.size());
 
   if (strobe_phase_ != 0) {
     // Misaligned entry (a caller interleaved raw tick()s): replay the exact
-    // per-tick cadence. Bit-identical to the straight-line pass.
-    std::size_t o = 0;
-    for (const dsp::IQ16 sample : rx) {
-      out[o++] = tick(sample);
+    // per-tick cadence and fold it. Bit-identical to the straight-line pass.
+    for (std::size_t m = 0; m < rx.size(); ++m) {
+      SamplePeriodOutput& rec = out[m];
+      rec = SamplePeriodOutput{};
+      fold(rec, tick(rx[m]).tx);
       for (std::uint32_t c = 1; c < kClocksPerSample; ++c)
-        out[o++] = tick(std::nullopt);
+        fold(rec, tick(std::nullopt).tx);
     }
     // Inline drain is the single-thread consumer seam: it runs at the block
     // boundary, outside the wait-free producer window.
@@ -279,12 +297,6 @@ void DspCore::run_block(std::span<const dsp::IQ16> rx,
   } else {
     run_block_body<false>(rx, out);
   }
-}
-
-std::vector<CoreOutput> DspCore::process(std::span<const dsp::IQ16> rx) {
-  std::vector<CoreOutput> trace(rx.size() * kClocksPerSample);
-  run_block(rx, trace);
-  return trace;
 }
 
 void DspCore::fast_forward(std::uint64_t samples) noexcept {

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "dsp/types.h"
 #include "fpga/cross_correlator.h"
@@ -38,6 +38,16 @@ struct CoreOutput {
   bool jam_trigger = false;     // FSM fired this tick
   JammerController::TxOut tx;   // TX path output
   std::uint64_t vita_ticks = 0; // fabric clock count (VITA time, GPS locked)
+};
+
+/// One baseband sample period (kClocksPerSample fabric clocks) of
+/// run_block() output, folded to what the radio consumes: whether jamming
+/// energy was on the air on any of the period's clocks, and the TX sample
+/// issued in it (the last one, should a period ever hold two).
+struct SamplePeriodOutput {
+  dsp::IQ16 tx{};          // valid when tx_strobe
+  bool tx_strobe = false;  // a TX sample was issued in this period
+  bool rf_active = false;  // jamming energy on the air on any clock
 };
 
 /// Host-visible feedback flags and counters (the "Host Feedback
@@ -70,18 +80,15 @@ class DspCore {
   CoreOutput tick(std::optional<dsp::IQ16> rx) noexcept;
 
   /// Block-processing fast path: feed `rx.size()` baseband samples
-  /// (kClocksPerSample fabric clocks each) and write the per-tick outputs
-  /// into `out`, which must hold rx.size() * kClocksPerSample entries.
-  /// Bit-identical to calling tick(sample) + (kClocksPerSample-1) idle
-  /// ticks per sample — trigger edges, VITA timestamps, TX samples and
-  /// feedback counters all match — but hoists the strobe-phase arithmetic,
-  /// std::optional plumbing and idle-datapath calls out of the inner loop.
+  /// (kClocksPerSample fabric clocks each) and write one folded record per
+  /// sample into `out`, which must hold rx.size() entries. Bit-identical to
+  /// calling tick(sample) + (kClocksPerSample-1) idle ticks per sample and
+  /// folding their TX outputs — trigger edges, VITA timestamps, TX samples,
+  /// feedback counters and ring records all match — but hoists the
+  /// strobe-phase arithmetic, std::optional plumbing and idle-datapath
+  /// calls out of the inner loop.
   void run_block(std::span<const dsp::IQ16> rx,
-                 std::span<CoreOutput> out) noexcept;
-
-  /// Convenience: feed a block of baseband samples (4 ticks each) and
-  /// collect the per-tick outputs. Keeps full cycle accuracy.
-  std::vector<CoreOutput> process(std::span<const dsp::IQ16> rx);
+                 std::span<SamplePeriodOutput> out) noexcept;
 
   [[nodiscard]] const HostFeedback& feedback() const noexcept { return feedback_; }
   [[nodiscard]] JammerController& jammer() noexcept { return jammer_; }
@@ -128,7 +135,7 @@ class DspCore {
   /// by construction.
   template <bool kTraced>
   void run_block_body(std::span<const dsp::IQ16> rx,
-                      std::span<CoreOutput> out) noexcept;
+                      std::span<SamplePeriodOutput> out) noexcept;
 
   RegisterFile regs_;
   CrossCorrelator correlator_;

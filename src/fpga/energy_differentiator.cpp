@@ -2,8 +2,6 @@
 
 namespace rjf::fpga {
 
-EnergyDifferentiator::EnergyDifferentiator() = default;
-
 void EnergyDifferentiator::load_from_registers(const RegisterFile& regs) noexcept {
   thresh_high_q88_ = hw::UInt<32>(regs.read(Reg::kEnergyThreshHigh));
   thresh_low_q88_ = hw::UInt<32>(regs.read(Reg::kEnergyThreshLow));
@@ -18,36 +16,11 @@ void EnergyDifferentiator::set_thresholds(std::uint32_t high_q88,
   floor_ = hw::UInt<32>(floor);
 }
 
-EnergyDifferentiator::Output EnergyDifferentiator::step(dsp::IQ16 sample) noexcept {
-  // x[n] = I^2 + Q^2 on the 16-bit rails: Int<32> squares, Int<33> sum —
-  // non-negative by construction, so it converts exactly to the unsigned
-  // power rail (at most 2^31 for full-scale-negative I and Q).
-  const auto i = hw::Int<16>(sample.i);
-  const auto q = hw::Int<16>(sample.q);
-  const hw::UInt<33> x = (i * i + q * q).to_unsigned();
-  // The 32-sample moving sum tops out at 2^36; both rails ride in UInt<37>.
-  const hw::UInt<37> y(sum_.push(x.u64()));
-  const hw::UInt<37> y_ref(reference_.push(y.u64()));
-
-  Output out;
-  out.energy_sum = y.u64();
-  if (warmup_ < kEnergyWindow + kEnergyRefDelay) {
-    ++warmup_;
-    return out;  // pipeline not yet full; comparators disarmed
-  }
-  // Q8.8 scaling: compare 256*y against thresh*y_ref (and vice versa). The
-  // full-width intermediates exceed 64 bits, so this is the 128-bit
-  // comparator form — the RTL never materialises the product either.
-  out.trigger_high =
-      y > floor_ && hw::shifted_gt<8>(y, y_ref, thresh_high_q88_);
-  out.trigger_low =
-      y_ref > floor_ && hw::shifted_gt<8>(y_ref, y, thresh_low_q88_);
-  return out;
-}
-
-void EnergyDifferentiator::reset() {
-  sum_.reset();
-  reference_.reset();
+void EnergyDifferentiator::reset() noexcept {
+  window_.fill(0);
+  reference_.fill(0);
+  sum_ = 0;
+  pos_ = 0;
   warmup_ = 0;
 }
 

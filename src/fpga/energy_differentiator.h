@@ -9,9 +9,10 @@
 // both rising and falling energy (paper §2.3).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 
-#include "dsp/moving_sum.h"
 #include "dsp/types.h"
 #include "fpga/hw_int.h"
 #include "fpga/register_file.h"
@@ -20,10 +21,15 @@ namespace rjf::fpga {
 
 inline constexpr std::size_t kEnergyWindow = 32;  // moving-sum length N
 inline constexpr std::size_t kEnergyRefDelay = 64;  // Z^-64 reference delay
+// Both rings advance together and are indexed with one power-of-two mask,
+// not `%`: the window ring's slot is the reference slot's low five bits.
+static_assert(std::has_single_bit(kEnergyWindow));
+static_assert(std::has_single_bit(kEnergyRefDelay));
+static_assert(kEnergyRefDelay % kEnergyWindow == 0);
 
 class EnergyDifferentiator {
  public:
-  EnergyDifferentiator();
+  EnergyDifferentiator() = default;
 
   /// Latch thresholds from the register file.
   void load_from_registers(const RegisterFile& regs) noexcept;
@@ -39,14 +45,50 @@ class EnergyDifferentiator {
     bool trigger_low = false;
   };
 
-  /// Clock in one baseband sample (25 MSPS strobe).
-  Output step(dsp::IQ16 sample) noexcept;
+  /// Clock in one baseband sample (25 MSPS strobe). Inline: it runs on
+  /// every strobe of the block path.
+  Output step(dsp::IQ16 sample) noexcept {
+    // x[n] = I^2 + Q^2 on the 16-bit rails: Int<32> squares, Int<33> sum —
+    // non-negative by construction, so it converts exactly to the unsigned
+    // power rail (at most 2^31 for full-scale-negative I and Q).
+    const auto i = hw::Int<16>(sample.i);
+    const auto q = hw::Int<16>(sample.q);
+    const hw::UInt<33> x = (i * i + q * q).to_unsigned();
+    // y[n] = y[n-1] + x[n] - x[n-N]. The 32-sample moving sum tops out at
+    // 2^36; both rails ride in UInt<37>. The running sum is modular, so the
+    // subtraction may wrap transiently and still lands exactly.
+    std::uint64_t& oldest = window_[pos_ & (kEnergyWindow - 1)];
+    sum_ = sum_ + x.u64() - oldest;
+    oldest = x.u64();
+    const hw::UInt<37> y(sum_);
+    std::uint64_t& delayed = reference_[pos_];
+    const hw::UInt<37> y_ref(delayed);
+    delayed = y.u64();
+    pos_ = (pos_ + 1) & (kEnergyRefDelay - 1);
 
-  void reset();
+    Output out;
+    out.energy_sum = y.u64();
+    if (warmup_ < kEnergyWindow + kEnergyRefDelay) {
+      ++warmup_;
+      return out;  // pipeline not yet full; comparators disarmed
+    }
+    // Q8.8 scaling: compare 256*y against thresh*y_ref (and vice versa).
+    // The full-width intermediates exceed 64 bits, so this is the 128-bit
+    // comparator form — the RTL never materialises the product either.
+    out.trigger_high =
+        y > floor_ && hw::shifted_gt<8>(y, y_ref, thresh_high_q88_);
+    out.trigger_low =
+        y_ref > floor_ && hw::shifted_gt<8>(y_ref, y, thresh_low_q88_);
+    return out;
+  }
+
+  void reset() noexcept;
 
  private:
-  dsp::MovingSumU64 sum_{kEnergyWindow};
-  dsp::DelayLine<std::uint64_t> reference_{kEnergyRefDelay};
+  std::array<std::uint64_t, kEnergyWindow> window_{};      // x[n-N+1..n]
+  std::array<std::uint64_t, kEnergyRefDelay> reference_{};  // y[n-64..n-1]
+  std::uint64_t sum_ = 0;
+  std::size_t pos_ = 0;  // next slot of both rings, mod kEnergyRefDelay
   hw::UInt<32> thresh_high_q88_{0xFFFFFFFFu};  // Q8.8 power ratios
   hw::UInt<32> thresh_low_q88_{0xFFFFFFFFu};
   hw::UInt<32> floor_;

@@ -26,103 +26,6 @@ void JammerController::set_host_waveform(std::vector<dsp::IQ16> samples) {
   host_waveform_ = std::move(samples);
 }
 
-void JammerController::record_rx(dsp::IQ16 sample) noexcept {
-  replay_[replay_write_] = sample;
-  replay_write_ = (replay_write_ + 1) & kReplayMask;
-}
-
-std::int16_t JammerController::lfsr_gaussian() noexcept {
-  // Sum of four 8-bit uniform variates, centred: a cheap CLT Gaussian
-  // approximation matching what fits in fabric logic.
-  hw::UInt<10> acc;  // 4 * 255 tops out at 1020
-  for (int k = 0; k < 4; ++k) {
-    const bool lsb = lfsr_.truncate<1>() == 1u;
-    // Galois step: logical shift right (the top bit refills with zero),
-    // then conditionally apply the tap mask.
-    lfsr_ = lfsr_.shr<1>().zext<32>();
-    if (lsb) lfsr_ = lfsr_ ^ hw::UInt<32>(0xB4BCD35Cu);  // taps 32,31,29,1
-    acc = (acc + lfsr_.truncate<8>()).narrow<10>();
-  }
-  // acc in [0, 1020]; centre and scale to ~1/4 full scale RMS. The centred
-  // value rides in Int<12>, the scaled product in Int<18>, and |result|
-  // <= 12240 fits the 16-bit DAC rail exactly.
-  return ((acc.to_signed() - hw::Int<11>(510)) * hw::Int<6>(24))
-      .narrow<16>()
-      .value();
-}
-
-dsp::IQ16 JammerController::next_waveform_sample() noexcept {
-  switch (waveform_) {
-    case JamWaveform::kWhiteNoise:
-      return dsp::IQ16{lfsr_gaussian(), lfsr_gaussian()};
-    case JamWaveform::kReplay: {
-      const dsp::IQ16 s = replay_[playback_pos_];
-      playback_pos_ = (playback_pos_ + 1) & kReplayMask;
-      return s;
-    }
-    case JamWaveform::kHostStream: {
-      if (host_waveform_.empty()) return dsp::IQ16{};
-      const dsp::IQ16 s = host_waveform_[playback_pos_ % host_waveform_.size()];
-      playback_pos_ = (playback_pos_ + 1) % host_waveform_.size();
-      return s;
-    }
-  }
-  return dsp::IQ16{};
-}
-
-JammerController::TxOut JammerController::clock(bool trigger) noexcept {
-  TxOut out;
-  switch (state_) {
-    case State::kIdle:
-      if (trigger && enabled_) {
-        ++jam_count_;
-        // Replay starts at the oldest recorded sample; the host-stream
-        // buffer always plays from its beginning.
-        playback_pos_ =
-            (waveform_ == JamWaveform::kReplay) ? replay_write_ : 0;
-        // The trigger clock itself is the "1 cycle to initiate"; the
-        // remaining kTxInitCycles-1 clocks fill the DUC, so RF energy is on
-        // the air exactly kTxInitCycles (80 ns) after the trigger.
-        if (delay_samples_ > 0) {
-          state_ = State::kDelay;
-          countdown_cycles_ = delay_samples_ * hw::UInt<3>(kClocksPerSample);
-        } else {
-          state_ = State::kInit;
-          countdown_cycles_ = hw::UInt<19>(kTxInitCycles - 1);
-        }
-      }
-      break;
-    case State::kDelay:
-      countdown_cycles_ = hw::wrap_dec(countdown_cycles_);
-      if (countdown_cycles_ == 0) {
-        state_ = State::kInit;
-        countdown_cycles_ = hw::UInt<19>(kTxInitCycles - 1);
-      }
-      break;
-    case State::kInit:
-      countdown_cycles_ = hw::wrap_dec(countdown_cycles_);
-      if (countdown_cycles_ == 0) {
-        state_ = State::kJamming;
-        remaining_samples_ = uptime_samples_ == 0 ? hw::UInt<32>(1u)
-                                                  : uptime_samples_;
-        strobe_phase_ = hw::UInt<2>();
-      }
-      break;
-    case State::kJamming:
-      out.rf_active = true;
-      ++cycles_jamming_;
-      if (strobe_phase_ == 0) {
-        out.sample_strobe = true;
-        out.sample = next_waveform_sample();
-        remaining_samples_ = hw::wrap_dec(remaining_samples_);
-        if (remaining_samples_ == 0) state_ = State::kIdle;
-      }
-      strobe_phase_ = hw::wrap_inc(strobe_phase_);  // 2-bit wrap == mod 4
-      break;
-  }
-  return out;
-}
-
 void JammerController::fast_forward(std::uint64_t samples) noexcept {
   std::uint64_t cycles = samples * kClocksPerSample;
   while (cycles > 0 && state_ != State::kIdle) {

@@ -44,7 +44,10 @@ class JammerController {
   void set_host_waveform(std::vector<dsp::IQ16> samples);
 
   /// Record one received sample into the replay ring (runs continuously).
-  void record_rx(dsp::IQ16 sample) noexcept;
+  void record_rx(dsp::IQ16 sample) noexcept {
+    replay_[replay_write_] = sample;
+    replay_write_ = (replay_write_ + 1) & kReplayMask;
+  }
 
   struct TxOut {
     bool rf_active = false;     // true while jamming energy is on the air
@@ -52,8 +55,61 @@ class JammerController {
     bool sample_strobe = false; // true on the clock a new TX sample is issued
   };
 
-  /// Advance one 100 MHz clock. `trigger` is the FSM's jam pulse.
-  TxOut clock(bool trigger) noexcept;
+  /// Advance one 100 MHz clock. `trigger` is the FSM's jam pulse. Inline:
+  /// the block path runs it on every clock while the jammer is busy.
+  TxOut clock(bool trigger) noexcept {
+    TxOut out;
+    switch (state_) {
+      case State::kIdle:
+        if (trigger && enabled_) {
+          ++jam_count_;
+          // Replay starts at the oldest recorded sample; the host-stream
+          // buffer always plays from its beginning.
+          playback_pos_ =
+              (waveform_ == JamWaveform::kReplay) ? replay_write_ : 0;
+          // The trigger clock itself is the "1 cycle to initiate"; the
+          // remaining kTxInitCycles-1 clocks fill the DUC, so RF energy is
+          // on the air exactly kTxInitCycles (80 ns) after the trigger.
+          if (delay_samples_ > 0) {
+            state_ = State::kDelay;
+            countdown_cycles_ =
+                delay_samples_ * hw::UInt<3>(kClocksPerSample);
+          } else {
+            state_ = State::kInit;
+            countdown_cycles_ = hw::UInt<19>(kTxInitCycles - 1);
+          }
+        }
+        break;
+      case State::kDelay:
+        countdown_cycles_ = hw::wrap_dec(countdown_cycles_);
+        if (countdown_cycles_ == 0) {
+          state_ = State::kInit;
+          countdown_cycles_ = hw::UInt<19>(kTxInitCycles - 1);
+        }
+        break;
+      case State::kInit:
+        countdown_cycles_ = hw::wrap_dec(countdown_cycles_);
+        if (countdown_cycles_ == 0) {
+          state_ = State::kJamming;
+          remaining_samples_ = uptime_samples_ == 0 ? hw::UInt<32>(1u)
+                                                    : uptime_samples_;
+          strobe_phase_ = hw::UInt<2>();
+        }
+        break;
+      case State::kJamming:
+        out.rf_active = true;
+        ++cycles_jamming_;
+        if (strobe_phase_ == 0) {
+          out.sample_strobe = true;
+          out.sample = next_waveform_sample();
+          remaining_samples_ = hw::wrap_dec(remaining_samples_);
+          if (remaining_samples_ == 0) state_ = State::kIdle;
+        }
+        strobe_phase_ = hw::wrap_inc(strobe_phase_);  // 2-bit wrap == mod 4
+        break;
+    }
+    return out;
+  }
 
   /// Advance `samples` baseband sample periods without per-clock work,
   /// resolving delay/init/uptime countdowns arithmetically. Used by the
@@ -76,7 +132,25 @@ class JammerController {
  private:
   enum class State { kIdle, kDelay, kInit, kJamming };
 
-  [[nodiscard]] dsp::IQ16 next_waveform_sample() noexcept;
+  [[nodiscard]] dsp::IQ16 next_waveform_sample() noexcept {
+    switch (waveform_) {
+      case JamWaveform::kWhiteNoise:
+        return dsp::IQ16{lfsr_gaussian(), lfsr_gaussian()};
+      case JamWaveform::kReplay: {
+        const dsp::IQ16 s = replay_[playback_pos_];
+        playback_pos_ = (playback_pos_ + 1) & kReplayMask;
+        return s;
+      }
+      case JamWaveform::kHostStream: {
+        if (host_waveform_.empty()) return dsp::IQ16{};
+        const dsp::IQ16 s =
+            host_waveform_[playback_pos_ % host_waveform_.size()];
+        playback_pos_ = (playback_pos_ + 1) % host_waveform_.size();
+        return s;
+      }
+    }
+    return dsp::IQ16{};
+  }
 
   State state_ = State::kIdle;
   JamWaveform waveform_ = JamWaveform::kWhiteNoise;
@@ -100,7 +174,25 @@ class JammerController {
 
   // On-fabric noise generator: 32-bit Galois LFSR feeding a CLT shaper.
   hw::UInt<32> lfsr_{0xACE1ACE1u};
-  [[nodiscard]] std::int16_t lfsr_gaussian() noexcept;
+  [[nodiscard]] std::int16_t lfsr_gaussian() noexcept {
+    // Sum of four 8-bit uniform variates, centred: a cheap CLT Gaussian
+    // approximation matching what fits in fabric logic.
+    hw::UInt<10> acc;  // 4 * 255 tops out at 1020
+    for (int k = 0; k < 4; ++k) {
+      const bool lsb = lfsr_.truncate<1>() == 1u;
+      // Galois step: logical shift right (the top bit refills with zero),
+      // then conditionally apply the tap mask.
+      lfsr_ = lfsr_.shr<1>().zext<32>();
+      if (lsb) lfsr_ = lfsr_ ^ hw::UInt<32>(0xB4BCD35Cu);  // taps 32,31,29,1
+      acc = (acc + lfsr_.truncate<8>()).narrow<10>();
+    }
+    // acc in [0, 1020]; centre and scale to ~1/4 full scale RMS. The
+    // centred value rides in Int<12>, the scaled product in Int<18>, and
+    // |result| <= 12240 fits the 16-bit DAC rail exactly.
+    return ((acc.to_signed() - hw::Int<11>(510)) * hw::Int<6>(24))
+        .narrow<16>()
+        .value();
+  }
 
   std::uint64_t jam_count_ = 0;
   std::uint64_t cycles_jamming_ = 0;

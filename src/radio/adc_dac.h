@@ -10,7 +10,11 @@
 namespace rjf::radio {
 
 /// Quantise a float baseband stream to `bits`-bit two's-complement samples,
-/// returned left-justified in the 16-bit fabric representation.
+/// returned left-justified in the 16-bit fabric representation. Codes
+/// round half to even; inputs past full scale, ±inf included, saturate to
+/// the end code on their side and set the clip flag; NaN quantises to the
+/// bottom code and sets the clip flag. sample() and convert() share one
+/// per-rail kernel.
 class Adc {
  public:
   explicit Adc(unsigned bits = 14) noexcept;

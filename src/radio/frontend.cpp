@@ -8,12 +8,8 @@
 namespace rjf::radio {
 namespace {
 
-dsp::cvec scale(std::span<const dsp::cfloat> in, double gain_db) {
-  const auto g = static_cast<float>(dsp::amplitude_from_db(gain_db));
-  dsp::cvec out(in.size());
-  std::transform(in.begin(), in.end(), out.begin(),
-                 [g](dsp::cfloat s) { return s * g; });
-  return out;
+float amplitude(double gain_db) noexcept {
+  return static_cast<float>(dsp::amplitude_from_db(gain_db));
 }
 
 }  // namespace
@@ -32,12 +28,17 @@ void SbxFrontend::set_rx_gain(double db) noexcept {
   rx_gain_db_ = std::clamp(db, 0.0, kMaxGainDb);
 }
 
-dsp::cvec SbxFrontend::apply_tx(std::span<const dsp::cfloat> in) const {
-  return scale(in, tx_gain_db_);
+void SbxFrontend::apply_tx(std::span<dsp::cfloat> buf) const noexcept {
+  const float g = amplitude(tx_gain_db_);
+  for (dsp::cfloat& s : buf) s *= g;
 }
 
 dsp::cvec SbxFrontend::apply_rx(std::span<const dsp::cfloat> in) const {
-  return scale(in, rx_gain_db_);
+  const float g = amplitude(rx_gain_db_);
+  dsp::cvec out(in.size());
+  std::transform(in.begin(), in.end(), out.begin(),
+                 [g](dsp::cfloat s) { return s * g; });
+  return out;
 }
 
 }  // namespace rjf::radio

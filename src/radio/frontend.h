@@ -31,8 +31,8 @@ class SbxFrontend {
   [[nodiscard]] double tx_gain_db() const noexcept { return tx_gain_db_; }
   [[nodiscard]] double rx_gain_db() const noexcept { return rx_gain_db_; }
 
-  /// Apply TX gain to an outgoing baseband buffer.
-  [[nodiscard]] dsp::cvec apply_tx(std::span<const dsp::cfloat> in) const;
+  /// Apply TX gain to an outgoing baseband buffer, in place.
+  void apply_tx(std::span<dsp::cfloat> buf) const noexcept;
   /// Apply RX gain to an incoming baseband buffer.
   [[nodiscard]] dsp::cvec apply_rx(std::span<const dsp::cfloat> in) const;
 

@@ -9,9 +9,10 @@ namespace rjf::radio {
 
 namespace {
 
-// Samples per run_block() chunk. Bounds the per-tick scratch buffer
-// (kChunkSamples * kClocksPerSample CoreOutputs) while keeping the inner
-// loop long enough to amortise the chunking overhead.
+// Samples per run_block() chunk. Bounds the scratch buffer of per-sample
+// records (one 6-byte SamplePeriodOutput per baseband sample, 48 KiB at
+// this size) while keeping the inner loop long enough to amortise the
+// chunking overhead.
 constexpr std::size_t kChunkSamples = 8192;
 
 }  // namespace
@@ -39,8 +40,8 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
     ring_->push_event(obs::EventKind::kStreamStart, now_ticks(), rx.size());
 
   const auto before = core_.feedback();
-  std::vector<fpga::CoreOutput> trace(
-      std::min(rx.size(), kChunkSamples) * fpga::kClocksPerSample);
+  std::vector<fpga::SamplePeriodOutput> periods(
+      std::min(rx.size(), kChunkSamples));
 
   // Receive-overflow gaps declared by the fault hook for this block,
   // converted to block-relative sample indices. The host never saw those
@@ -111,22 +112,17 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
       end = std::min<std::uint64_t>(end, gaps[gap_next].start_sample);
 
     const std::size_t len = end - n;
-    const auto chunk =
-        std::span(trace).first(len * fpga::kClocksPerSample);
+    const auto chunk = std::span(periods).first(len);
     core_.run_block(rx.subspan(n, len), chunk);
 
-    // Scan the per-tick outputs for TX strobes and jam-burst boundaries.
+    // Scan the per-sample records for TX samples and jam-burst boundaries.
     for (std::size_t m = 0; m < len; ++m) {
-      bool rf_active = false;
-      for (std::uint32_t c = 0; c < fpga::kClocksPerSample; ++c) {
-        const auto& out = chunk[m * fpga::kClocksPerSample + c];
-        rf_active = rf_active || out.tx.rf_active;
-        if (out.tx.sample_strobe) result.tx[n + m] = dac_.sample(out.tx.sample);
-      }
-      if (rf_active && !burst_open) {
+      const fpga::SamplePeriodOutput& p = chunk[m];
+      if (p.tx_strobe) result.tx[n + m] = dac_.sample(p.tx);
+      if (p.rf_active && !burst_open) {
         result.bursts.push_back(JamBurst{n + m, 0});
         burst_open = true;
-      } else if (!rf_active && burst_open) {
+      } else if (!p.rf_active && burst_open) {
         burst_open = false;
       }
       if (burst_open) ++result.bursts.back().length;
@@ -135,7 +131,7 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
   }
   rx_cursor_ += rx.size();
 
-  result.tx = frontend_.apply_tx(result.tx);
+  frontend_.apply_tx(result.tx);
   const auto after = core_.feedback();
   result.jam_triggers = after.jam_triggers - before.jam_triggers;
   result.xcorr_detections = after.xcorr_detections - before.xcorr_detections;

@@ -1,4 +1,4 @@
-// Covers NCO, moving sums, delay lines, CRC32, windows, and noise sources.
+// Covers NCO, CRC32, windows, and noise sources.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 
 #include "dsp/crc32.h"
 #include "dsp/db.h"
-#include "dsp/moving_sum.h"
 #include "dsp/nco.h"
 #include "dsp/noise.h"
 #include "dsp/window.h"
@@ -51,40 +50,6 @@ TEST(Nco, FrequencyAccessorRoundTrips) {
 
 TEST(Nco, RejectsBadSampleRate) {
   EXPECT_THROW(Nco(1e6, 0.0), std::invalid_argument);
-}
-
-TEST(MovingSum, MatchesBruteForce) {
-  MovingSum<std::uint64_t> ms(8);
-  std::vector<std::uint64_t> history;
-  for (std::uint64_t k = 1; k <= 50; ++k) {
-    const std::uint64_t sum = ms.push(k * k);
-    history.push_back(k * k);
-    std::uint64_t expected = 0;
-    const std::size_t start = history.size() > 8 ? history.size() - 8 : 0;
-    for (std::size_t i = start; i < history.size(); ++i) expected += history[i];
-    ASSERT_EQ(sum, expected) << "k=" << k;
-  }
-}
-
-TEST(MovingSum, ResetZeroes) {
-  MovingSumU64 ms(4);
-  (void)ms.push(10);
-  ms.reset();
-  EXPECT_EQ(ms.sum(), 0u);
-  EXPECT_EQ(ms.push(5), 5u);
-}
-
-TEST(MovingSum, ZeroLengthClampedToOne) {
-  MovingSumU64 ms(0);
-  EXPECT_EQ(ms.length(), 1u);
-  EXPECT_EQ(ms.push(7), 7u);
-  EXPECT_EQ(ms.push(3), 3u);
-}
-
-TEST(DelayLine, DelaysByExactlyN) {
-  DelayLine<int> dl(5);
-  for (int k = 0; k < 5; ++k) EXPECT_EQ(dl.push(k + 1), 0);
-  for (int k = 5; k < 20; ++k) EXPECT_EQ(dl.push(k + 1), k - 4);
 }
 
 TEST(Crc32, KnownVector) {

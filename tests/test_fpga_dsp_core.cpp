@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
+
 #include "core/fabric_units.h"
 #include "dsp/rng.h"
 
@@ -202,19 +205,35 @@ TEST(DspCore, ProcessBlockMatchesTickByTick) {
   DspCore a, b;
   program_xcorr_jammer(a, adaptive_threshold());
   program_xcorr_jammer(b, adaptive_threshold());
-  const auto samples = code_at_fabric();
+  dsp::iqvec samples = code_at_fabric();
+  samples.resize(samples.size() + 40, dsp::IQ16{});  // room for the burst
 
-  auto trace_a = a.process(samples);
-  std::vector<CoreOutput> trace_b;
-  for (const auto s : samples) {
-    trace_b.push_back(b.tick(s));
-    for (int c = 1; c < 4; ++c) trace_b.push_back(b.tick(std::nullopt));
+  std::vector<SamplePeriodOutput> periods(samples.size());
+  a.run_block(samples, periods);
+  bool jammed = false;
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    // The same sample period clocked tick by tick, folded the way
+    // run_block() folds it.
+    SamplePeriodOutput want;
+    for (int c = 0; c < 4; ++c) {
+      const auto out =
+          b.tick(c == 0 ? std::optional<dsp::IQ16>(samples[k]) : std::nullopt);
+      want.rf_active = want.rf_active || out.tx.rf_active;
+      if (out.tx.sample_strobe) {
+        want.tx_strobe = true;
+        want.tx = out.tx.sample;
+      }
+    }
+    ASSERT_EQ(periods[k].rf_active, want.rf_active) << k;
+    ASSERT_EQ(periods[k].tx_strobe, want.tx_strobe) << k;
+    ASSERT_EQ(periods[k].tx, want.tx) << k;
+    jammed = jammed || want.rf_active;
   }
-  ASSERT_EQ(trace_a.size(), trace_b.size());
-  for (std::size_t k = 0; k < trace_a.size(); ++k) {
-    ASSERT_EQ(trace_a[k].jam_trigger, trace_b[k].jam_trigger) << k;
-    ASSERT_EQ(trace_a[k].xcorr_trigger, trace_b[k].xcorr_trigger) << k;
-  }
+  EXPECT_TRUE(jammed);
+  EXPECT_EQ(a.feedback().xcorr_detections, b.feedback().xcorr_detections);
+  EXPECT_EQ(a.feedback().jam_triggers, b.feedback().jam_triggers);
+  EXPECT_EQ(a.feedback().last_trigger_vita, b.feedback().last_trigger_vita);
+  EXPECT_EQ(a.feedback().vita_ticks, b.feedback().vita_ticks);
 }
 
 TEST(DspCore, FastForwardAdvancesVitaExactly) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "core/fabric_units.h"
@@ -155,17 +156,37 @@ TEST(FastPathCorrelator, MaxMetricCachedAtLoadTime) {
 // ---------------------------------------------------------------------------
 // run_block() vs per-sample tick() equivalence.
 
-void expect_outputs_equal(const CoreOutput& a, const CoreOutput& b,
-                          std::uint64_t tick_index) {
-  ASSERT_EQ(a.rx_strobe, b.rx_strobe) << "tick " << tick_index;
-  ASSERT_EQ(a.xcorr_trigger, b.xcorr_trigger) << "tick " << tick_index;
-  ASSERT_EQ(a.energy_high, b.energy_high) << "tick " << tick_index;
-  ASSERT_EQ(a.energy_low, b.energy_low) << "tick " << tick_index;
-  ASSERT_EQ(a.jam_trigger, b.jam_trigger) << "tick " << tick_index;
-  ASSERT_EQ(a.vita_ticks, b.vita_ticks) << "tick " << tick_index;
-  ASSERT_EQ(a.tx.rf_active, b.tx.rf_active) << "tick " << tick_index;
-  ASSERT_EQ(a.tx.sample_strobe, b.tx.sample_strobe) << "tick " << tick_index;
-  ASSERT_EQ(a.tx.sample, b.tx.sample) << "tick " << tick_index;
+// One sample period clocked tick by tick: tick(sample) plus the idle
+// clocks, folded the way run_block() folds them.
+SamplePeriodOutput tick_period(DspCore& core, dsp::IQ16 sample) {
+  SamplePeriodOutput rec;
+  for (std::uint32_t c = 0; c < kClocksPerSample; ++c) {
+    const CoreOutput out =
+        core.tick(c == 0 ? std::optional<dsp::IQ16>(sample) : std::nullopt);
+    rec.rf_active = rec.rf_active || out.tx.rf_active;
+    if (out.tx.sample_strobe) {
+      rec.tx_strobe = true;
+      rec.tx = out.tx.sample;
+    }
+  }
+  return rec;
+}
+
+void expect_records_equal(const SamplePeriodOutput& a,
+                          const SamplePeriodOutput& b,
+                          std::uint64_t sample_index) {
+  ASSERT_EQ(a.rf_active, b.rf_active) << "sample " << sample_index;
+  ASSERT_EQ(a.tx_strobe, b.tx_strobe) << "sample " << sample_index;
+  ASSERT_EQ(a.tx, b.tx) << "sample " << sample_index;
+}
+
+void expect_feedback_equal(const HostFeedback& a, const HostFeedback& b) {
+  ASSERT_EQ(a.xcorr_detections, b.xcorr_detections);
+  ASSERT_EQ(a.energy_high_detections, b.energy_high_detections);
+  ASSERT_EQ(a.energy_low_detections, b.energy_low_detections);
+  ASSERT_EQ(a.jam_triggers, b.jam_triggers);
+  ASSERT_EQ(a.last_trigger_vita, b.last_trigger_vita);
+  ASSERT_EQ(a.vita_ticks, b.vita_ticks);
 }
 
 // Program a two-stage (energy-rise then xcorr — the rise leads the
@@ -214,11 +235,11 @@ TEST(RunBlockEquivalence, MillionSampleStreamBitIdentical) {
   constexpr std::size_t kChunk = 4099;
 
   dsp::NoiseSource noise(0.002, 77);
-  std::vector<CoreOutput> block_out(kChunk * kClocksPerSample);
+  std::vector<SamplePeriodOutput> block_out(kChunk);
   std::size_t produced = 0;
   std::size_t burst_pos = 0;  // next index within an in-progress burst
   std::size_t since_burst = 0;
-  std::uint64_t tick_index = 0;
+  std::uint64_t sample_index = 0;
 
   dsp::iqvec chunk;
   chunk.reserve(kChunk);
@@ -236,19 +257,16 @@ TEST(RunBlockEquivalence, MillionSampleStreamBitIdentical) {
         chunk.push_back(dsp::to_iq16(noise.sample()));
       }
     }
-    block_core.run_block(chunk,
-                         std::span(block_out).first(len * kClocksPerSample));
+    block_core.run_block(chunk, std::span(block_out).first(len));
     for (std::size_t k = 0; k < len; ++k) {
-      for (std::uint32_t c = 0; c < kClocksPerSample; ++c) {
-        const CoreOutput ref =
-            tick_core.tick(c == 0 ? std::optional<dsp::IQ16>(chunk[k])
-                                  : std::nullopt);
-        expect_outputs_equal(block_out[k * kClocksPerSample + c], ref,
-                             tick_index);
-        ++tick_index;
-      }
+      expect_records_equal(block_out[k], tick_period(tick_core, chunk[k]),
+                           sample_index);
+      ++sample_index;
       if (::testing::Test::HasFatalFailure()) return;  // don't flood on break
     }
+    // Trigger edges, detections and VITA time agree at every block boundary.
+    expect_feedback_equal(block_core.feedback(), tick_core.feedback());
+    if (::testing::Test::HasFatalFailure()) return;
     produced += len;
   }
 
@@ -256,16 +274,6 @@ TEST(RunBlockEquivalence, MillionSampleStreamBitIdentical) {
   EXPECT_GT(block_core.feedback().jam_triggers, 0u);
   EXPECT_GT(block_core.feedback().xcorr_detections, 0u);
   EXPECT_GT(block_core.feedback().energy_high_detections, 0u);
-
-  // Feedback counters and VITA time agree in aggregate too.
-  const auto& a = block_core.feedback();
-  const auto& b = tick_core.feedback();
-  EXPECT_EQ(a.xcorr_detections, b.xcorr_detections);
-  EXPECT_EQ(a.energy_high_detections, b.energy_high_detections);
-  EXPECT_EQ(a.energy_low_detections, b.energy_low_detections);
-  EXPECT_EQ(a.jam_triggers, b.jam_triggers);
-  EXPECT_EQ(a.last_trigger_vita, b.last_trigger_vita);
-  EXPECT_EQ(a.vita_ticks, b.vita_ticks);
 }
 
 TEST(RunBlockEquivalence, MisalignedStrobePhaseFallsBackToTickCadence) {
@@ -279,32 +287,27 @@ TEST(RunBlockEquivalence, MisalignedStrobePhaseFallsBackToTickCadence) {
   (void)block_core.tick(dsp::IQ16{100, -100});
 
   const dsp::iqvec stream = noise_stream(2000, 0.01, 99);
-  std::vector<CoreOutput> block_out(stream.size() * kClocksPerSample);
+  std::vector<SamplePeriodOutput> block_out(stream.size());
   block_core.run_block(stream, block_out);
 
-  std::uint64_t tick_index = 0;
   for (std::size_t k = 0; k < stream.size(); ++k) {
-    for (std::uint32_t c = 0; c < kClocksPerSample; ++c) {
-      const CoreOutput ref =
-          tick_core.tick(c == 0 ? std::optional<dsp::IQ16>(stream[k])
-                                : std::nullopt);
-      expect_outputs_equal(block_out[k * kClocksPerSample + c], ref,
-                           tick_index);
-      ++tick_index;
-    }
+    expect_records_equal(block_out[k], tick_period(tick_core, stream[k]), k);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  expect_feedback_equal(block_core.feedback(), tick_core.feedback());
 }
 
-TEST(RunBlockEquivalence, ProcessStillReturnsPerTickTrace) {
+TEST(RunBlockEquivalence, RunBlockWritesOneRecordPerSample) {
   DspCore core;
   program_jammer(core, 1u << 10);
   const dsp::iqvec stream = noise_stream(256, 0.01, 5);
-  const auto trace = core.process(stream);
-  ASSERT_EQ(trace.size(), stream.size() * kClocksPerSample);
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    EXPECT_EQ(trace[k].rx_strobe, k % kClocksPerSample == 0);
-    EXPECT_EQ(trace[k].vita_ticks, k);
-  }
+  std::vector<SamplePeriodOutput> records(stream.size());
+  core.run_block(stream, records);
+  EXPECT_EQ(core.feedback().vita_ticks, stream.size() * kClocksPerSample);
+  // A short output span truncates the input: one record, one sample period.
+  core.run_block(stream, std::span(records).first(3));
+  EXPECT_EQ(core.feedback().vita_ticks,
+            (stream.size() + 3) * kClocksPerSample);
 }
 
 }  // namespace
