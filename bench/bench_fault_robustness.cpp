@@ -10,9 +10,9 @@
 //   fault_deterministic      1 iff the faulted grid is bit-identical at
 //                            1, 2 and 4 sweep threads
 //   fault_zero_fault_mismatch  count deltas between the scale-0 row and the
-//                            clean core::run_detection_sweep — must be 0
-//                            (the zero-fault inertness contract; the
-//                            scale-0 row attaches no injector)
+//                            same grid run clean (scale 0 only, no hook) —
+//                            must be 0 (the zero-fault inertness contract;
+//                            the scale-0 row attaches no injector)
 //
 //   RJF_BENCH_FRAMES   trials per grid point (default 400)
 #include <cstdio>
@@ -84,10 +84,12 @@ int main() {
 
   const std::vector<double> snrs = {0, 6, 12};
   const std::vector<double> scales = {0.0, 0.5, 1.0, 2.0};
-  core::SweepConfig sweep;
-  sweep.trials_per_point = bench::frames_per_point();
-  sweep.seed = 0xFA017;
-  core::DetectionRunConfig base;
+  core::CampaignSpec spec;
+  spec.jammer = config;
+  spec.grid.snrs_db = snrs;
+  spec.grid.fault_scales = scales;
+  spec.grid.trials_per_point = bench::frames_per_point();
+  spec.seed = 0xFA017;
 
   // Rates at scale 1.0, per 25 MSPS sample: with ~2700-sample captures each
   // trial sees a few faults, and the 256-sample overflow runs are long
@@ -100,19 +102,18 @@ int main() {
   fault_base.overflow_rate = 1e-4;
   fault_base.gain_glitch_rate = 1e-4;
   fault_base.tune_glitch_rate = 1e-4;
+  spec.make_trial_hook = fault::campaign_fault_hook_factory(fault_base);
 
   std::printf("trials per point: %zu, %zu SNRs x %zu fault scales\n\n",
-              sweep.trials_per_point, snrs.size(), scales.size());
+              spec.grid.trials_per_point, snrs.size(), scales.size());
 
   // Determinism gate: the faulted grid must be bit-identical at 1/2/4
   // worker threads (fault schedules key on logical indices only).
   bool deterministic = true;
   core::CampaignReport reference;
   for (const unsigned threads : {1u, 2u, 4u}) {
-    sweep.threads = threads;
-    auto report = fault::run_fault_robustness_sweep(
-        config, full_frame, core::DetectorTap::kXcorr, base, snrs, scales,
-        fault_base, sweep);
+    spec.threads = threads;
+    auto report = core::run_campaign_frames(spec, {&full_frame, 1});
     if (threads == 1)
       reference = std::move(report);
     else
@@ -122,10 +123,12 @@ int main() {
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
   // Inertness gate: the scale-0 row (no injector attached) must equal the
-  // clean sweep, count for count.
-  sweep.threads = 0;
-  const auto clean = core::run_detection_sweep(
-      config, full_frame, core::DetectorTap::kXcorr, base, snrs, sweep);
+  // clean grid, count for count.
+  core::CampaignSpec clean_spec = spec;
+  clean_spec.grid.fault_scales = {0.0};
+  clean_spec.make_trial_hook = nullptr;
+  clean_spec.threads = 0;
+  const auto clean = core::run_campaign_frames(clean_spec, {&full_frame, 1});
   std::uint64_t zero_fault_mismatch = 0;
   for (std::size_t k = 0; k < snrs.size(); ++k) {
     const auto& faulted = reference.points[k].result;
@@ -179,7 +182,7 @@ int main() {
       reference.points[(scales.size() - 1) * snrs.size() + last_snr];
   bench::JsonWriter json;
   json.set("fault_trials_per_point",
-           static_cast<std::uint64_t>(sweep.trials_per_point));
+           static_cast<std::uint64_t>(spec.grid.trials_per_point));
   json.set("fault_grid_points",
            static_cast<std::uint64_t>(reference.points.size()));
   json.set("fault_pdet_clean", clean_pt.result.probability);

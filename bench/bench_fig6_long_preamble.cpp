@@ -43,26 +43,22 @@ int main() {
   const std::vector<double> snrs = {-6, -3, 0, 3, 5, 8, 12, 16, 20};
   double wall = 0.0;
   for (const double fa : {0.52, 0.083}) {
-    core::JammerConfig config;
-    config.detection = core::DetectionMode::kCrossCorrelator;
-    config.xcorr_template = tpl;
-    config.xcorr_threshold = model.threshold_for_rate(fa);
+    core::CampaignSpec spec;
+    spec.jammer.detection = core::DetectionMode::kCrossCorrelator;
+    spec.jammer.xcorr_template = tpl;
+    spec.jammer.xcorr_threshold = model.threshold_for_rate(fa);
+    spec.grid.snrs_db = snrs;
+    spec.grid.trials_per_point = frames;
+    spec.threads = bench::resolved_sweep_threads();
 
-    core::SweepConfig sweep;
-    sweep.trials_per_point = frames;
-    sweep.threads = bench::resolved_sweep_threads();
-    core::DetectionRunConfig base;
-
-    sweep.seed = 0xF16;
-    const auto full = core::run_detection_sweep(
-        config, full_frame, core::DetectorTap::kXcorr, base, snrs, sweep);
-    sweep.seed = 0xF16 ^ 0x5555;
-    const auto one = core::run_detection_sweep(
-        config, single, core::DetectorTap::kXcorr, base, snrs, sweep);
+    spec.seed = 0xF16;
+    const auto full = core::run_campaign_frames(spec, {&full_frame, 1});
+    spec.seed = 0xF16 ^ 0x5555;
+    const auto one = core::run_campaign_frames(spec, {&single, 1});
     wall += full.wall_seconds + one.wall_seconds;
 
     std::printf("false alarm rate %.3f triggers/s  (threshold %u)\n", fa,
-                config.xcorr_threshold);
+                spec.jammer.xcorr_threshold);
     std::printf("%8s %18s %22s\n", "SNR(dB)", "P_det full frames",
                 "P_det single preamble");
     for (std::size_t p = 0; p < snrs.size(); ++p)

@@ -16,7 +16,8 @@ int main() {
       "bench_fig7_short_preamble — P_det vs SNR, WiFi short preamble",
       "Fig. 7 (full frames, FA = 0.059 triggers/s)");
 
-  auto config = core::wifi_reactive_preset(1e-4, 0.059);
+  core::CampaignSpec spec;
+  spec.jammer = core::wifi_reactive_preset(1e-4, 0.059);
 
   std::vector<std::uint8_t> psdu(310, 0xA5);
   phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
@@ -26,16 +27,14 @@ int main() {
   std::printf("frames per point: %zu (paper used 10000), %u worker threads\n",
               frames, bench::resolved_sweep_threads());
   std::printf("threshold: %u (calibrated to 0.059 triggers/s on noise)\n\n",
-              config.xcorr_threshold);
+              spec.jammer.xcorr_threshold);
 
   const std::vector<double> snrs = {-9.0, -6.0, -3.0, 0.0, 3.0, 6.0, 10.0, 15.0};
-  core::SweepConfig sweep;
-  sweep.trials_per_point = frames;
-  sweep.threads = bench::resolved_sweep_threads();
-  sweep.seed = 0xF17;
-  core::DetectionRunConfig base;
-  const auto report = core::run_detection_sweep(
-      config, full_frame, core::DetectorTap::kXcorr, base, snrs, sweep);
+  spec.grid.snrs_db = snrs;
+  spec.grid.trials_per_point = frames;
+  spec.threads = bench::resolved_sweep_threads();
+  spec.seed = 0xF17;
+  const auto report = core::run_campaign_frames(spec, {&full_frame, 1});
 
   std::printf("%8s %12s %18s\n", "SNR(dB)", "P_det", "detections/frame");
   for (const auto& point : report.points)

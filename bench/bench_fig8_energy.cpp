@@ -18,7 +18,8 @@ int main() {
       "bench_fig8_energy — energy differentiator P_det vs SNR",
       "Fig. 8 (full WiFi frames, 10 dB energy threshold, FA = 0/s)");
 
-  auto config = core::energy_reactive_preset(1e-4, 10.0);
+  core::CampaignSpec spec;
+  spec.jammer = core::energy_reactive_preset(1e-4, 10.0);
 
   std::vector<std::uint8_t> psdu(310, 0xA5);
   phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
@@ -30,13 +31,12 @@ int main() {
 
   const std::vector<double> snrs = {0.0, 3.0,  6.0,  7.0,  8.0, 9.0,
                                     10.0, 11.0, 12.0, 15.0, 20.0};
-  core::SweepConfig sweep;
-  sweep.trials_per_point = frames;
-  sweep.threads = bench::resolved_sweep_threads();
-  sweep.seed = 0xF18;
-  core::DetectionRunConfig base;
-  const auto report = core::run_detection_sweep(
-      config, full_frame, core::DetectorTap::kEnergyHigh, base, snrs, sweep);
+  spec.tap = core::DetectorTap::kEnergyHigh;
+  spec.grid.snrs_db = snrs;
+  spec.grid.trials_per_point = frames;
+  spec.threads = bench::resolved_sweep_threads();
+  spec.seed = 0xF18;
+  const auto report = core::run_campaign_frames(spec, {&full_frame, 1});
 
   std::printf("%8s %12s %18s\n", "SNR(dB)", "P_det", "detections/frame");
   for (const auto& point : report.points)

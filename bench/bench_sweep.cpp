@@ -1,6 +1,5 @@
-// Sweep scaling bench: a Fig. 6-style P_det-vs-SNR sweep (the
-// run_detection_sweep preset over the campaign executor) at 1, 2 and N
-// worker threads.
+// Sweep scaling bench: a Fig. 6-style P_det-vs-SNR grid, run by the
+// campaign executor (run_campaign_frames) at 1, 2 and N worker threads.
 //
 // Emits BENCH_sweep.json (override path with RJF_BENCH_JSON) with the
 // single-thread and N-thread trial rates, the measured speedup, the
@@ -59,20 +58,17 @@ int main() {
 
   const auto tpl = core::wifi_long_preamble_template();
   const core::XcorrNoiseModel model(tpl);
-  core::JammerConfig config;
-  config.detection = core::DetectionMode::kCrossCorrelator;
-  config.xcorr_template = tpl;
-  config.xcorr_threshold = model.threshold_for_rate(0.52);
+  core::CampaignSpec spec;
+  spec.jammer.detection = core::DetectionMode::kCrossCorrelator;
+  spec.jammer.xcorr_template = tpl;
+  spec.jammer.xcorr_threshold = model.threshold_for_rate(0.52);
+  spec.grid.snrs_db = {-3, 0, 3, 8, 12};
+  spec.grid.trials_per_point = bench::frames_per_point();
+  spec.seed = 0xF16;
 
   std::vector<std::uint8_t> psdu(310, 0xA5);
   phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
   const dsp::cvec full_frame = tx.transmit(psdu);
-
-  const std::vector<double> snrs = {-3, 0, 3, 8, 12};
-  core::SweepConfig sweep;
-  sweep.trials_per_point = bench::frames_per_point();
-  sweep.seed = 0xF16;
-  core::DetectionRunConfig base;
 
   const unsigned host_cores = bench::host_cores();
   const unsigned requested_threads = bench::sweep_threads(8);
@@ -82,8 +78,8 @@ int main() {
   std::printf(
       "trials per point: %zu, %zu points; host cores: %u; threads: %u "
       "(requested %u)\n\n",
-      sweep.trials_per_point, snrs.size(), host_cores, n_threads,
-      requested_threads);
+      spec.grid.trials_per_point, spec.grid.snrs_db.size(), host_cores,
+      n_threads, requested_threads);
 
   std::printf("%8s %14s %12s %10s\n", "threads", "trials/s", "wall(s)",
               "speedup");
@@ -97,9 +93,8 @@ int main() {
   // runs each count once, 1-thread reference first.
   const std::set<unsigned> thread_counts{1u, 2u, n_threads};
   for (const unsigned threads : thread_counts) {
-    sweep.threads = threads;
-    const auto report = core::run_detection_sweep(
-        config, full_frame, core::DetectorTap::kXcorr, base, snrs, sweep);
+    spec.threads = threads;
+    const auto report = core::run_campaign_frames(spec, {&full_frame, 1});
     if (threads == 1) {
       reference = report;
       rate_1t = report.trials_per_second();
@@ -118,8 +113,9 @@ int main() {
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
   bench::JsonWriter json;
-  json.set("sweep_trials_per_point", static_cast<std::uint64_t>(sweep.trials_per_point));
-  json.set("sweep_points", static_cast<std::uint64_t>(snrs.size()));
+  json.set("sweep_trials_per_point",
+           static_cast<std::uint64_t>(spec.grid.trials_per_point));
+  json.set("sweep_points", static_cast<std::uint64_t>(spec.grid.snrs_db.size()));
   json.set("sweep_threads_requested", static_cast<std::uint64_t>(requested_threads));
   json.set("sweep_threads", static_cast<std::uint64_t>(n_threads));
   json.set("host_cores", static_cast<std::uint64_t>(host_cores));

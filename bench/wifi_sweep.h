@@ -1,4 +1,4 @@
-// Shared SIR sweep for the Figs. 10-11 benches: the four jammer
+// Shared SIR sweep for bench_fig10_11_iperf (Figs. 10-11): the four jammer
 // configurations of §4.3 run over the iperf UDP test rig.
 //
 // Each (configuration, jam-power) point is one independent WifiNetworkSim

@@ -46,22 +46,18 @@ int main(int argc, char** argv) {
   // over all SNR points at once on the parallel sweep engine — trials
   // shard across every core, and the counts match a sequential run bit
   // for bit (same seed, any thread count).
-  core::JammerConfig config;
-  config.detection = core::DetectionMode::kCrossCorrelator;
-  config.xcorr_template = tpl;
-  config.xcorr_threshold = threshold;
+  core::CampaignSpec spec;
+  spec.jammer.detection = core::DetectionMode::kCrossCorrelator;
+  spec.jammer.xcorr_template = tpl;
+  spec.jammer.xcorr_threshold = threshold;
+  spec.grid.snrs_db = {-6.0, -3.0, 0.0, 3.0, 6.0, 10.0};
+  spec.grid.trials_per_point = 200;
+  spec.seed = 0xD7;
 
   std::vector<std::uint8_t> psdu(310, 0xA5);
   phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
   const dsp::cvec frame = tx.transmit(psdu);
-
-  const std::vector<double> snrs = {-6.0, -3.0, 0.0, 3.0, 6.0, 10.0};
-  core::SweepConfig sweep;
-  sweep.trials_per_point = 200;
-  sweep.seed = 0xD7;
-  core::DetectionRunConfig base;
-  const auto report = core::run_detection_sweep(
-      config, frame, core::DetectorTap::kXcorr, base, snrs, sweep);
+  const auto report = core::run_campaign_frames(spec, {&frame, 1});
 
   std::printf("\ndetection probability (full WiFi frames, 200 per point,\n"
               "%u sweep workers, %.0f trials/s):\n",

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 
 #include "core/scenario.h"
@@ -72,28 +73,40 @@ struct PointTotals {
 // ---------------------------------------------------------------------------
 // ShardRecord / ShardStore
 
+ShardRecord::Words ShardRecord::to_words() const noexcept {
+  return {point,           shard_index,     first_trial,
+          trials,          frames_detected, total_detections,
+          faults_injected, overflow_gaps,   samples_lost,
+          trigger_latency_sum, trigger_latency_count, checksum};
+}
+
+ShardRecord ShardRecord::from_words(const Words& w) noexcept {
+  return {w[0], w[1], w[2], w[3], w[4],  w[5],
+          w[6], w[7], w[8], w[9], w[10], w[11]};
+}
+
 std::uint64_t ShardRecord::compute_checksum() const noexcept {
-  const std::uint64_t words[kWords - 1] = {
-      point,          shard_index,    first_trial,
-      trials,         frames_detected, total_detections,
-      faults_injected, overflow_gaps,  samples_lost,
-      trigger_latency_sum, trigger_latency_count};
-  return fnv1a_words(words, kWords - 1);
+  // Every word but the checksum itself, which is last.
+  return fnv1a_words(to_words().data(), kWords - 1);
+}
+
+ShardStoreHeader::Words ShardStoreHeader::to_words() const noexcept {
+  return {ShardStore::kMagic, ShardStore::kVersion, fingerprint,
+          campaign_seed,      num_points,           trials_per_point,
+          shard_trials,       num_shards};
+}
+
+ShardStoreHeader ShardStoreHeader::from_words(const Words& w) noexcept {
+  return {w[2], w[3], w[4], w[5], w[6], w[7]};
 }
 
 std::unique_ptr<ShardStore> ShardStore::create(const std::string& path,
                                                const ShardStoreHeader& header) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return nullptr;
-  const std::uint64_t words[8] = {kMagic,
-                                  kVersion,
-                                  header.fingerprint,
-                                  header.campaign_seed,
-                                  header.num_points,
-                                  header.trials_per_point,
-                                  header.shard_trials,
-                                  header.num_shards};
-  if (std::fwrite(words, sizeof(std::uint64_t), 8, f) != 8 ||
+  const ShardStoreHeader::Words words = header.to_words();
+  if (std::fwrite(words.data(), sizeof(std::uint64_t), words.size(), f) !=
+          words.size() ||
       std::fflush(f) != 0) {
     std::fclose(f);
     return nullptr;
@@ -104,43 +117,24 @@ std::unique_ptr<ShardStore> ShardStore::create(const std::string& path,
 std::optional<ShardStore::Loaded> ShardStore::load(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
-  std::uint64_t words[8];
-  if (!read_words(f, words, 8) || words[0] != kMagic || words[1] != kVersion) {
+  ShardStoreHeader::Words words{};
+  if (!read_words(f, words.data(), words.size()) || words[0] != kMagic ||
+      words[1] != kVersion) {
     std::fclose(f);
     return std::nullopt;
   }
   Loaded loaded;
-  loaded.header.fingerprint = words[2];
-  loaded.header.campaign_seed = words[3];
-  loaded.header.num_points = words[4];
-  loaded.header.trials_per_point = words[5];
-  loaded.header.shard_trials = words[6];
-  loaded.header.num_shards = words[7];
+  loaded.header = ShardStoreHeader::from_words(words);
 
   // Records until EOF; a short read or checksum mismatch means the writer
   // died mid-append — everything from that point on is discarded.
   for (;;) {
-    std::uint64_t rec[ShardRecord::kWords];
+    ShardRecord::Words rec{};
     const std::size_t got =
-        std::fread(rec, sizeof(std::uint64_t), ShardRecord::kWords, f);
+        std::fread(rec.data(), sizeof(std::uint64_t), rec.size(), f);
     if (got == 0) break;
-    ShardRecord record;
-    if (got == ShardRecord::kWords) {
-      record.point = rec[0];
-      record.shard_index = rec[1];
-      record.first_trial = rec[2];
-      record.trials = rec[3];
-      record.frames_detected = rec[4];
-      record.total_detections = rec[5];
-      record.faults_injected = rec[6];
-      record.overflow_gaps = rec[7];
-      record.samples_lost = rec[8];
-      record.trigger_latency_sum = rec[9];
-      record.trigger_latency_count = rec[10];
-      record.checksum = rec[11];
-    }
-    if (got != ShardRecord::kWords ||
-        record.checksum != record.compute_checksum()) {
+    const ShardRecord record = ShardRecord::from_words(rec);
+    if (got != rec.size() || record.checksum != record.compute_checksum()) {
       loaded.dropped_bytes = got * sizeof(std::uint64_t);
       long pos = std::ftell(f);
       if (pos >= 0) {
@@ -169,17 +163,11 @@ ShardStore::~ShardStore() {
 
 bool ShardStore::append(ShardRecord record) {
   record.checksum = record.compute_checksum();
-  const std::uint64_t words[ShardRecord::kWords] = {
-      record.point,          record.shard_index,
-      record.first_trial,    record.trials,
-      record.frames_detected, record.total_detections,
-      record.faults_injected, record.overflow_gaps,
-      record.samples_lost,   record.trigger_latency_sum,
-      record.trigger_latency_count, record.checksum};
+  const ShardRecord::Words words = record.to_words();
   const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return false;
-  if (std::fwrite(words, sizeof(std::uint64_t), ShardRecord::kWords, file_) !=
-      ShardRecord::kWords)
+  if (std::fwrite(words.data(), sizeof(std::uint64_t), words.size(), file_) !=
+      words.size())
     return false;
   return std::fflush(file_) == 0;
 }
@@ -424,6 +412,8 @@ CampaignReport execute_grid(const CampaignSpec& spec,
         const std::uint64_t horizon = plan.lead_in + max_variant + plan.tail;
         const std::uint64_t lead_ticks =
             static_cast<std::uint64_t>(plan.lead_in) * fpga::kClocksPerSample;
+        const double fault_scale =
+            grid.fault_scales[grid.coords(task.point).scale_index];
 
         // Every shard programs its own jammer/fabric instance from the
         // shared personality: no mutable state crosses shard boundaries.
@@ -454,7 +444,7 @@ CampaignReport execute_grid(const CampaignSpec& spec,
         for (std::size_t t = task.first_trial;
              t < task.first_trial + task.trials; ++t) {
           if (hook != nullptr)
-            hook->before_trial(jammer, task.point, t, horizon);
+            hook->before_trial(jammer, task.point, t, fault_scale, horizon);
           const DetectionTrialOutcome trial =
               run_detection_trial(jammer, plan, t);
           if (hook != nullptr)
@@ -617,9 +607,21 @@ OpenedStore open_store(const CampaignSpec& spec, const std::string& path) {
           : resolve_shard_trials(grid.num_points(), grid.trials_per_point,
                                  spec.threads);
 
-  // On resume the stored shard granularity wins (the schedule must match
-  // the records), and every identity field must agree.
-  if (auto loaded = ShardStore::load(path)) {
+  // Only a missing path creates a store. Anything else at the path must be
+  // a readable store of this version: "wb" would wipe a file that is not
+  // (a CSV given by mistake, a store from another version).
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec) || ec) {
+    auto loaded = ShardStore::load(path);
+    if (!loaded)
+      reject_store(path, "is not a readable version-" +
+                             std::to_string(ShardStore::kVersion) +
+                             " campaign store (wrong magic or version, or a "
+                             "header shorter than " +
+                             std::to_string(ShardStoreHeader::kWords) +
+                             " words)");
+    // On resume the stored shard granularity wins (the schedule must match
+    // the records), and every identity field must agree.
     const ShardStoreHeader& on_disk = loaded->header;
     if (on_disk.fingerprint != header.fingerprint ||
         on_disk.campaign_seed != header.campaign_seed ||
@@ -679,36 +681,6 @@ CampaignReport run_campaign(const CampaignSpec& spec,
 CampaignReport run_campaign_frames(const CampaignSpec& spec,
                                    std::span<const dsp::cvec> frames) {
   return execute_grid(spec, frames, OpenedStore{});
-}
-
-CampaignSpec sweep_campaign_spec(const JammerConfig& jammer_config,
-                                 DetectorTap tap,
-                                 const DetectionRunConfig& base,
-                                 std::span<const double> snr_points_db,
-                                 const SweepConfig& sweep) {
-  CampaignSpec spec;
-  spec.target.clear();
-  spec.jammer = jammer_config;
-  spec.base = base;
-  spec.tap = tap;
-  spec.grid.snrs_db.assign(snr_points_db.begin(), snr_points_db.end());
-  spec.grid.trials_per_point = sweep.trials_per_point;
-  spec.seed = sweep.seed;
-  spec.shard_trials = sweep.shard_trials;
-  spec.threads = sweep.threads;
-  return spec;
-}
-
-CampaignReport run_detection_sweep(const JammerConfig& jammer_config,
-                                   std::span<const dsp::cfloat> frame_native,
-                                   DetectorTap tap,
-                                   const DetectionRunConfig& base,
-                                   std::span<const double> snr_points_db,
-                                   const SweepConfig& sweep) {
-  const dsp::cvec frame(frame_native.begin(), frame_native.end());
-  return run_campaign_frames(
-      sweep_campaign_spec(jammer_config, tap, base, snr_points_db, sweep),
-      {&frame, 1});
 }
 
 }  // namespace rjf::core

@@ -8,9 +8,10 @@
 // bit-identical however the campaign is split: across worker threads,
 // across shard sizes, across sequential process invocations (batch
 // windows via max_shards_this_run), and across kill/resume boundaries.
-// The Figs. 6-8 sweep presets (run_detection_sweep here,
-// fault::run_fault_robustness_sweep) are one-rate grids over the same
-// executor, run with no store.
+// A CampaignSpec handed to run_campaign (target frames, optional store) or
+// run_campaign_frames (caller-synthesised frames, no store) is the only way
+// in: the Figs. 6-8 sweeps and the fault-robustness curves are one-rate
+// specs run through run_campaign_frames.
 //
 // Durability comes from the shard store: every completed shard appends one
 // fixed-width, checksummed record (point id, shard index, trial range,
@@ -26,6 +27,7 @@
 // seed-space partitioning argument.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -47,7 +49,7 @@ namespace rjf::core {
 ///   point = (rate_index * fault_scales.size() + scale_index) * snrs_db.size()
 ///         + snr_index
 /// so the SNR axis is contiguous within one (rate, scale) row. With one
-/// rate this is the sweep presets' point index: scale * snrs + snr.
+/// rate the point index is scale * snrs + snr.
 struct CampaignGrid {
   /// Rate axis: indices into the campaign target's rate table
   /// (ProtocolTarget::rates, see core/scenario.h). {0} is the target's
@@ -106,6 +108,11 @@ struct ShardRecord {
   std::uint64_t checksum = 0;
 
   static constexpr std::size_t kWords = 12;
+  using Words = std::array<std::uint64_t, kWords>;
+  /// The on-disk layout: the fields above in declaration order. The one
+  /// definition of the word order; load, append and the checksum use it.
+  [[nodiscard]] Words to_words() const noexcept;
+  [[nodiscard]] static ShardRecord from_words(const Words& words) noexcept;
   [[nodiscard]] std::uint64_t compute_checksum() const noexcept;
 };
 
@@ -123,6 +130,14 @@ struct ShardStoreHeader {
   /// thread count) so record trial ranges always match the schedule.
   std::uint64_t shard_trials = 0;
   std::uint64_t num_shards = 0;
+
+  static constexpr std::size_t kWords = 8;
+  using Words = std::array<std::uint64_t, kWords>;
+  /// The on-disk layout: ShardStore::kMagic, ShardStore::kVersion, then the
+  /// fields above in declaration order. from_words reads the fields only;
+  /// ShardStore::load checks the magic and version words.
+  [[nodiscard]] Words to_words() const noexcept;
+  [[nodiscard]] static ShardStoreHeader from_words(const Words& words) noexcept;
 };
 
 /// Append-only store of completed-shard records. One writer at a time;
@@ -141,7 +156,7 @@ class ShardStore {
   [[nodiscard]] static std::unique_ptr<ShardStore> create(
       const std::string& path, const ShardStoreHeader& header);
 
-  /// Parse an existing store. Nullopt when the file is missing or its
+  /// Parse an existing store. Nullopt when the file cannot be opened or its
   /// magic/version/header is unreadable. Records with a bad checksum (torn
   /// tail) and anything after them are dropped, not errors.
   [[nodiscard]] static std::optional<Loaded> load(const std::string& path);
@@ -178,9 +193,11 @@ class ShardStore {
 class CampaignTrialHook {
  public:
   virtual ~CampaignTrialHook() = default;
-  /// Called before each trial with the capture horizon in fabric samples.
+  /// Called before each trial with the point's grid.fault_scales entry
+  /// (read by the executor from the spec's own grid) and the capture
+  /// horizon in fabric samples.
   virtual void before_trial(ReactiveJammer& jammer, std::size_t point,
-                            std::size_t trial,
+                            std::size_t trial, double fault_scale,
                             std::uint64_t horizon_samples) = 0;
   /// Called after the trial; detaches and returns faults injected.
   virtual std::uint64_t after_trial(ReactiveJammer& jammer) = 0;
@@ -309,13 +326,13 @@ struct CampaignReport {
 };
 
 /// Run (or resume) the campaign against the shard store at `store_path`.
-/// Missing file: a fresh store is created. Existing file: the header must
-/// match the spec's fingerprint/seed/grid and its shard count the
-/// recomputed schedule, and every record its schedule entry (else
-/// std::runtime_error); its shard_trials is adopted, and only unrecorded
-/// shards execute. Empty path: no store — nothing is written and the
-/// report folds in memory. Returns the merged report over everything
-/// durable so far.
+/// Missing file: a fresh store is created. Existing file: it must be a
+/// readable store of this kVersion, its header must match the spec's
+/// fingerprint/seed/grid and its shard count the recomputed schedule, and
+/// every record its schedule entry (else std::runtime_error, and the file is
+/// left untouched); its shard_trials is adopted, and only unrecorded shards
+/// execute. Empty path: no store — nothing is written and the report folds
+/// in memory. Returns the merged report over everything durable so far.
 [[nodiscard]] CampaignReport run_campaign(const CampaignSpec& spec,
                                           const std::string& store_path);
 
@@ -326,26 +343,5 @@ struct CampaignReport {
 /// report rows carry rate_mbps = rate_id = 0.
 [[nodiscard]] CampaignReport run_campaign_frames(
     const CampaignSpec& spec, std::span<const dsp::cvec> frames);
-
-/// The sweep presets' grid: one rate, one scale (0.0), `snr_points_db` ×
-/// sweep.trials_per_point trials against `jammer_config`, with the
-/// sweep's seed, shard size and thread count, and no target. Callers add
-/// axes or knobs (fault scales, a trial hook, tracing, progress) and hand
-/// it to run_campaign_frames.
-[[nodiscard]] CampaignSpec sweep_campaign_spec(
-    const JammerConfig& jammer_config, DetectorTap tap,
-    const DetectionRunConfig& base, std::span<const double> snr_points_db,
-    const SweepConfig& sweep);
-
-/// Fig. 6/7/8-style detection sweep preset: sweep_campaign_spec's grid
-/// over `frame_native` (at base.tx_rate_hz), run by run_campaign_frames.
-/// Point p's trials derive from dsp::derive_seed(sweep.seed, p), so each
-/// row equals a sequential run_detection_experiment() with that seed, bit
-/// for bit.
-[[nodiscard]] CampaignReport run_detection_sweep(
-    const JammerConfig& jammer_config,
-    std::span<const dsp::cfloat> frame_native, DetectorTap tap,
-    const DetectionRunConfig& base, std::span<const double> snr_points_db,
-    const SweepConfig& sweep);
 
 }  // namespace rjf::core

@@ -54,9 +54,11 @@ struct SweepProgress {
   std::uint64_t faults = 0;          // faults injected by this run so far
 };
 
-/// The shard scheduler's knobs. The sweep presets (core/campaign.h) map
-/// them onto a one-rate CampaignSpec; rjf_bench and bench/wifi_sweep.h cut
-/// their own grids with make_shard_schedule/run_shards.
+/// The shard scheduler's knobs: the input of make_shard_schedule. Detection
+/// grids do not set them — a CampaignSpec (core/campaign.h) carries the
+/// same values and run_campaign / run_campaign_frames build this from it;
+/// rjf_bench and bench/wifi_sweep.h cut their own grids with
+/// make_shard_schedule/run_shards.
 struct SweepConfig {
   std::size_t trials_per_point = 1000;
   /// Work-unit granularity. Smaller shards balance better across workers;

@@ -125,7 +125,7 @@ FaultInjector::WriteFault FaultInjector::on_write(fpga::Reg /*addr*/,
     out.dropped = true;
     ++injected_[static_cast<std::size_t>(FaultKind::kBusDrop)];
   } else if (rng.uniform() < c.bus_stall_rate) {
-    out.extra_latency_cycles = c.bus_stall_cycles;
+    out.extra_latency_cycles = fault_shape(FaultKind::kBusStall).run;
     ++injected_[static_cast<std::size_t>(FaultKind::kBusStall)];
   }
   return out;

@@ -23,11 +23,21 @@ FaultPlanConfig FaultPlanConfig::scaled(double factor) const noexcept {
 
 namespace {
 
+/// Every kind's shape, indexed by FaultKind.
+constexpr FaultShape kFaultShapes[kNumFaultKinds] = {
+    {16, 8.0},     // kAdcClip: amplitude multiplier during the jump
+    {64, 0.25},    // kDcOffset: added to I and Q
+    {4, 0.0},      // kSampleDrop
+    {256, 0.0},    // kOverflowRun
+    {128, -12.0},  // kGainGlitch: dB
+    {128, 200e3},  // kTuneGlitch: Hz
+    {160, 0.0},    // kBusStall: extra bus cycles
+    {0, 0.0},      // kBusDrop
+};
+
 struct TimelineSpec {
   FaultKind kind;
   double rate;
-  std::uint32_t run;
-  double magnitude;
 };
 
 // Geometric inter-arrival: the gap before the next fault start, for a
@@ -41,26 +51,26 @@ std::uint64_t geometric_gap(dsp::Xoshiro256& rng, double rate) {
 
 }  // namespace
 
+FaultShape fault_shape(FaultKind kind) noexcept {
+  return kFaultShapes[static_cast<std::size_t>(kind)];
+}
+
 FaultPlan FaultPlan::generate(const FaultPlanConfig& config) {
   FaultPlan plan;
   plan.config_ = config;
 
   const TimelineSpec specs[] = {
-      {FaultKind::kAdcClip, config.clip_rate, config.clip_run,
-       config.clip_drive},
-      {FaultKind::kDcOffset, config.dc_rate, config.dc_run, config.dc_offset},
-      {FaultKind::kSampleDrop, config.drop_rate, config.drop_run, 0.0},
-      {FaultKind::kOverflowRun, config.overflow_rate, config.overflow_run,
-       0.0},
-      {FaultKind::kGainGlitch, config.gain_glitch_rate, config.gain_glitch_run,
-       config.gain_glitch_db},
-      {FaultKind::kTuneGlitch, config.tune_glitch_rate, config.tune_glitch_run,
-       config.tune_glitch_hz},
+      {FaultKind::kAdcClip, config.clip_rate},
+      {FaultKind::kDcOffset, config.dc_rate},
+      {FaultKind::kSampleDrop, config.drop_rate},
+      {FaultKind::kOverflowRun, config.overflow_rate},
+      {FaultKind::kGainGlitch, config.gain_glitch_rate},
+      {FaultKind::kTuneGlitch, config.tune_glitch_rate},
   };
 
   for (const TimelineSpec& spec : specs) {
-    if (spec.rate <= 0.0 || spec.run == 0 || config.horizon_samples == 0)
-      continue;
+    if (spec.rate <= 0.0 || config.horizon_samples == 0) continue;
+    const FaultShape shape = fault_shape(spec.kind);
     // A start probability above 0.5 would schedule back-to-back runs
     // anyway; clamping keeps log1p(-rate) finite.
     const double rate = std::min(spec.rate, 0.5);
@@ -76,8 +86,8 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config) {
       ev.kind = spec.kind;
       ev.at_sample = pos;
       ev.length = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(spec.run, config.horizon_samples - pos));
-      ev.magnitude = spec.magnitude;
+          std::min<std::uint64_t>(shape.run, config.horizon_samples - pos));
+      ev.magnitude = shape.magnitude;
       // Kind-specific resolution, still one extra draw per event at most.
       if (spec.kind == FaultKind::kDcOffset ||
           spec.kind == FaultKind::kTuneGlitch)

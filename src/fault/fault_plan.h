@@ -46,37 +46,34 @@ inline constexpr std::size_t kNumFaultKinds = 8;
   return "unknown";
 }
 
+/// Duration and magnitude of one fault kind. Timeline kinds: `run` is the
+/// fault's length in samples; `magnitude` is the clip amplitude multiplier,
+/// the DC offset added to I and Q (sign randomised), the gain step in dB or
+/// the tune offset in Hz (sign randomised), and 0 for drops and overflow
+/// gaps. kBusStall: `run` is the extra settings-bus cycles a stalled write
+/// takes. kBusDrop has no shape.
+struct FaultShape {
+  std::uint32_t run = 0;
+  double magnitude = 0.0;
+};
+
+/// The fixed shape of `kind` (one constant table in fault_plan.cpp).
+[[nodiscard]] FaultShape fault_shape(FaultKind kind) noexcept;
+
 /// Rates are per-sample start probabilities (timeline faults, geometric
-/// inter-arrival) or per-write probabilities (bus faults). Runs give each
-/// fault's duration in samples; magnitudes are kind-specific.
+/// inter-arrival) or per-write probabilities (bus faults); each kind's
+/// duration and magnitude come from fault_shape().
 struct FaultPlanConfig {
   std::uint64_t seed = 1;
   std::uint64_t horizon_samples = 0;  // timeline length the plan covers
 
   double clip_rate = 0.0;
-  std::uint32_t clip_run = 16;
-  double clip_drive = 8.0;            // amplitude multiplier during the jump
-
   double dc_rate = 0.0;
-  std::uint32_t dc_run = 64;
-  double dc_offset = 0.25;            // added to I and Q (sign randomised)
-
   double drop_rate = 0.0;
-  std::uint32_t drop_run = 4;
-
   double overflow_rate = 0.0;
-  std::uint32_t overflow_run = 256;
-
   double gain_glitch_rate = 0.0;
-  std::uint32_t gain_glitch_run = 128;
-  double gain_glitch_db = -12.0;      // gain step in dB
-
   double tune_glitch_rate = 0.0;
-  std::uint32_t tune_glitch_run = 128;
-  double tune_glitch_hz = 200e3;      // frequency offset (sign randomised)
-
   double bus_stall_rate = 0.0;
-  std::uint32_t bus_stall_cycles = 160;
   double bus_drop_rate = 0.0;
 
   /// Every rate multiplied by `factor` (degradation-curve x-axis). A factor

@@ -1,6 +1,6 @@
 // Campaign runner: grid indexing, shard-store durability (torn tails,
-// corrupt records and headers, identity mismatch), progress scopes, the
-// no-store mode, and the headline guarantee — a
+// corrupt records and headers, unreadable files, identity mismatch),
+// progress scopes, the no-store mode, and the headline guarantee — a
 // campaign killed at any shard boundary and resumed, at any thread count
 // and any shard granularity, merges to a report byte-identical to an
 // uninterrupted single-process run.
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -279,6 +280,49 @@ TEST(Campaign, CorruptHeaderIsRejectedNotMerged) {
   std::remove(path.c_str());
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Regression: a file at the store path that ShardStore::load could not read
+// (wrong magic, another version, a short header, not a store at all) was
+// taken for "no store" and truncated by ShardStore::create. Only a missing
+// path may create a store; anything else is rejected and left untouched.
+TEST(Campaign, UnreadableStoreIsRejectedAndLeftByteIdentical) {
+  const std::string path = temp_store("rjf_campaign_unreadable.rjfc");
+  CampaignSpec spec = small_spec();
+  spec.max_shards_this_run = 1;
+  (void)run_campaign(spec, path);
+  const std::string valid = file_bytes(path);
+  ASSERT_EQ(valid.size(), (ShardStoreHeader::kWords + ShardRecord::kWords) *
+                              sizeof(std::uint64_t));
+
+  const auto expect_rejected_untouched = [&](const std::string& bytes,
+                                             const char* what) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_FALSE(ShardStore::load(path).has_value()) << what;
+    EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error) << what;
+    EXPECT_EQ(file_bytes(path), bytes) << what;
+  };
+  std::string wrong_magic = valid;
+  wrong_magic[0] ^= 0x01;
+  expect_rejected_untouched(wrong_magic, "wrong magic");
+  std::string wrong_version = valid;
+  wrong_version[sizeof(std::uint64_t)] ^= 0x02;  // kVersion 1 -> 3
+  expect_rejected_untouched(wrong_version, "wrong version");
+  expect_rejected_untouched(valid.substr(0, 7 * sizeof(std::uint64_t) + 3),
+                            "header shorter than 8 words");
+  expect_rejected_untouched("", "empty file");
+  expect_rejected_untouched("rate_mbps,fault_scale,snr_db\n6,0,0\n",
+                            "a CSV given as --store");
+
+  // Control: the valid bytes restored resume as before.
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << valid;
+  EXPECT_NO_THROW((void)run_campaign(spec, path));
+  std::remove(path.c_str());
+}
+
 // Regression: a record passes its checksum but covers trials its schedule
 // entry does not (first_trial off by one). Pre-fix it merged silently.
 TEST(Campaign, RecordOutsideItsScheduleEntryIsRejected) {
@@ -457,8 +501,7 @@ TEST(Campaign, FaultAxisZeroScaleRowIsInertAndHeavyScaleInjects) {
   fault_base.clip_rate = 2e-4;
   fault_base.drop_rate = 2e-4;
   fault_base.overflow_rate = 2e-4;
-  hooked.make_trial_hook =
-      fault::campaign_fault_hook_factory(hooked.grid, fault_base);
+  hooked.make_trial_hook = fault::campaign_fault_hook_factory(fault_base);
   const std::string hooked_path = temp_store("rjf_campaign_fault.rjfc");
   const CampaignReport hooked_report = run_campaign(hooked, hooked_path);
   std::remove(hooked_path.c_str());

@@ -1,6 +1,6 @@
 // Protocol-target scenario registry: lookups, decode ground truth, the
 // wifi_ofdm equivalence contract (run_campaign against the target
-// bit-identical to the hand-rolled Transmitter + run_detection_sweep path),
+// bit-identical to run_campaign_frames over a hand-rolled Transmitter frame),
 // and 802.11b DSSS as
 // a first-class campaign subject (kill/resume byte-identity across thread
 // counts, mirroring test_core_campaign.cpp).
@@ -105,7 +105,7 @@ TEST(Scenario, OfdmReactivePresetMatchesLegacyWifiPreset) {
 
 // The refactor contract: a one-rate run_campaign against the wifi_ofdm
 // target, with no store, reproduces the pre-refactor hand-rolled path
-// (explicit phy80211::Transmitter + run_detection_sweep) bit for bit.
+// (explicit phy80211::Transmitter + run_campaign_frames) bit for bit.
 TEST(Scenario, OfdmTargetSweepBitIdenticalToHandRolledPath) {
   JammerConfig jammer;
   jammer.detection = DetectionMode::kCrossCorrelator;
@@ -117,17 +117,6 @@ TEST(Scenario, OfdmTargetSweepBitIdenticalToHandRolledPath) {
   base.lead_in = 64;
   base.tail = 64;
   const double snrs[] = {0.0, 6.0};
-  SweepConfig sweep;
-  sweep.trials_per_point = 48;
-  sweep.shard_trials = 16;
-  sweep.threads = 2;
-  sweep.seed = 0x5CE7;
-
-  const phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
-  const dsp::cvec frame = tx.transmit(psdu);
-  base.tx_rate_hz = 20e6;
-  const CampaignReport hand_rolled = run_detection_sweep(
-      jammer, frame, DetectorTap::kXcorr, base, snrs, sweep);
 
   CampaignSpec spec;
   spec.target = "wifi_ofdm";
@@ -139,11 +128,20 @@ TEST(Scenario, OfdmTargetSweepBitIdenticalToHandRolledPath) {
   spec.scrambler_seed = 0x5D;
   spec.grid.rate_indices = {7};  // 54 Mb/s
   spec.grid.snrs_db.assign(std::begin(snrs), std::end(snrs));
-  spec.grid.trials_per_point = sweep.trials_per_point;
-  spec.shard_trials = sweep.shard_trials;
-  spec.threads = sweep.threads;
-  spec.seed = sweep.seed;
+  spec.grid.trials_per_point = 48;
+  spec.shard_trials = 16;
+  spec.threads = 2;
+  spec.seed = 0x5CE7;
   const CampaignReport via_target = run_campaign(spec, "");
+
+  // The same grid over a frame rendered by hand, at the 20 MSPS it is
+  // rendered at (run_campaign_frames consults neither target nor PSDU).
+  const phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
+  const dsp::cvec frame = tx.transmit(psdu);
+  CampaignSpec hand_spec = spec;
+  hand_spec.base.tx_rate_hz = 20e6;
+  const CampaignReport hand_rolled =
+      run_campaign_frames(hand_spec, {&frame, 1});
 
   ASSERT_EQ(via_target.points.size(), hand_rolled.points.size());
   for (std::size_t p = 0; p < hand_rolled.points.size(); ++p) {
@@ -254,8 +252,8 @@ TEST(ScenarioCampaign, TargetIdentityIsPartOfTheFingerprint) {
 }
 
 // A faulted campaign against a target is a pure composition: identical to
-// rendering the target's frame by hand and calling the frame-based fault
-// sweep preset.
+// rendering the target's frame by hand and running the same faulted grid
+// over it with run_campaign_frames.
 TEST(ScenarioFault, TargetFaultSweepMatchesHandRolledFrame) {
   JammerConfig jammer;
   jammer.detection = DetectionMode::kCrossCorrelator;
@@ -271,20 +269,8 @@ TEST(ScenarioFault, TargetFaultSweepMatchesHandRolledFrame) {
   fault::FaultPlanConfig fault_base;
   fault_base.seed = 0xFA57;
   fault_base.clip_rate = 2e-4;
-  SweepConfig sweep;
-  sweep.trials_per_point = 16;
-  sweep.shard_trials = 8;
-  sweep.threads = 1;
-  sweep.seed = 0xFA;
 
   const ProtocolTarget& dsss = target_or_throw("wifi_dsss");
-  const dsp::cvec frame = dsss.make_frame(3, psdu, 0x5D);
-  DetectionRunConfig hand_base = base;
-  hand_base.tx_rate_hz = dsss.native_rate_hz;
-  const CampaignReport hand_rolled = fault::run_fault_robustness_sweep(
-      jammer, frame, DetectorTap::kXcorr, hand_base, snrs, scales, fault_base,
-      sweep);
-
   CampaignSpec spec;
   spec.target = dsss.name;
   spec.jammer = jammer;
@@ -295,13 +281,18 @@ TEST(ScenarioFault, TargetFaultSweepMatchesHandRolledFrame) {
   spec.grid.rate_indices = {3};  // 11 Mb/s
   spec.grid.fault_scales.assign(std::begin(scales), std::end(scales));
   spec.grid.snrs_db.assign(std::begin(snrs), std::end(snrs));
-  spec.grid.trials_per_point = sweep.trials_per_point;
-  spec.shard_trials = sweep.shard_trials;
-  spec.threads = sweep.threads;
-  spec.seed = sweep.seed;
-  spec.make_trial_hook = fault::campaign_fault_hook_factory(spec.grid,
-                                                            fault_base);
+  spec.grid.trials_per_point = 16;
+  spec.shard_trials = 8;
+  spec.threads = 1;
+  spec.seed = 0xFA;
+  spec.make_trial_hook = fault::campaign_fault_hook_factory(fault_base);
   const CampaignReport via_target = run_campaign(spec, "");
+
+  const dsp::cvec frame = dsss.make_frame(3, psdu, 0x5D);
+  CampaignSpec hand_spec = spec;
+  hand_spec.base.tx_rate_hz = dsss.native_rate_hz;
+  const CampaignReport hand_rolled =
+      run_campaign_frames(hand_spec, {&frame, 1});
 
   ASSERT_EQ(via_target.points.size(), hand_rolled.points.size());
   for (std::size_t p = 0; p < hand_rolled.points.size(); ++p) {

@@ -1,7 +1,7 @@
 // Deterministic parallel sweep engine: shard scheduling, seed derivation,
 // worker-pool execution, trial independence of the detection harness, and
-// the bit-identical-across-thread-counts guarantee of the detection sweep
-// preset and the campaign executor under it.
+// the bit-identical-across-thread-counts guarantee of the campaign
+// executor over one-rate detection grids.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,18 +55,19 @@ DetectionRunConfig small_run(std::size_t frames, std::uint64_t seed) {
   return config;
 }
 
-/// The one-rate grid run_detection_sweep runs, as a CampaignSpec, for the
-/// knobs only the executor has (tracing, progress, batch windows).
+/// A one-rate grid of test_frame() captures for run_campaign_frames.
 CampaignSpec sweep_spec(std::span<const double> snrs, std::size_t trials,
                         std::size_t shard_trials, unsigned threads,
                         std::uint64_t seed) {
-  SweepConfig sweep;
-  sweep.trials_per_point = trials;
-  sweep.shard_trials = shard_trials;
-  sweep.threads = threads;
-  sweep.seed = seed;
-  return sweep_campaign_spec(xcorr_config(), DetectorTap::kXcorr,
-                             small_run(0, 0), snrs, sweep);
+  CampaignSpec spec;
+  spec.jammer = xcorr_config();
+  spec.base = small_run(0, 0);
+  spec.grid.snrs_db.assign(snrs.begin(), snrs.end());
+  spec.grid.trials_per_point = trials;
+  spec.shard_trials = shard_trials;
+  spec.threads = threads;
+  spec.seed = seed;
+  return spec;
 }
 
 TEST(DeriveSeed, StreamsAreDistinctAndReproducible) {
@@ -286,19 +287,13 @@ TEST(TrialIndependence, DetectorStateIsFlushedBetweenCaptures) {
 
 TEST(SweepEngine, MatchesSequentialHarnessBitForBit) {
   const auto frame = test_frame();
-  SweepConfig sweep;
-  sweep.trials_per_point = 60;
-  sweep.shard_trials = 16;
-  sweep.threads = 2;
-  sweep.seed = 0xF00D;
   const double snrs[] = {0.0, 6.0};
-  const auto base = small_run(0, 0);
-  const auto report = run_detection_sweep(
-      xcorr_config(), frame, DetectorTap::kXcorr, base, snrs, sweep);
+  const CampaignSpec spec = sweep_spec(snrs, 60, 16, 2, 0xF00D);
+  const auto report = run_campaign_frames(spec, {&frame, 1});
 
   ASSERT_EQ(report.points.size(), 2u);
   for (std::size_t p = 0; p < 2; ++p) {
-    auto config = small_run(60, dsp::derive_seed(sweep.seed, p));
+    auto config = small_run(60, dsp::derive_seed(spec.seed, p));
     config.snr_db = snrs[p];
     ReactiveJammer jammer(xcorr_config());
     const auto sequential =
@@ -313,17 +308,10 @@ TEST(SweepEngine, MatchesSequentialHarnessBitForBit) {
 }
 
 TEST(SweepEngine, BitIdenticalAcrossThreadCountsAndShardSizes) {
-  const auto frame = test_frame();
+  const dsp::cvec frames[] = {test_frame()};
   const double snrs[] = {-3.0, 3.0, 9.0};
-  const auto base = small_run(0, 0);
-
-  SweepConfig reference;
-  reference.trials_per_point = 48;
-  reference.shard_trials = 48;
-  reference.threads = 1;
-  reference.seed = 0xD5;
-  const auto golden = run_detection_sweep(
-      xcorr_config(), frame, DetectorTap::kXcorr, base, snrs, reference);
+  const CampaignSpec reference = sweep_spec(snrs, 48, 48, 1, 0xD5);
+  const auto golden = run_campaign_frames(reference, frames);
 
   struct Variant {
     unsigned threads;
@@ -331,11 +319,10 @@ TEST(SweepEngine, BitIdenticalAcrossThreadCountsAndShardSizes) {
   };
   for (const auto [threads, shard_trials] :
        {Variant{1, 7}, Variant{2, 16}, Variant{8, 5}, Variant{8, 48}}) {
-    SweepConfig sweep = reference;
-    sweep.threads = threads;
-    sweep.shard_trials = shard_trials;
-    const auto report = run_detection_sweep(
-        xcorr_config(), frame, DetectorTap::kXcorr, base, snrs, sweep);
+    CampaignSpec spec = reference;
+    spec.threads = threads;
+    spec.shard_trials = shard_trials;
+    const auto report = run_campaign_frames(spec, frames);
     ASSERT_EQ(report.points.size(), golden.points.size());
     for (std::size_t p = 0; p < golden.points.size(); ++p) {
       const auto& a = golden.points[p].result;
@@ -364,15 +351,10 @@ TEST(SweepEngine, BitIdenticalAcrossThreadCountsAndShardSizes) {
 }
 
 TEST(SweepEngine, ReportBookkeeping) {
-  const auto frame = test_frame();
-  SweepConfig sweep;
-  sweep.trials_per_point = 20;
-  sweep.shard_trials = 8;
-  sweep.threads = 2;
+  const dsp::cvec frames[] = {test_frame()};
   const double snrs[] = {6.0};
-  const auto report = run_detection_sweep(xcorr_config(), frame,
-                                          DetectorTap::kXcorr,
-                                          small_run(0, 0), snrs, sweep);
+  const auto report = run_campaign_frames(sweep_spec(snrs, 20, 8, 2, 1),
+                                          frames);
   EXPECT_EQ(report.threads_used, 2u);
   EXPECT_EQ(report.shards_total, 3u);  // 8 + 8 + 4
   EXPECT_EQ(report.shards_run, 3u);
@@ -383,10 +365,10 @@ TEST(SweepEngine, ReportBookkeeping) {
   EXPECT_EQ(report.points[0].snr_db, 6.0);
   EXPECT_EQ(report.metrics.counter_value("sweep.trials"), 20u);
   EXPECT_GT(report.wall_seconds, 0.0);
-  // The preset runs with no store: a batch window could never resume.
+  // run_campaign_frames runs with no store: a batch window could never
+  // resume.
   CampaignSpec windowed = sweep_spec(snrs, 20, 8, 2, 1);
   windowed.max_shards_this_run = 1;
-  const dsp::cvec frames[] = {frame};
   EXPECT_THROW((void)run_campaign_frames(windowed, frames),
                std::invalid_argument);
 }

@@ -229,12 +229,12 @@ TEST(FaultInjector, ClipFaultSaturatesAdc) {
   cfg.seed = 0x66;
   cfg.horizon_samples = 4096;
   cfg.clip_rate = 2e-3;
-  cfg.clip_drive = 20.0;
   FaultInjector injector(FaultPlan::generate(cfg));
   ASSERT_GT(injector.plan().count(FaultKind::kAdcClip), 0u);
   radio.attach_fault_hooks(&injector, nullptr);
 
-  // 0.5-amplitude air: clean it never clips; the drive fault saturates.
+  // 0.5-amplitude air: clean it never clips; the fault's fixed drive
+  // (fault_shape(kAdcClip).magnitude) saturates it.
   const auto result = radio.stream(dsp::cvec(4096, dsp::cfloat{0.5f, 0.0f}));
   EXPECT_TRUE(result.adc_clipped);
   EXPECT_EQ(injector.injected(FaultKind::kAdcClip),
@@ -324,7 +324,6 @@ TEST(ReactiveJammerFault, RecoveryCountersMatchInjectedFaults) {
   cfg.seed = 0x77;
   cfg.horizon_samples = 8192;
   cfg.overflow_rate = 1e-3;
-  cfg.overflow_run = 64;
   FaultInjector injector(FaultPlan::generate(cfg));
   const std::uint64_t scheduled =
       injector.plan().count(FaultKind::kOverflowRun);
@@ -370,16 +369,24 @@ struct SweepFixture {
     fault_base.overflow_rate = 1e-4;
   }
 
+  /// The clean one-rate grid; run() adds the fault axis.
+  core::CampaignSpec clean_spec(unsigned threads,
+                                std::size_t shard_trials) const {
+    core::CampaignSpec spec;
+    spec.jammer = config;
+    spec.grid.snrs_db = snrs;
+    spec.grid.trials_per_point = 12;
+    spec.shard_trials = shard_trials;
+    spec.threads = threads;
+    spec.seed = 0xF457;
+    return spec;
+  }
+
   core::CampaignReport run(unsigned threads, std::size_t shard_trials) const {
-    core::SweepConfig sweep;
-    sweep.trials_per_point = 12;
-    sweep.shard_trials = shard_trials;
-    sweep.threads = threads;
-    sweep.seed = 0xF457;
-    core::DetectionRunConfig base;
-    return run_fault_robustness_sweep(config, frame,
-                                      core::DetectorTap::kXcorr, base, snrs,
-                                      scales, fault_base, sweep);
+    core::CampaignSpec spec = clean_spec(threads, shard_trials);
+    spec.grid.fault_scales = scales;
+    spec.make_trial_hook = campaign_fault_hook_factory(fault_base);
+    return core::run_campaign_frames(spec, {&frame, 1});
   }
 };
 
@@ -425,14 +432,8 @@ TEST(FaultSweep, ZeroFaultRowMatchesCleanSweep) {
   const SweepFixture fx;
   const auto faulted = fx.run(2, 5);
 
-  core::SweepConfig sweep;
-  sweep.trials_per_point = 12;
-  sweep.shard_trials = 5;
-  sweep.threads = 2;
-  sweep.seed = 0xF457;
-  core::DetectionRunConfig base;
-  const auto clean = core::run_detection_sweep(
-      fx.config, fx.frame, core::DetectorTap::kXcorr, base, fx.snrs, sweep);
+  const auto clean =
+      core::run_campaign_frames(fx.clean_spec(2, 5), {&fx.frame, 1});
 
   // Scale-major grid: the scale-0 row is the first snrs.size() points.
   for (std::size_t k = 0; k < fx.snrs.size(); ++k) {

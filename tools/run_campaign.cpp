@@ -13,6 +13,9 @@
 //     --fault-scales 0,1 --trials 100000 [--threads N] [--shard-trials N]
 //     [--max-shards N] [--seed S] [--psdu-bytes N] [--quiet]
 //   run_campaign --list-targets
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +35,27 @@ using rjf::core::CampaignGrid;
 using rjf::core::CampaignReport;
 using rjf::core::CampaignSpec;
 using rjf::core::ProtocolTarget;
+
+/// Strict integer flag value: decimal digits only (no sign, space or
+/// suffix), at most `max`, and at least `min` (1 where 0 means nothing).
+/// Anything else exits 2 naming the flag, instead of wrapping "-1" or
+/// reading "abc" as 0 and "10k" as 10.
+unsigned long long parse_count(const char* flag, const char* text,
+                               unsigned long long min,
+                               unsigned long long max) {
+  const std::size_t len = std::strlen(text);
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, nullptr, 10);
+  if (len == 0 || std::strspn(text, "0123456789") != len || errno == ERANGE ||
+      v < min || v > max) {
+    std::fprintf(stderr,
+                 "run_campaign: %s needs an integer in [%llu, %llu], got "
+                 "'%s'\n",
+                 flag, min, max, text);
+    std::exit(2);
+  }
+  return v;
+}
 
 std::vector<double> parse_doubles(const char* arg) {
   std::vector<double> out;
@@ -133,21 +157,18 @@ int main(int argc, char** argv) {
       spec.grid.fault_scales = parse_doubles(next());
       fault_axis = true;
     } else if (std::strcmp(a, "--trials") == 0) {
-      spec.grid.trials_per_point =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      spec.grid.trials_per_point = parse_count(a, next(), 1, SIZE_MAX);
     } else if (std::strcmp(a, "--threads") == 0) {
-      spec.threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      spec.threads =
+          static_cast<unsigned>(parse_count(a, next(), 0, UINT_MAX));
     } else if (std::strcmp(a, "--shard-trials") == 0) {
-      spec.shard_trials =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      spec.shard_trials = parse_count(a, next(), 0, SIZE_MAX);
     } else if (std::strcmp(a, "--max-shards") == 0) {
-      spec.max_shards_this_run =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      spec.max_shards_this_run = parse_count(a, next(), 0, SIZE_MAX);
     } else if (std::strcmp(a, "--seed") == 0) {
-      spec.seed = std::strtoull(next(), nullptr, 10);
+      spec.seed = parse_count(a, next(), 0, UINT64_MAX);
     } else if (std::strcmp(a, "--psdu-bytes") == 0) {
-      spec.psdu_bytes =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      spec.psdu_bytes = parse_count(a, next(), 1, SIZE_MAX);
     } else if (std::strcmp(a, "--quiet") == 0) {
       quiet = true;
     } else {
@@ -164,9 +185,7 @@ int main(int argc, char** argv) {
   spec.grid.rate_indices = rates_given ? parse_rates(rates_arg, *target)
                                        : std::vector<std::size_t>{
                                              target->default_rate_index};
-  if (store_path.empty() || spec.grid.num_points() == 0 ||
-      spec.grid.trials_per_point == 0)
-    return usage();
+  if (store_path.empty() || spec.grid.num_points() == 0) return usage();
 
   // Paper Fig. 7 personality, retargeted: the target's own preamble
   // correlator at the calibrated false-alarm threshold, 100 us jam bursts.
@@ -182,8 +201,7 @@ int main(int argc, char** argv) {
     fault_base.dc_rate = 2e-4;
     fault_base.drop_rate = 2e-4;
     fault_base.overflow_rate = 1e-4;
-    spec.make_trial_hook =
-        rjf::fault::campaign_fault_hook_factory(spec.grid, fault_base);
+    spec.make_trial_hook = rjf::fault::campaign_fault_hook_factory(fault_base);
   }
 
   if (!quiet) {
