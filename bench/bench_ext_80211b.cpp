@@ -1,15 +1,15 @@
 // Extension: multi-standard claim for 802.11b DSSS ("WiFi (802.11 a/b/g)",
 // paper §1). Detection probability of 802.11b long-preamble frames using
 // the deterministic scrambled-SYNC template, across DSSS rates — the same
-// methodology as Figs. 6-7 applied to the DSSS leg of the standard.
+// methodology as Figs. 6-7 applied to the DSSS leg of the standard. Runs
+// as a four-rate wifi_dsss grid on the campaign executor (core/campaign.h),
+// so any cell can be replayed trial by trial with core::replay_trial.
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/calibration.h"
-#include "core/detection_experiment.h"
-#include "core/reactive_jammer.h"
+#include "core/campaign.h"
 #include "core/templates.h"
-#include "phy80211b/dsss.h"
 
 using namespace rjf;
 
@@ -18,41 +18,37 @@ int main() {
       "bench_ext_80211b — 802.11b DSSS preamble detection (extension)",
       "the multi-standard claim of Section 1 applied to 802.11b");
 
+  core::CampaignSpec spec;
+  spec.target = "wifi_dsss";
+  spec.grid.rate_indices = {0, 1, 2, 3};  // 1, 2, 5.5 and 11 Mb/s
+  spec.grid.snrs_db = {-9.0, -6.0, -3.0, 0.0, 3.0, 8.0};
+  spec.grid.trials_per_point = bench::frames_per_point(300);
+  spec.psdu_bytes = 60;
+  spec.psdu_fill = 0xC3;
   const auto tpl = core::wifi_dsss_preamble_template();
-  const core::XcorrNoiseModel model(tpl);
-  core::JammerConfig config;
-  config.detection = core::DetectionMode::kCrossCorrelator;
-  config.xcorr_template = tpl;
-  config.xcorr_threshold = model.threshold_for_rate(0.059);
-  core::ReactiveJammer jammer(config);
+  spec.jammer.detection = core::DetectionMode::kCrossCorrelator;
+  spec.jammer.xcorr_template = tpl;
+  spec.jammer.xcorr_threshold =
+      core::XcorrNoiseModel(tpl).threshold_for_rate(0.059);
+  spec.tap = core::DetectorTap::kXcorr;
+  spec.threads = bench::resolved_sweep_threads();
+  spec.seed = 0xB0B;
 
-  const std::size_t frames = bench::frames_per_point(300);
   std::printf("frames per point: %zu, FA target 0.059/s, threshold %u\n\n",
-              frames, config.xcorr_threshold);
+              spec.grid.trials_per_point, spec.jammer.xcorr_threshold);
+  const auto report = core::run_campaign(spec, "");
 
+  const core::CampaignGrid& grid = spec.grid;
   std::printf("%10s", "SNR(dB)");
-  const phy80211b::DsssRate rates[] = {
-      phy80211b::DsssRate::kMbps1, phy80211b::DsssRate::kMbps2,
-      phy80211b::DsssRate::kMbps5_5, phy80211b::DsssRate::kMbps11};
-  for (const auto rate : rates)
-    std::printf("   P_det@%4.1fM", phy80211b::dsss_rate_mbps(rate));
+  for (std::size_t r = 0; r < grid.rate_indices.size(); ++r)
+    std::printf("   P_det@%4.1fM",
+                report.points[grid.point_of({r, 0, 0})].rate_mbps);
   std::printf("\n");
-
-  for (const double snr : {-9.0, -6.0, -3.0, 0.0, 3.0, 8.0}) {
-    std::printf("%10.1f", snr);
-    for (const auto rate : rates) {
-      std::vector<std::uint8_t> psdu(60, 0xC3);
-      const phy80211b::DsssTransmitter tx(rate);
-      const dsp::cvec frame = tx.transmit(psdu);
-      core::DetectionRunConfig run;
-      run.snr_db = snr;
-      run.num_frames = frames;
-      run.tx_rate_hz = phy80211b::kChipRateHz;
-      run.seed = 0xB0B + static_cast<std::uint64_t>(snr * 10);
-      const auto r = core::run_detection_experiment(
-          jammer, frame, core::DetectorTap::kXcorr, run);
-      std::printf(" %13.3f", r.probability);
-    }
+  for (std::size_t s = 0; s < grid.snrs_db.size(); ++s) {
+    std::printf("%10.1f", grid.snrs_db[s]);
+    for (std::size_t r = 0; r < grid.rate_indices.size(); ++r)
+      std::printf(" %13.3f",
+                  report.points[grid.point_of({r, 0, s})].result.probability);
     std::printf("\n");
   }
   std::printf(

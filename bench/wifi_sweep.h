@@ -5,6 +5,8 @@
 // with a fixed seed, so the points of a sweep run in parallel on the sweep
 // engine's worker pool (core::run_shards) — results land in pre-sized
 // slots by point index and are identical at any RJF_BENCH_THREADS value.
+// To trace one point, build a WifiNetworkSim from its point_config and
+// attach a Telemetry bundle (examples/wifi_jamming_lab.cpp does this).
 #pragma once
 
 #include <cstdio>
@@ -15,10 +17,7 @@
 #include "bench/bench_util.h"
 #include "core/presets.h"
 #include "core/sweep.h"
-#include "net/waveform_cache.h"
 #include "net/wifi_network.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 
 namespace rjf::bench {
 
@@ -35,24 +34,28 @@ struct SweepResult {
   std::vector<SweepPoint> points;
 };
 
-/// When `campaign_metrics` is non-null every point runs with a private
-/// Telemetry bundle (probes off) attached to its embedded jammer; the
-/// per-point fabric counters are merged into `campaign_metrics` in point
-/// order after the pool drains, so the merged counters are bit-identical
-/// at any thread count (Telemetry::deterministic_metrics() strips the
-/// wall-clock-derived entries first). WaveformCache hit/miss/eviction
-/// counters ride along as cross-thread diagnostics outside that guarantee.
+/// The WifiNetworkSim config of one sweep point. run_sweep builds every
+/// point through here, so a point re-run alone (e.g. with telemetry
+/// attached through WifiNetworkSim::attach_telemetry) is the sweep's point.
+inline net::WifiNetworkConfig point_config(
+    const std::optional<core::JammerConfig>& jammer, double jam_power,
+    double duration_s) {
+  net::WifiNetworkConfig config;
+  config.iperf.duration_s = duration_s;
+  config.jammer = jammer;
+  config.jammer_tx_power = jam_power;
+  config.seed = 1234;
+  return config;
+}
+
 inline SweepResult run_sweep(const std::string& label,
                              const std::optional<core::JammerConfig>& jammer,
                              const std::vector<double>& jam_powers,
                              double duration_s,
-                             unsigned threads = sweep_threads(),
-                             obs::MetricsRegistry* campaign_metrics = nullptr) {
+                             unsigned threads = sweep_threads()) {
   SweepResult result;
   result.label = label;
   result.points.resize(jam_powers.size());
-  std::vector<obs::MetricsRegistry> point_metrics(
-      campaign_metrics != nullptr ? jam_powers.size() : 0);
 
   // One shard per SIR point: the iperf run is the unit of work.
   core::SweepConfig sweep;
@@ -62,34 +65,15 @@ inline SweepResult run_sweep(const std::string& label,
   const auto tasks =
       core::make_shard_schedule(jam_powers.size(), sweep);
   core::run_shards(tasks, sweep.threads, [&](const core::ShardTask& task) {
-    net::WifiNetworkConfig config;
-    config.iperf.duration_s = duration_s;
-    config.jammer = jammer;
-    config.jammer_tx_power = jam_powers[task.point];
-    config.seed = 1234;
+    const net::WifiNetworkConfig config =
+        point_config(jammer, jam_powers[task.point], duration_s);
     net::WifiNetworkSim sim(config);
-    std::optional<obs::Telemetry> telemetry;
-    if (campaign_metrics != nullptr) {
-      obs::TelemetryConfig tc;
-      tc.probe_enabled = false;  // counters only; probes cost capture memory
-      telemetry.emplace(tc);
-      sim.attach_telemetry(&*telemetry);
-    }
     const auto run = sim.run();
     result.points[task.point] = SweepPoint{
         run.measured_sir_db,
         run.report.bandwidth_kbps(config.iperf.datagram_bytes),
         run.report.prr_percent(), run.jam_triggers, run.mean_tx_rate_mbps};
-    if (telemetry.has_value()) {
-      sim.attach_telemetry(nullptr);
-      point_metrics[task.point] = telemetry->deterministic_metrics();
-    }
   });
-  if (campaign_metrics != nullptr) {
-    for (const obs::MetricsRegistry& m : point_metrics)
-      campaign_metrics->merge(m);
-    net::WaveformCache::instance().export_metrics(*campaign_metrics);
-  }
   return result;
 }
 

@@ -10,7 +10,6 @@
 #include "core/scenario.h"
 #include "dsp/rng.h"
 #include "fpga/dsp_core.h"
-#include "obs/telemetry.h"
 
 namespace rjf::core {
 
@@ -290,11 +289,65 @@ std::vector<ShardTask> campaign_schedule(const CampaignSpec& spec,
   return make_shard_schedule(spec.grid.num_points(), config);
 }
 
-std::string lane_name(const ShardTask& task, double snr_db) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "shard %zu / snr %g dB", task.index, snr_db);
-  return std::string(buf);
+/// Point `point`'s trial plan: its SNR, trial count and derived seed over
+/// its rate-axis entry's frame.
+DetectionTrialPlan point_plan(const CampaignSpec& spec,
+                              std::span<const dsp::cvec> frames,
+                              std::size_t point) {
+  const CampaignGrid::Coords c = spec.grid.coords(point);
+  DetectionRunConfig config = spec.base;
+  config.snr_db = spec.grid.snrs_db[c.snr_index];
+  config.num_frames = spec.grid.trials_per_point;
+  config.seed = dsp::derive_seed(spec.seed, point);
+  return prepare_detection_trials(frames[c.rate_index], spec.tap, config);
 }
+
+/// The trials of one point, run the one way execute_grid's shards and
+/// replay_trial both run them, so a replayed trial cannot drift from the
+/// campaign's.
+class PointTrials {
+ public:
+  PointTrials(const CampaignSpec& spec, std::size_t point,
+              const DetectionTrialPlan& plan)
+      : plan_(plan),
+        point_(point),
+        fault_scale_(
+            spec.grid.fault_scales[spec.grid.coords(point).scale_index]),
+        lead_ticks_(static_cast<std::uint64_t>(plan.lead_in) *
+                    fpga::kClocksPerSample) {
+    std::size_t max_variant = 0;
+    for (const dsp::cvec& v : plan.variants)
+      max_variant = std::max(max_variant, v.size());
+    horizon_ = plan.lead_in + max_variant + plan.tail;
+  }
+
+  /// Run `trial` on `jammer` between the hook's before/after calls (when
+  /// there is a hook) and fold its outcome into `record`.
+  DetectionTrialOutcome run(ReactiveJammer& jammer, CampaignTrialHook* hook,
+                            std::size_t trial, ShardRecord& record) const {
+    if (hook != nullptr)
+      hook->before_trial(jammer, point_, trial, fault_scale_, horizon_);
+    const DetectionTrialOutcome outcome =
+        run_detection_trial(jammer, plan_, trial);
+    if (hook != nullptr) record.faults_injected += hook->after_trial(jammer);
+    record.total_detections += outcome.events;
+    if (outcome.events > 0) ++record.frames_detected;
+    record.overflow_gaps += outcome.overflow_gaps;
+    record.samples_lost += outcome.samples_lost;
+    if (outcome.jam_triggers > 0 && outcome.last_trigger_vita >= lead_ticks_) {
+      record.trigger_latency_sum += outcome.last_trigger_vita - lead_ticks_;
+      ++record.trigger_latency_count;
+    }
+    return outcome;
+  }
+
+ private:
+  const DetectionTrialPlan& plan_;
+  std::size_t point_;
+  double fault_scale_;
+  std::uint64_t lead_ticks_;   // frame start: the trigger-latency origin
+  std::uint64_t horizon_ = 0;  // capture length in fabric samples
+};
 
 /// Run every shard of spec.grid that `store` has not recorded, rate-axis
 /// entry r drawing its trials from frames[r] (at spec.base.tx_rate_hz), and
@@ -372,22 +425,8 @@ CampaignReport execute_grid(const CampaignSpec& spec,
   // a resumed campaign only prepares the points that still have shards
   // outstanding.
   LazyPlanTable plans(num_points, [&](std::size_t point) {
-    const CampaignGrid::Coords c = grid.coords(point);
-    DetectionRunConfig config = spec.base;
-    config.snr_db = grid.snrs_db[c.snr_index];
-    config.num_frames = grid.trials_per_point;
-    config.seed = dsp::derive_seed(spec.seed, point);
-    return prepare_detection_trials(frames[c.rate_index], spec.tap, config);
+    return point_plan(spec, frames, point);
   });
-
-  // Without tracing, shard metrics fold into the report as shards finish
-  // (counters and histograms only, which sum in any order). Traced shards
-  // also carry gauges and a trace lane, so they are kept per shard and
-  // folded in shard-index order after the pool drains.
-  const bool traced = spec.trace_events_per_shard > 0;
-  std::vector<obs::MetricsRegistry> shard_metrics(traced ? schedule.size() : 0);
-  std::vector<obs::TraceRecorder::TraceLane> shard_lanes(
-      traced ? schedule.size() : 0);
   CampaignReport report;
 
   // Bookkeeping under one mutex — shards are coarse, so contention is
@@ -405,32 +444,13 @@ CampaignReport execute_grid(const CampaignSpec& spec,
 
   const unsigned pool_size =
       run_shards(remaining, spec.threads, [&](const ShardTask& task) {
-        const DetectionTrialPlan& plan = plans.get(task.point);
-        std::size_t max_variant = 0;
-        for (const dsp::cvec& v : plan.variants)
-          max_variant = std::max(max_variant, v.size());
-        const std::uint64_t horizon = plan.lead_in + max_variant + plan.tail;
-        const std::uint64_t lead_ticks =
-            static_cast<std::uint64_t>(plan.lead_in) * fpga::kClocksPerSample;
-        const double fault_scale =
-            grid.fault_scales[grid.coords(task.point).scale_index];
-
+        const PointTrials trials(spec, task.point, plans.get(task.point));
         // Every shard programs its own jammer/fabric instance from the
         // shared personality: no mutable state crosses shard boundaries.
         ReactiveJammer jammer(spec.jammer);
         std::unique_ptr<CampaignTrialHook> hook;
         if (spec.make_trial_hook) hook = spec.make_trial_hook();
-        std::optional<obs::Telemetry> telemetry;
-        if (traced) {
-          obs::TelemetryConfig tc;
-          tc.trace_capacity = spec.trace_events_per_shard;
-          tc.probe_enabled = false;
-          telemetry.emplace(tc);
-          jammer.attach_trace(&*telemetry);
-        }
-        obs::MetricsRegistry untraced_metrics;
-        obs::MetricsRegistry& metrics =
-            traced ? shard_metrics[task.index] : untraced_metrics;
+        obs::MetricsRegistry metrics;
         // 0..14 events per trial, then overflow; covers Fig. 8's
         // over-trigger band (a few detections/frame) with headroom.
         obs::Histogram& per_trial =
@@ -442,23 +462,8 @@ CampaignReport execute_grid(const CampaignSpec& spec,
         record.first_trial = task.first_trial;
         record.trials = task.trials;
         for (std::size_t t = task.first_trial;
-             t < task.first_trial + task.trials; ++t) {
-          if (hook != nullptr)
-            hook->before_trial(jammer, task.point, t, fault_scale, horizon);
-          const DetectionTrialOutcome trial =
-              run_detection_trial(jammer, plan, t);
-          if (hook != nullptr)
-            record.faults_injected += hook->after_trial(jammer);
-          record.total_detections += trial.events;
-          if (trial.events > 0) ++record.frames_detected;
-          per_trial.record(trial.events);
-          record.overflow_gaps += trial.overflow_gaps;
-          record.samples_lost += trial.samples_lost;
-          if (trial.jam_triggers > 0 && trial.last_trigger_vita >= lead_ticks) {
-            record.trigger_latency_sum += trial.last_trigger_vita - lead_ticks;
-            ++record.trigger_latency_count;
-          }
-        }
+             t < task.first_trial + task.trials; ++t)
+          per_trial.record(trials.run(jammer, hook.get(), t, record).events);
         metrics.add("sweep.trials", record.trials);
         metrics.add("sweep.frames_detected", record.frames_detected);
         metrics.add("sweep.detections", record.total_detections);
@@ -471,18 +476,6 @@ CampaignReport execute_grid(const CampaignSpec& spec,
           metrics.add("fault.samples_lost", record.samples_lost);
         }
 
-        if (telemetry.has_value()) {
-          jammer.attach_trace(nullptr);
-          // Merged campaign metrics must depend only on the deterministic
-          // event stream.
-          metrics.merge(telemetry->deterministic_metrics());
-          obs::TraceRecorder::TraceLane& lane = shard_lanes[task.index];
-          lane.name =
-              lane_name(task, grid.snrs_db[grid.coords(task.point).snr_index]);
-          lane.events = telemetry->trace().events();
-          lane.annotations = telemetry->personalities();
-        }
-
         // Durable first, merged second: a kill between the two re-runs
         // nothing (the record is already on disk; the in-memory fold is
         // rebuilt from it on resume).
@@ -491,7 +484,7 @@ CampaignReport execute_grid(const CampaignSpec& spec,
 
         const std::lock_guard<std::mutex> lock(merge_mutex);
         totals[task.point].fold(record);
-        if (!traced) report.metrics.merge(untraced_metrics);
+        report.metrics.merge(metrics);
         if (!appended) append_failed = true;
         ++shards_run;
         trials_run += task.trials;
@@ -523,13 +516,6 @@ CampaignReport execute_grid(const CampaignSpec& spec,
     throw std::runtime_error(
         "run_campaign: shard store append failed (disk full?); completed "
         "shards up to the failure are durable");
-
-  if (traced) {
-    for (const ShardTask& task : remaining) {
-      report.metrics.merge(shard_metrics[task.index]);
-      report.shard_traces.push_back(std::move(shard_lanes[task.index]));
-    }
-  }
 
   report.grid = grid;
   report.target = spec.target;
@@ -642,6 +628,34 @@ OpenedStore open_store(const CampaignSpec& spec, const std::string& path) {
   return store;
 }
 
+/// A run_campaign spec resolved against its protocol target: one frame per
+/// rate-axis entry (shared by every scale×SNR point of that rate), and the
+/// spec with base.tx_rate_hz set to the target's native rate. Rejects rate
+/// indices outside the target's rate table.
+struct ResolvedTarget {
+  const ProtocolTarget& target;
+  CampaignSpec spec;
+  std::vector<dsp::cvec> frames;
+};
+
+ResolvedTarget resolve_target(const CampaignSpec& spec) {
+  const ProtocolTarget& target = target_or_throw(spec.target);
+  for (const std::size_t idx : spec.grid.rate_indices)
+    if (idx >= target.rates.size())
+      throw std::invalid_argument(
+          "run_campaign: rate index " + std::to_string(idx) +
+          " out of range for target '" + target.name + "' (" +
+          std::to_string(target.rates.size()) + " rates)");
+  ResolvedTarget resolved{target, spec, {}};
+  resolved.spec.base.tx_rate_hz = target.native_rate_hz;
+  resolved.frames.reserve(spec.grid.rate_indices.size());
+  for (const std::size_t idx : spec.grid.rate_indices)
+    resolved.frames.push_back(target_frame(target, idx, spec.psdu_bytes,
+                                           spec.psdu_fill,
+                                           spec.scrambler_seed));
+  return resolved;
+}
+
 }  // namespace
 
 CampaignReport run_campaign(const CampaignSpec& spec,
@@ -649,29 +663,13 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   const CampaignGrid& grid = spec.grid;
   if (grid.num_points() == 0 || grid.trials_per_point == 0)
     throw std::invalid_argument("run_campaign: empty grid");
-  const ProtocolTarget& target = target_or_throw(spec.target);
-  for (const std::size_t idx : grid.rate_indices)
-    if (idx >= target.rates.size())
-      throw std::invalid_argument(
-          "run_campaign: rate index " + std::to_string(idx) +
-          " out of range for target '" + target.name + "' (" +
-          std::to_string(target.rates.size()) + " rates)");
-
+  const ResolvedTarget resolved = resolve_target(spec);
   const OpenedStore store = open_store(spec, store_path);
 
-  // One frame per rate, shared by every scale×SNR point of that rate.
-  CampaignSpec resolved = spec;
-  resolved.base.tx_rate_hz = target.native_rate_hz;
-  std::vector<dsp::cvec> frames;
-  frames.reserve(grid.rate_indices.size());
-  for (const std::size_t idx : grid.rate_indices)
-    frames.push_back(target_frame(target, idx, spec.psdu_bytes,
-                                  spec.psdu_fill, spec.scrambler_seed));
-
-  CampaignReport report = execute_grid(resolved, frames, store);
+  CampaignReport report = execute_grid(resolved.spec, resolved.frames, store);
   for (std::size_t p = 0; p < report.points.size(); ++p) {
     const TargetRate& rate =
-        target.rates[grid.rate_indices[grid.coords(p).rate_index]];
+        resolved.target.rates[grid.rate_indices[grid.coords(p).rate_index]];
     report.points[p].rate_mbps = rate.mbps;
     report.points[p].rate_id = rate.id;
   }
@@ -681,6 +679,37 @@ CampaignReport run_campaign(const CampaignSpec& spec,
 CampaignReport run_campaign_frames(const CampaignSpec& spec,
                                    std::span<const dsp::cvec> frames) {
   return execute_grid(spec, frames, OpenedStore{});
+}
+
+DetectionTrialOutcome replay_trial(const CampaignSpec& spec,
+                                   std::span<const dsp::cvec> frames,
+                                   std::size_t point, std::size_t trial,
+                                   obs::Telemetry* telemetry) {
+  if (point >= spec.grid.num_points() || trial >= spec.grid.trials_per_point)
+    throw std::invalid_argument(
+        "replay_trial: point " + std::to_string(point) + " trial " +
+        std::to_string(trial) + " is outside the grid (" +
+        std::to_string(spec.grid.num_points()) + " points of " +
+        std::to_string(spec.grid.trials_per_point) + " trials)");
+  if (frames.empty()) {
+    const ResolvedTarget resolved = resolve_target(spec);
+    return replay_trial(resolved.spec, resolved.frames, point, trial,
+                        telemetry);
+  }
+  if (frames.size() != spec.grid.rate_indices.size())
+    throw std::invalid_argument(
+        "replay_trial: need one frame per rate-axis entry");
+
+  const DetectionTrialPlan plan = point_plan(spec, frames, point);
+  ReactiveJammer jammer(spec.jammer);
+  std::unique_ptr<CampaignTrialHook> hook;
+  if (spec.make_trial_hook) hook = spec.make_trial_hook();
+  if (telemetry != nullptr) jammer.attach_trace(telemetry);
+  ShardRecord record;  // the executor's fold; the outcome is what we return
+  const DetectionTrialOutcome outcome =
+      PointTrials(spec, point, plan).run(jammer, hook.get(), trial, record);
+  if (telemetry != nullptr) jammer.attach_trace(nullptr);
+  return outcome;
 }
 
 }  // namespace rjf::core

@@ -21,7 +21,12 @@
 // a streaming fold over (stored records + freshly run shards) in which
 // every accumulator is an unsigned integer, so fold order cannot change a
 // byte of the output. Reports never materialise per-trial rows: memory is
-// O(points), not O(trials), unless per-shard tracing is asked for.
+// O(points), not O(trials).
+//
+// Observability is per trial, not per grid: a trial is a pure function of
+// (campaign seed, point, trial), so replay_trial re-runs any one of them
+// alone with a Telemetry bundle attached — the trace, event counters and
+// latency histograms of exactly the capture behind a report row.
 //
 // See DESIGN.md §13 "Campaign runner" for the store format and the
 // seed-space partitioning argument.
@@ -41,7 +46,10 @@
 #include "core/detection_experiment.h"
 #include "core/sweep.h"
 #include "obs/metrics.h"
-#include "obs/trace_recorder.h"
+
+namespace rjf::obs {
+class Telemetry;
+}  // namespace rjf::obs
 
 namespace rjf::core {
 
@@ -238,14 +246,6 @@ struct CampaignSpec {
   std::size_t progress_every_shards = 0;
   std::function<void(const SweepProgress&)> progress;
 
-  /// Attach a per-shard Telemetry bundle (trace ring of this many events,
-  /// probes off) to every shard's jammer (0 = no per-shard telemetry).
-  /// Shard event counters and latency histograms merge into
-  /// CampaignReport::metrics (minus wall-clock counters, keeping the merge
-  /// bit-identical across thread counts), and each shard's trace becomes a
-  /// lane of CampaignReport::shard_traces / write_campaign_trace().
-  std::size_t trace_events_per_shard = 0;
-
   /// Per-shard trial-hook factory (empty = no fault axis; fault_scales
   /// other than 0.0 then have no effect on trials).
   std::function<std::unique_ptr<CampaignTrialHook>()> make_trial_hook;
@@ -289,26 +289,14 @@ struct CampaignReport {
   std::size_t plans_built = 0;
   double wall_seconds = 0.0;
 
-  /// Shard registries of THIS run (stored records carry no metrics):
-  /// sweep.trials, sweep.frames_detected, sweep.detections counters, the
-  /// sweep.detections_per_trial histogram, and fault.injected /
-  /// fault.overflow_gaps / fault.samples_lost when faults hit. With
-  /// trace_events_per_shard set, also the merged fabric event counters and
-  /// latency histograms (folded in shard-index order). The executor stamps
-  /// the campaign.* aggregates: shards, trials and points as counters;
-  /// threads, wall_s and trials_per_s as gauges.
+  /// Shard registries of THIS run (stored records carry no metrics),
+  /// folded as shards finish: sweep.trials, sweep.frames_detected,
+  /// sweep.detections counters, the sweep.detections_per_trial histogram,
+  /// and fault.injected / fault.overflow_gaps / fault.samples_lost when
+  /// faults hit. The executor stamps the campaign.* aggregates: shards,
+  /// trials and points as counters; threads, wall_s and trials_per_s as
+  /// gauges. Fabric telemetry is per trial: see replay_trial.
   obs::MetricsRegistry metrics;
-  /// One trace lane per shard run (trace_events_per_shard > 0), in
-  /// shard-index order, each named after its shard and SNR point.
-  std::vector<obs::TraceRecorder::TraceLane> shard_traces;
-
-  /// Merge the shard lanes into one Chrome trace (one process per shard;
-  /// see TraceRecorder::write_merged_chrome_trace). False when there are
-  /// no lanes or the file cannot be written.
-  [[nodiscard]] bool write_campaign_trace(const std::string& path) const {
-    if (shard_traces.empty()) return false;
-    return obs::TraceRecorder::write_merged_chrome_trace(path, shard_traces);
-  }
 
   [[nodiscard]] double trials_per_second() const noexcept {
     return wall_seconds > 0.0
@@ -343,5 +331,21 @@ struct CampaignReport {
 /// report rows carry rate_mbps = rate_id = 0.
 [[nodiscard]] CampaignReport run_campaign_frames(
     const CampaignSpec& spec, std::span<const dsp::cvec> frames);
+
+/// Re-run trial `trial` of grid point `point` alone, exactly as the
+/// executor ran it: the point's DetectionTrialPlan, a fresh
+/// ReactiveJammer(spec.jammer), spec.make_trial_hook with the point's fault
+/// scale and capture horizon, then run_detection_trial. `telemetry`, when
+/// non-null, is attached to the jammer for the trial and detached after,
+/// so its trace, counters and histograms cover this capture alone; the
+/// outcome is the same with or without it. `frames` are the caller's
+/// frames of a run_campaign_frames spec; empty means a run_campaign spec,
+/// whose frames are rendered from spec.target as run_campaign does.
+/// Summing the outcomes of every trial of a point reproduces the point's
+/// report row. Throws std::invalid_argument on a point or trial outside
+/// the grid.
+[[nodiscard]] DetectionTrialOutcome replay_trial(
+    const CampaignSpec& spec, std::span<const dsp::cvec> frames,
+    std::size_t point, std::size_t trial, obs::Telemetry* telemetry);
 
 }  // namespace rjf::core

@@ -7,7 +7,9 @@
 // `shard_trials` consecutive trials of one point, and the shards are
 // executed by a pool of worker threads. Detection grids run through one
 // executor built on this scheduler, run_campaign (core/campaign.h); the
-// Figs. 10-11 network sweeps drive it directly.
+// Figs. 10-11 network sweeps (bench/wifi_sweep.h) drive it directly, one
+// sim per point. Shards carry no telemetry: to trace, re-run one trial
+// (core::replay_trial) or one network point alone with a bundle attached.
 //
 // Determinism guarantee: the aggregate counts of a grid depend only on
 // (seed, points, trials_per_point) — NOT on the thread count, the shard

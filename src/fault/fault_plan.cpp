@@ -69,7 +69,9 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config) {
   };
 
   for (const TimelineSpec& spec : specs) {
-    if (spec.rate <= 0.0 || config.horizon_samples == 0) continue;
+    // NaN-safe: a NaN rate schedules nothing instead of reaching the
+    // float -> integer cast in geometric_gap.
+    if (!(spec.rate > 0.0) || config.horizon_samples == 0) continue;
     const FaultShape shape = fault_shape(spec.kind);
     // A start probability above 0.5 would schedule back-to-back runs
     // anyway; clamping keeps log1p(-rate) finite.

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "dsp/db.h"
-#include "obs/metrics.h"
 #include "dsp/resampler.h"
 #include "fpga/dsp_core.h"
 #include "phy80211/ofdm.h"
@@ -132,15 +131,6 @@ std::uint64_t WaveformCache::misses() const {
 std::uint64_t WaveformCache::evictions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return evictions_;
-}
-
-void WaveformCache::export_metrics(obs::MetricsRegistry& metrics) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics.add("cache.waveform_hits", hits_);
-  metrics.add("cache.waveform_misses", misses_);
-  metrics.add("cache.waveform_evictions", evictions_);
-  metrics.set_gauge("cache.waveform_entries",
-                    static_cast<double>(entries_.size()));
 }
 
 }  // namespace rjf::net

@@ -28,10 +28,6 @@
 #include "dsp/types.h"
 #include "phy80211/rates.h"
 
-namespace rjf::obs {
-class MetricsRegistry;
-}  // namespace rjf::obs
-
 namespace rjf::net {
 
 struct CachedWaveform {
@@ -57,8 +53,8 @@ class WaveformCache {
 
   /// Drop every entry. Counters survive: a test or rig that clears the
   /// store between phases keeps its cumulative hit/miss/eviction history
-  /// (an earlier clear() silently zeroed them, which made
-  /// export_metrics() after a mid-run clear under-report). Call
+  /// (an earlier clear() silently zeroed them, so hits()/misses() read
+  /// after a mid-run clear under-reported). Call
   /// reset_counters() explicitly to start a fresh measurement window.
   void clear();
 
@@ -70,13 +66,6 @@ class WaveformCache {
   [[nodiscard]] std::uint64_t misses() const;
   /// Entries displaced oldest-first after the cap was reached.
   [[nodiscard]] std::uint64_t evictions() const;
-
-  /// Snapshot the counters into `metrics` as cache.waveform_hits / _misses /
-  /// _evictions plus the cache.waveform_entries gauge. Hit/miss splits
-  /// depend on cross-thread build interleaving, so campaign exports treat
-  /// these as diagnostics outside the bit-identity guarantee (the cached
-  /// samples themselves are deterministic; see the class comment).
-  void export_metrics(obs::MetricsRegistry& metrics) const;
 
  private:
   WaveformCache() = default;

@@ -77,17 +77,11 @@ class MetricsRegistry {
     counters_[name] += delta;
   }
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
-  /// Remove a counter entirely (no-op when absent).
-  /// Telemetry::deterministic_metrics() strips the wall-clock-derived
-  /// entries this way.
-  void erase_counter(const std::string& name) { counters_.erase(name); }
 
   /// Named gauge (a derived double, e.g. a duty cycle or a rate).
   void set_gauge(const std::string& name, double value) {
     gauges_[name] = value;
   }
-  /// Remove a gauge entirely (no-op when absent).
-  void erase_gauge(const std::string& name) { gauges_.erase(name); }
 
   /// Histogram, created with the given binning on first use; later calls
   /// with the same name return the existing instance unchanged.

@@ -209,15 +209,6 @@ void Telemetry::refresh_gauges() {
   metrics_.counter("obs.strobes_sampled_out") = ring_.sampled_out();
 }
 
-MetricsRegistry Telemetry::deterministic_metrics() {
-  flush();
-  refresh_gauges();
-  MetricsRegistry out = metrics_;
-  out.erase_counter("stream_wall_ns");
-  out.erase_gauge("host_throughput_msps");
-  return out;
-}
-
 bool Telemetry::write_chrome_trace(const std::string& path) {
   flush();
   return trace_.write_chrome_trace(path, personalities_);

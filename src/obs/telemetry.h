@@ -107,13 +107,6 @@ class Telemetry final : public FabricSink {
     return probe_.write_csv(path);
   }
 
-  /// Flush, refresh the derived gauges and return a copy of the metrics
-  /// without the entries derived from the wall clock (the stream_wall_ns
-  /// counter and the host_throughput_msps gauge). What remains depends
-  /// only on the fabric event stream, so registries merged from parallel
-  /// shards or sweep points are bit-identical at any thread count.
-  [[nodiscard]] MetricsRegistry deterministic_metrics();
-
   /// Recompute derived gauges from the counters accumulated so far, plus
   /// the transport/drop accounting (obs.ring_dropped, trace.spans_truncated
   /// and friends) so lossy capture is visible in every metrics export.

@@ -54,60 +54,50 @@ int lane_for(EventKind kind) noexcept {
   return kLaneHost;
 }
 
-void emit_process_name(std::FILE* f, int pid, const std::string& name,
-                       bool& first) {
-  std::fprintf(f,
-               "%s    {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-               "\"args\":{\"name\":\"%s\"}}",
-               first ? "" : ",\n", pid, JsonWriter::escape(name).c_str());
-  first = false;
-}
-
-void emit_thread_name(std::FILE* f, int pid, int tid, const char* name,
+void emit_thread_name(std::FILE* f, int tid, const char* name,
                       bool& first) {
   std::fprintf(f,
-               "%s    {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
+               "%s    {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-               first ? "" : ",\n", pid, tid, name);
+               first ? "" : ",\n", tid, name);
   first = false;
 }
 
-void emit_instant(std::FILE* f, int pid, const TraceEvent& e, bool& first) {
+void emit_instant(std::FILE* f, const TraceEvent& e, bool& first) {
   std::fprintf(f,
-               "%s    {\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,"
+               "%s    {\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
                "\"tid\":%d,\"ts\":%.3f,\"args\":{\"value\":%" PRIu64
                ",\"vita_ticks\":%" PRIu64 "}}",
-               first ? "" : ",\n", event_kind_name(e.kind), pid,
+               first ? "" : ",\n", event_kind_name(e.kind),
                lane_for(e.kind), ticks_to_us(e.vita_ticks), e.value,
                e.vita_ticks);
   first = false;
 }
 
-void emit_span(std::FILE* f, int pid, const char* name, int tid,
+void emit_span(std::FILE* f, const char* name, int tid,
                std::uint64_t start, std::uint64_t end, std::uint64_t value,
                bool& first) {
   std::fprintf(f,
-               "%s    {\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
+               "%s    {\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
                "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"value\":%" PRIu64
                ",\"vita_ticks\":%" PRIu64 "}}",
-               first ? "" : ",\n", name, pid, tid, ticks_to_us(start),
+               first ? "" : ",\n", name, tid, ticks_to_us(start),
                ticks_to_us(end - start), value, start);
   first = false;
 }
 
-// One lane's full body: subsystem row names, the start/end pairing pass
+// The trace body: subsystem row names, the start/end pairing pass
 // (jam bursts + settings writes as "X" spans, degraded to instants when the
-// start was overwritten), and personality annotations. Shared between the
-// single-trace and merged-campaign exports so both stay format-identical.
-void emit_lane(std::FILE* f, int pid, std::span<const TraceEvent> evs,
+// start was overwritten), and personality annotations.
+void emit_body(std::FILE* f, std::span<const TraceEvent> evs,
                std::span<const TraceRecorder::Annotation> annotations,
                bool& first) {
-  emit_thread_name(f, pid, kLaneDetectors, "detectors", first);
-  emit_thread_name(f, pid, kLaneTrigger, "trigger fsm", first);
-  emit_thread_name(f, pid, kLaneTx, "tx / jam bursts", first);
-  emit_thread_name(f, pid, kLaneSettingsBus, "settings bus", first);
-  emit_thread_name(f, pid, kLaneHost, "host", first);
-  emit_thread_name(f, pid, kLaneFaults, "faults / recovery", first);
+  emit_thread_name(f, kLaneDetectors, "detectors", first);
+  emit_thread_name(f, kLaneTrigger, "trigger fsm", first);
+  emit_thread_name(f, kLaneTx, "tx / jam bursts", first);
+  emit_thread_name(f, kLaneSettingsBus, "settings bus", first);
+  emit_thread_name(f, kLaneHost, "host", first);
+  emit_thread_name(f, kLaneFaults, "faults / recovery", first);
 
   // Jam bursts: pair each kJamStart with the next kJamEnd. The bus is FIFO,
   // so settings writes pair the same way per queue order.
@@ -126,11 +116,11 @@ void emit_lane(std::FILE* f, int pid, std::span<const TraceEvent> evs,
         break;
       case EventKind::kJamEnd:
         if (jam_is_open) {
-          emit_span(f, pid, "jam_burst", kLaneTx, jam_open, e.vita_ticks,
+          emit_span(f, "jam_burst", kLaneTx, jam_open, e.vita_ticks,
                     e.value, first);
           jam_is_open = false;
         } else {
-          emit_instant(f, pid, e, first);  // start fell off the ring
+          emit_instant(f, e, first);  // start fell off the ring
         }
         break;
       case EventKind::kSettingsWriteIssued:
@@ -138,41 +128,41 @@ void emit_lane(std::FILE* f, int pid, std::span<const TraceEvent> evs,
         break;
       case EventKind::kSettingsWriteApplied:
         if (settings_next < settings_issues.size()) {
-          emit_span(f, pid, "settings_write", kLaneSettingsBus,
+          emit_span(f, "settings_write", kLaneSettingsBus,
                     settings_issues[settings_next++], e.vita_ticks, e.value,
                     first);
         } else {
-          emit_instant(f, pid, e, first);
+          emit_instant(f, e, first);
         }
         break;
       case EventKind::kSettingsWriteDropped:
         // A dropped write consumes its issue (a retry re-issues), keeping
         // the FIFO pairing intact for the writes behind it.
         if (settings_next < settings_issues.size()) {
-          emit_span(f, pid, "settings_write_dropped", kLaneSettingsBus,
+          emit_span(f, "settings_write_dropped", kLaneSettingsBus,
                     settings_issues[settings_next++], e.vita_ticks, e.value,
                     first);
         } else {
-          emit_instant(f, pid, e, first);
+          emit_instant(f, e, first);
         }
         break;
       default:
-        emit_instant(f, pid, e, first);
+        emit_instant(f, e, first);
         break;
     }
   }
   // A burst still on the air when the trace is exported: close it at the
   // last known time so the span is visible.
   if (jam_is_open)
-    emit_span(f, pid, "jam_burst", kLaneTx, jam_open,
+    emit_span(f, "jam_burst", kLaneTx, jam_open,
               std::max(last_ts, jam_open), 0, first);
 
   for (const TraceRecorder::Annotation& a : annotations) {
     std::fprintf(f,
                  "%s    {\"name\":\"personality\",\"ph\":\"i\",\"s\":\"g\","
-                 "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
+                 "\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
                  "\"args\":{\"description\":\"%s\"}}",
-                 first ? "" : ",\n", pid, kLaneHost, ticks_to_us(a.first),
+                 first ? "" : ",\n", kLaneHost, ticks_to_us(a.first),
                  JsonWriter::escape(a.second).c_str());
     first = false;
   }
@@ -225,14 +215,14 @@ bool TraceRecorder::write_chrome_trace(
 
   bool first = true;
   const std::vector<TraceEvent> evs = events();
-  emit_lane(f, /*pid=*/1, evs, annotations, first);
+  emit_body(f, evs, annotations, first);
 
   std::fputs("\n  ]\n}\n", f);
   return std::fclose(f) == 0;
 }
 
 std::uint64_t TraceRecorder::spans_truncated() const noexcept {
-  // Mirror of emit_lane()'s pairing pass: every end-side event whose start
+  // Mirror of emit_body()'s pairing pass: every end-side event whose start
   // was overwritten by ring wraparound degrades its span to an instant.
   std::uint64_t truncated = 0;
   std::size_t issues = 0;
@@ -266,28 +256,6 @@ std::uint64_t TraceRecorder::spans_truncated() const noexcept {
     }
   }
   return truncated;
-}
-
-bool TraceRecorder::write_merged_chrome_trace(const std::string& path,
-                                              std::span<const TraceLane> lanes) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-
-  std::fputs("{\n  \"displayTimeUnit\": \"ns\",\n", f);
-  std::fprintf(f,
-               "  \"otherData\": {\"fabric_clock_hz\": 1e8, "
-               "\"lanes\": %zu},\n  \"traceEvents\": [\n",
-               lanes.size());
-
-  bool first = true;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const int pid = static_cast<int>(i) + 1;
-    emit_process_name(f, pid, lanes[i].name, first);
-    emit_lane(f, pid, lanes[i].events, lanes[i].annotations, first);
-  }
-
-  std::fputs("\n  ]\n}\n", f);
-  return std::fclose(f) == 0;
 }
 
 bool TraceRecorder::write_csv(const std::string& path) const {

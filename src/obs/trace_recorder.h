@@ -59,20 +59,6 @@ class TraceRecorder {
   /// starts is detectable without diffing the JSON.
   [[nodiscard]] std::uint64_t spans_truncated() const noexcept;
 
-  /// One worker's contribution to a merged campaign trace.
-  struct TraceLane {
-    std::string name;                     // e.g. "shard 3 / snr -2 dB"
-    std::vector<TraceEvent> events;       // chronological, from events()
-    std::vector<Annotation> annotations;  // personality history, optional
-  };
-
-  /// Merge per-worker lanes into one Chrome trace: each lane becomes its
-  /// own process (pid = lane index + 1, named via process_name metadata)
-  /// with the usual subsystem rows inside, so a whole sweep's shards line
-  /// up under a shared fabric-time axis in Perfetto.
-  static bool write_merged_chrome_trace(const std::string& path,
-                                        std::span<const TraceLane> lanes);
-
   /// Export a flat CSV: vita_ticks,time_us,kind,value.
   bool write_csv(const std::string& path) const;
 

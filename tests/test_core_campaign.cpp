@@ -1,9 +1,9 @@
 // Campaign runner: grid indexing, shard-store durability (torn tails,
 // corrupt records and headers, unreadable files, identity mismatch),
-// progress scopes, the no-store mode, and the headline guarantee — a
-// campaign killed at any shard boundary and resumed, at any thread count
-// and any shard granularity, merges to a report byte-identical to an
-// uninterrupted single-process run.
+// progress scopes, the no-store mode, single-trial replay, and the headline
+// guarantee — a campaign killed at any shard boundary and resumed, at any
+// thread count and any shard granularity, merges to a report
+// byte-identical to an uninterrupted single-process run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,9 @@
 #include "core/campaign.h"
 #include "core/templates.h"
 #include "fault/fault_experiment.h"
+#include "fpga/dsp_core.h"
+#include "obs/telemetry.h"
+#include "phy80211/preamble.h"
 
 namespace rjf::core {
 namespace {
@@ -251,13 +255,20 @@ void poke_word(const std::string& path, std::size_t word, std::uint64_t value) {
   f.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 // Regression: resume trusted the header's shard_trials as is. A header
 // whose shard_trials read 20 instead of 16 cut a schedule whose shard 0
 // covered trials 0..19 while the stored record covered 0..15, so the
 // resumed report claimed complete=1 with 40 of point 0's 48 trials
 // (P_det 1.000 where the uninterrupted run reads 0.979). Both a
 // granularity and a shard count the recomputed schedule disagrees with
-// must reject the store, not merge it.
+// must reject the store, not merge it — and so must every identity word
+// (fingerprint, campaign seed, point count, trials per point). A rejected
+// store is left byte-identical.
 TEST(Campaign, CorruptHeaderIsRejectedNotMerged) {
   const std::string path = temp_store("rjf_campaign_bad_header.rjfc");
   CampaignSpec spec = small_spec();
@@ -265,24 +276,31 @@ TEST(Campaign, CorruptHeaderIsRejectedNotMerged) {
   (void)run_campaign(spec, path);
   spec.max_shards_this_run = 0;
 
-  poke_word(path, 6, 20);  // shard_trials 16 -> 20 (still 6 shards)
-  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+  const auto loaded = ShardStore::load(path);
+  ASSERT_TRUE(loaded.has_value());
+  const ShardStoreHeader::Words original = loaded->header.to_words();
+  const auto expect_rejected_untouched = [&](std::size_t word,
+                                             std::uint64_t value,
+                                             const char* what) {
+    poke_word(path, word, value);
+    const std::string poked = file_bytes(path);
+    EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error) << what;
+    EXPECT_EQ(file_bytes(path), poked) << what;
+    poke_word(path, word, original[word]);
+  };
+  expect_rejected_untouched(2, original[2] ^ 1, "fingerprint");
+  expect_rejected_untouched(3, original[3] + 1, "campaign_seed");
+  expect_rejected_untouched(4, 3, "num_points 2 -> 3");
+  expect_rejected_untouched(5, 47, "trials_per_point 48 -> 47");
+  expect_rejected_untouched(6, 20, "shard_trials 16 -> 20 (still 6 shards)");
+  expect_rejected_untouched(7, 7, "num_shards 6 -> 7");
 
-  poke_word(path, 6, 16);
-  poke_word(path, 7, 7);   // num_shards 6 -> 7
-  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
-
-  poke_word(path, 7, 6);   // restored: resumes to the uninterrupted result
+  // Restored: resumes to the uninterrupted result.
   const std::string ref_path = temp_store("rjf_campaign_bad_header_ref.rjfc");
   EXPECT_EQ(run_campaign(spec, path).to_csv(),
             run_campaign(spec, ref_path).to_csv());
   std::remove(ref_path.c_str());
   std::remove(path.c_str());
-}
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // Regression: a file at the store path that ShardStore::load could not read
@@ -548,6 +566,135 @@ TEST(BigGridResume, HundredThousandTrialKillResumeByteIdentical) {
   EXPECT_EQ(resumed.trials_replayed, 0u);
   EXPECT_EQ(resumed.to_csv(), full.to_csv());
   std::remove(path.c_str());
+}
+
+/// The report's counts for one point, summed from replay_trial over every
+/// trial of the point.
+struct ReplayedPoint {
+  std::uint64_t frames_detected = 0;
+  std::uint64_t total_detections = 0;
+  std::uint64_t overflow_gaps = 0;
+  std::uint64_t samples_lost = 0;
+  std::uint64_t trigger_latency_sum = 0;
+  std::uint64_t trigger_latency_count = 0;
+};
+
+/// Replay every trial of `spec` alone, once bare and once with telemetry
+/// attached; the two outcomes must agree.
+std::vector<ReplayedPoint> replay_every_trial(
+    const CampaignSpec& spec, std::span<const dsp::cvec> frames) {
+  const std::uint64_t lead_ticks =
+      static_cast<std::uint64_t>(spec.base.lead_in) * fpga::kClocksPerSample;
+  obs::TelemetryConfig tc;
+  tc.trace_capacity = 4096;
+  tc.probe_enabled = false;
+  std::vector<ReplayedPoint> out(spec.grid.num_points());
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    for (std::size_t t = 0; t < spec.grid.trials_per_point; ++t) {
+      const DetectionTrialOutcome o = replay_trial(spec, frames, p, t, nullptr);
+      obs::Telemetry telemetry(tc);
+      const DetectionTrialOutcome traced =
+          replay_trial(spec, frames, p, t, &telemetry);
+      EXPECT_EQ(traced.events, o.events) << "p=" << p << " t=" << t;
+      EXPECT_EQ(traced.jam_triggers, o.jam_triggers);
+      EXPECT_EQ(traced.last_trigger_vita, o.last_trigger_vita);
+      EXPECT_EQ(traced.overflow_gaps, o.overflow_gaps);
+      EXPECT_EQ(traced.samples_lost, o.samples_lost);
+      EXPECT_GT(telemetry.ring().pushed(), 0u);
+
+      ReplayedPoint& r = out[p];
+      r.total_detections += o.events;
+      if (o.events > 0) ++r.frames_detected;
+      r.overflow_gaps += o.overflow_gaps;
+      r.samples_lost += o.samples_lost;
+      if (o.jam_triggers > 0 && o.last_trigger_vita >= lead_ticks) {
+        r.trigger_latency_sum += o.last_trigger_vita - lead_ticks;
+        ++r.trigger_latency_count;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_report_reproduced(const CampaignReport& report,
+                              const std::vector<ReplayedPoint>& replayed,
+                              unsigned threads) {
+  ASSERT_EQ(report.points.size(), replayed.size());
+  for (std::size_t p = 0; p < replayed.size(); ++p) {
+    const CampaignPointResult& row = report.points[p];
+    const ReplayedPoint& r = replayed[p];
+    EXPECT_EQ(row.result.frames_detected, r.frames_detected)
+        << "threads=" << threads << " p=" << p;
+    EXPECT_EQ(row.result.total_detections, r.total_detections)
+        << "threads=" << threads << " p=" << p;
+    EXPECT_EQ(row.overflow_gaps, r.overflow_gaps)
+        << "threads=" << threads << " p=" << p;
+    EXPECT_EQ(row.samples_lost, r.samples_lost)
+        << "threads=" << threads << " p=" << p;
+    EXPECT_EQ(row.trigger_latency_count, r.trigger_latency_count)
+        << "threads=" << threads << " p=" << p;
+    if (r.trigger_latency_count > 0) {
+      EXPECT_EQ(row.trigger_latency_mean_ticks,
+                static_cast<double>(r.trigger_latency_sum) /
+                    static_cast<double>(r.trigger_latency_count))
+          << "threads=" << threads << " p=" << p;
+    }
+  }
+}
+
+/// 2 SNRs x fault scales {0, 1}, with the fault hook on the scale axis.
+CampaignSpec replay_spec() {
+  CampaignSpec spec = small_spec();
+  spec.grid.snrs_db = {0.0, 6.0};
+  spec.grid.fault_scales = {0.0, 1.0};
+  spec.grid.trials_per_point = 24;
+  spec.shard_trials = 8;
+  fault::FaultPlanConfig fault_base;
+  fault_base.seed = 0xFA;
+  fault_base.clip_rate = 1e-3;
+  fault_base.drop_rate = 1e-3;
+  fault_base.overflow_rate = 1e-3;
+  spec.make_trial_hook = fault::campaign_fault_hook_factory(fault_base);
+  return spec;
+}
+
+// A trial is a pure function of (campaign seed, point, trial): replaying
+// each trial alone, with or without telemetry, and summing per point
+// reproduces the campaign's rows at any thread count.
+TEST(CampaignReplay, TrialSumsReproduceRunCampaignReport) {
+  CampaignSpec spec = replay_spec();
+  const std::vector<ReplayedPoint> replayed = replay_every_trial(spec, {});
+  // The fault rows must actually lose samples, or the comparison of the
+  // fault counters proves nothing.
+  EXPECT_GT(replayed[2].overflow_gaps + replayed[3].overflow_gaps, 0u);
+  EXPECT_EQ(replayed[0].overflow_gaps + replayed[1].overflow_gaps, 0u);
+  EXPECT_GT(replayed[3].frames_detected, 0u);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    spec.threads = threads;
+    expect_report_reproduced(run_campaign(spec, ""), replayed, threads);
+  }
+}
+
+TEST(CampaignReplay, TrialSumsReproduceRunCampaignFramesReport) {
+  CampaignSpec spec = replay_spec();
+  spec.base.lead_in = 32;
+  const dsp::cvec frames[] = {phy80211::long_training_symbol()};
+  const std::vector<ReplayedPoint> replayed = replay_every_trial(spec, frames);
+  EXPECT_GT(replayed[2].overflow_gaps + replayed[3].overflow_gaps, 0u);
+  EXPECT_GT(replayed[3].frames_detected, 0u);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    spec.threads = threads;
+    expect_report_reproduced(run_campaign_frames(spec, frames), replayed,
+                             threads);
+  }
+}
+
+TEST(CampaignReplay, RejectsTrialsOutsideTheGrid) {
+  const CampaignSpec spec = replay_spec();
+  EXPECT_THROW((void)replay_trial(spec, {}, 4, 0, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW((void)replay_trial(spec, {}, 0, 24, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <fstream>
 #include <thread>
-#include <map>
 #include <numbers>
 #include <set>
 #include <span>
@@ -25,6 +24,7 @@
 #include "core/sweep.h"
 #include "core/templates.h"
 #include "dsp/rng.h"
+#include "obs/telemetry.h"
 #include "phy80211/preamble.h"
 
 namespace rjf::core {
@@ -373,14 +373,12 @@ TEST(SweepEngine, ReportBookkeeping) {
                std::invalid_argument);
 }
 
-// Campaign observability: per-shard telemetry merged into the report, the
-// campaign.* aggregates, the progress side channel, and the merged
-// multi-lane Chrome trace.
+// Campaign observability: the campaign.* aggregates, the progress side
+// channel, and a replayed trial's Chrome trace.
 TEST(SweepEngine, CampaignMetricsProgressAndShardTraces) {
   const dsp::cvec frames[] = {test_frame()};
   const double snrs[] = {6.0};
   CampaignSpec spec = sweep_spec(snrs, 20, 8, 2, 1);
-  spec.trace_events_per_shard = 4096;
   spec.progress_every_shards = 1;
   std::vector<SweepProgress> progress;
   spec.progress = [&](const SweepProgress& p) { progress.push_back(p); };
@@ -395,14 +393,6 @@ TEST(SweepEngine, CampaignMetricsProgressAndShardTraces) {
   ASSERT_EQ(report.metrics.gauges().count("campaign.wall_s"), 1u);
   EXPECT_GT(report.metrics.gauges().at("campaign.wall_s"), 0.0);
 
-  // Per-shard fabric telemetry reached the merged registry, with the
-  // wall-clock counter stripped and drop accounting present.
-  EXPECT_GT(report.metrics.counter_value("events.stream_start"), 0u);
-  EXPECT_GT(report.metrics.counter_value("obs.ring_records"), 0u);
-  EXPECT_EQ(report.metrics.counter_value("stream_wall_ns"), 0u);
-  EXPECT_EQ(report.metrics.counters().count("trace.spans_truncated"), 1u);
-  EXPECT_EQ(report.metrics.gauges().count("host_throughput_msps"), 0u);
-
   // Progress fired for every shard (every_shards = 1) and ended complete.
   ASSERT_EQ(progress.size(), 3u);
   EXPECT_EQ(progress.back().shards_done, 3u);
@@ -412,60 +402,60 @@ TEST(SweepEngine, CampaignMetricsProgressAndShardTraces) {
   for (std::size_t k = 1; k < progress.size(); ++k)
     EXPECT_GE(progress[k].trials_done, progress[k - 1].trials_done);
 
-  // One trace lane per shard, merged into a loadable campaign trace.
-  ASSERT_EQ(report.shard_traces.size(), 3u);
-  for (const auto& lane : report.shard_traces) {
-    EXPECT_NE(lane.name.find("shard"), std::string::npos);
-    EXPECT_FALSE(lane.events.empty());
-  }
-  const std::string path = ::testing::TempDir() + "rjf_campaign_trace.json";
-  ASSERT_TRUE(report.write_campaign_trace(path));
+  // Fabric telemetry is per trial: replay one with a bundle attached and
+  // write its trace.
+  obs::TelemetryConfig tc;
+  tc.probe_enabled = false;
+  obs::Telemetry telemetry(tc);
+  (void)replay_trial(spec, frames, 0, 13, &telemetry);
+  EXPECT_GT(telemetry.metrics().counter_value("events.stream_start"), 0u);
+  EXPECT_FALSE(telemetry.trace().events().empty());
+  const std::string path = ::testing::TempDir() + "rjf_trial_trace.json";
+  ASSERT_TRUE(telemetry.write_chrome_trace(path));
   std::ifstream in(path, std::ios::binary);
   std::ostringstream body;
   body << in.rdbuf();
-  EXPECT_NE(body.str().find("\"lanes\": 3"), std::string::npos);
-  EXPECT_NE(body.str().find("process_name"), std::string::npos);
+  EXPECT_NE(body.str().find("stream_start"), std::string::npos);
+  EXPECT_NE(body.str().find("personality"), std::string::npos);
   std::remove(path.c_str());
-
-  // Without per-shard telemetry there are no lanes and no merged trace.
-  CampaignSpec plain = spec;
-  plain.trace_events_per_shard = 0;
-  plain.progress_every_shards = 0;
-  const auto bare = run_campaign_frames(plain, frames);
-  EXPECT_TRUE(bare.shard_traces.empty());
-  EXPECT_FALSE(bare.write_campaign_trace(path));
 }
 
-// The merged campaign metrics must obey the same bit-identity guarantee as
-// the detection counts: with per-shard telemetry attached, every counter
-// (wall-clock ones are stripped before the merge) is identical at any
-// thread count, and the detection results match a telemetry-free run.
+// A telemetry-attached replay of every trial sums to the untraced
+// campaign's rows at any thread count: attaching telemetry changes no
+// outcome.
 TEST(SweepEngine, TelemetryAttachedSweepIsBitIdenticalAcrossThreads) {
   const dsp::cvec frames[] = {test_frame()};
   const double snrs[] = {3.0, 9.0};
-  const CampaignSpec reference = sweep_spec(snrs, 24, 8, 1, 0xAB);
-  const auto plain = run_campaign_frames(reference, frames);
+  CampaignSpec spec = sweep_spec(snrs, 24, 8, 1, 0xAB);
 
-  CampaignSpec traced = reference;
-  traced.trace_events_per_shard = 4096;
-  std::map<std::string, std::uint64_t> golden;
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    traced.threads = threads;
-    const auto report = run_campaign_frames(traced, frames);
-    // Attaching telemetry must not change the detection outcome.
-    ASSERT_EQ(report.points.size(), plain.points.size());
-    for (std::size_t p = 0; p < plain.points.size(); ++p) {
-      EXPECT_EQ(report.points[p].result.frames_detected,
-                plain.points[p].result.frames_detected)
-          << "threads=" << threads << " p=" << p;
-      EXPECT_EQ(report.points[p].result.total_detections,
-                plain.points[p].result.total_detections);
+  std::vector<std::uint64_t> frames_detected(spec.grid.num_points(), 0);
+  std::vector<std::uint64_t> detections(spec.grid.num_points(), 0);
+  obs::TelemetryConfig tc;
+  tc.trace_capacity = 4096;
+  tc.probe_enabled = false;
+  for (std::size_t p = 0; p < spec.grid.num_points(); ++p) {
+    for (std::size_t t = 0; t < spec.grid.trials_per_point; ++t) {
+      obs::Telemetry telemetry(tc);
+      const DetectionTrialOutcome o =
+          replay_trial(spec, frames, p, t, &telemetry);
+      telemetry.refresh_gauges();
+      EXPECT_GT(telemetry.metrics().counter_value("obs.ring_records"), 0u);
+      EXPECT_EQ(telemetry.metrics().counter_value("obs.ring_dropped"), 0u);
+      detections[p] += o.events;
+      if (o.events > 0) ++frames_detected[p];
     }
-    if (golden.empty()) {
-      golden = report.metrics.counters();
-      EXPECT_GT(golden.at("obs.ring_records"), 0u);
-    } else {
-      EXPECT_EQ(report.metrics.counters(), golden) << "threads=" << threads;
+  }
+  EXPECT_GT(frames_detected[1], 0u);
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    spec.threads = threads;
+    const auto report = run_campaign_frames(spec, frames);
+    ASSERT_EQ(report.points.size(), frames_detected.size());
+    for (std::size_t p = 0; p < frames_detected.size(); ++p) {
+      EXPECT_EQ(report.points[p].result.frames_detected, frames_detected[p])
+          << "threads=" << threads << " p=" << p;
+      EXPECT_EQ(report.points[p].result.total_detections, detections[p])
+          << "threads=" << threads << " p=" << p;
     }
   }
 }

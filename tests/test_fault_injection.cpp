@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/calibration.h"
 #include "core/templates.h"
 #include "core/fabric_units.h"
@@ -118,6 +120,30 @@ TEST(FaultPlan, ScaleZeroIsEmpty) {
   EXPECT_TRUE(plan.empty());
   for (std::size_t k = 0; k < kNumFaultKinds; ++k)
     EXPECT_EQ(plan.count(static_cast<FaultKind>(k)), 0u);
+}
+
+// Regression: a NaN rate (a NaN --fault-scales entry times any base rate)
+// passed the `rate <= 0.0` guard and reached geometric_gap's float ->
+// integer cast, which is undefined behaviour. A rate that is not > 0
+// schedules nothing; the other kinds keep their schedules.
+TEST(FaultPlan, NonFiniteRateSchedulesNothing) {
+  const FaultPlanConfig nan_all =
+      busy_config(0x55).scaled(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(FaultPlan::generate(nan_all).empty());
+
+  FaultPlanConfig one_nan = busy_config(0x55);
+  one_nan.clip_rate = std::numeric_limits<double>::quiet_NaN();
+  FaultPlanConfig no_clip = busy_config(0x55);
+  no_clip.clip_rate = 0.0;
+  const FaultPlan a = FaultPlan::generate(one_nan);
+  const FaultPlan b = FaultPlan::generate(no_clip);
+  EXPECT_EQ(a.count(FaultKind::kAdcClip), 0u);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.events().size(), b.events().size());
+  for (std::size_t k = 0; k < a.events().size(); ++k) {
+    EXPECT_EQ(a.events()[k].at_sample, b.events()[k].at_sample);
+    EXPECT_EQ(a.events()[k].kind, b.events()[k].kind);
+  }
 }
 
 // The inertness contract: an attached injector whose plan is empty must be

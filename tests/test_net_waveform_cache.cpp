@@ -2,7 +2,7 @@
 // hit/miss/eviction counters; reset_counters() zeroes the counters but
 // preserves the entries. Pre-split, clear() did both at once, so any rig
 // that dropped stale entries mid-run also silently erased its cumulative
-// cache statistics and export_metrics() under-reported.
+// cache statistics and hits()/misses() under-reported.
 //
 // The cache is process-wide, so each test snapshots and restores the
 // enabled flag and leaves the store cleared; the tests read counter DELTAS

@@ -13,14 +13,13 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/presets.h"
 #include "net/waveform_cache.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace rjf::bench {
 namespace {
@@ -98,49 +97,57 @@ TEST(WifiSweepEngine, RunSweepBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The merged campaign metrics ride the same guarantee as the sweep points:
-// every counter that survives the wall-clock strip (stream_wall_ns) and the
-// cache diagnostics (cache.*: hit/miss splits depend on which thread built
-// an entry first) must be bit-identical at any thread count, because they
-// are derived purely from each point's deterministic fabric event stream
-// and merged in point order.
+// A sweep point re-run alone through point_config, with a Telemetry bundle
+// attached to its jammer, is the sweep's point at any thread count: the
+// telemetry sees the run's fabric events without perturbing them.
 TEST(WifiSweepEngine, CampaignMetricsBitIdenticalAcrossThreadCounts) {
   const std::vector<double> powers = {1e-4, 1e-3, 3e-3};
   const double duration_s = 0.02;
   const auto jammer = core::energy_reactive_preset(1e-4, 10.0);
 
-  const auto deterministic_counters = [](const obs::MetricsRegistry& m) {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto& [name, value] : m.counters())
-      if (name.rfind("cache.", 0) != 0) out[name] = value;
-    return out;
-  };
+  std::vector<SweepPoint> traced;
+  std::uint64_t jam_trigger_events = 0;
+  for (const double power : powers) {
+    const net::WifiNetworkConfig config =
+        point_config(jammer, power, duration_s);
+    net::WifiNetworkSim sim(config);
+    obs::TelemetryConfig tc;
+    tc.probe_enabled = false;
+    obs::Telemetry telemetry(tc);
+    sim.attach_telemetry(&telemetry);
+    const auto run = sim.run();
+    sim.attach_telemetry(nullptr);
+    traced.push_back(SweepPoint{
+        run.measured_sir_db,
+        run.report.bandwidth_kbps(config.iperf.datagram_bytes),
+        run.report.prr_percent(), run.jam_triggers, run.mean_tx_rate_mbps});
+    telemetry.refresh_gauges();
+    // The point must actually have produced fabric telemetry (else the
+    // comparison below is vacuous), and no record may have been lost.
+    EXPECT_GT(telemetry.metrics().counter_value("obs.ring_records"), 0u);
+    EXPECT_EQ(telemetry.metrics().counter_value("obs.ring_dropped"), 0u);
+    jam_trigger_events +=
+        telemetry.metrics().counter_value("events.jam_trigger");
+  }
+  EXPECT_GT(jam_trigger_events, 0u);
 
-  obs::MetricsRegistry single_metrics;
-  const auto single =
-      run_sweep("1 thread", jammer, powers, duration_s, 1, &single_metrics);
-  const auto golden = deterministic_counters(single_metrics);
-
-  // The sweep must actually have produced fabric telemetry (else the
-  // comparison below is vacuous), and no record may have been lost.
-  EXPECT_GT(single_metrics.counter_value("obs.ring_records"), 0u);
-  EXPECT_GT(single_metrics.counter_value("events.jam_trigger"), 0u);
-  EXPECT_EQ(single_metrics.counter_value("obs.ring_dropped"), 0u);
-  EXPECT_EQ(single_metrics.counter_value("stream_wall_ns"), 0u);
-
-  for (const unsigned threads : {2u, 4u}) {
-    obs::MetricsRegistry parallel_metrics;
-    const auto parallel = run_sweep("N threads", jammer, powers, duration_s,
-                                    threads, &parallel_metrics);
-    ASSERT_EQ(parallel.points.size(), single.points.size());
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const auto sweep = run_sweep("N threads", jammer, powers, duration_s,
+                                 threads);
+    ASSERT_EQ(sweep.points.size(), traced.size());
     for (std::size_t p = 0; p < powers.size(); ++p) {
-      EXPECT_EQ(single.points[p].jam_triggers, parallel.points[p].jam_triggers)
+      const auto& a = traced[p];
+      const auto& b = sweep.points[p];
+      EXPECT_EQ(a.jam_triggers, b.jam_triggers)
           << "threads=" << threads << " point=" << p;
-      EXPECT_EQ(single.points[p].prr_percent, parallel.points[p].prr_percent)
+      EXPECT_EQ(a.sir_db, b.sir_db) << "threads=" << threads << " point=" << p;
+      EXPECT_EQ(a.bandwidth_kbps, b.bandwidth_kbps)
+          << "threads=" << threads << " point=" << p;
+      EXPECT_EQ(a.prr_percent, b.prr_percent)
+          << "threads=" << threads << " point=" << p;
+      EXPECT_EQ(a.mean_rate_mbps, b.mean_rate_mbps)
           << "threads=" << threads << " point=" << p;
     }
-    EXPECT_EQ(deterministic_counters(parallel_metrics), golden)
-        << "threads=" << threads;
   }
 }
 
@@ -158,31 +165,25 @@ TEST(WifiSweepEngine, RunSweepBitIdenticalWithWaveformCacheOnAndOff) {
   auto& cache = net::WaveformCache::instance();
   const bool was_enabled = cache.enabled();
 
-  // Both runs carry campaign metrics, so this doubles as the guarantee
-  // that attaching counters perturbs nothing.
   cache.set_enabled(false);
   cache.clear();
   cache.reset_counters();
-  obs::MetricsRegistry uncached_metrics;
-  const auto uncached =
-      run_sweep("cache off", jammer, powers, duration_s, 2, &uncached_metrics);
+  const auto uncached = run_sweep("cache off", jammer, powers, duration_s, 2);
+  // A disabled cache builds every waveform fresh and counts nothing.
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
 
   cache.set_enabled(true);
   cache.clear();
   cache.reset_counters();
-  obs::MetricsRegistry cached_metrics;
-  const auto cached =
-      run_sweep("cache on", jammer, powers, duration_s, 2, &cached_metrics);
+  const auto cached = run_sweep("cache on", jammer, powers, duration_s, 2);
 
   // The sweep transmits the same datagram/ACK at every point, so a warm
   // cache must actually be serving hits (else this test proves nothing),
-  // and the hit/miss counters must surface in the campaign metrics.
+  // with one miss per distinct waveform it stored.
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_GT(cache.size(), 0u);
-  EXPECT_EQ(cached_metrics.counter_value("cache.waveform_hits"), cache.hits());
-  EXPECT_EQ(cached_metrics.counter_value("cache.waveform_misses"),
-            cache.misses());
-  EXPECT_EQ(uncached_metrics.counter_value("cache.waveform_hits"), 0u);
+  EXPECT_GE(cache.misses(), cache.size());
 
   cache.set_enabled(was_enabled);
 

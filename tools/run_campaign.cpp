@@ -15,6 +15,7 @@
 //   run_campaign --list-targets
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -57,25 +58,36 @@ unsigned long long parse_count(const char* flag, const char* text,
   return v;
 }
 
-std::vector<double> parse_doubles(const char* arg) {
+/// Strict number list: comma-separated finite values, each fully consumed
+/// by strtod (and not negative when `non_negative`); no empty element, no
+/// trailing comma. Anything else ("nan", "inf", "1e400", "0,", "-1" for a
+/// scale) exits 2 naming the flag, before the store is touched.
+std::vector<double> parse_doubles(const char* flag, const char* arg,
+                                  bool non_negative = false) {
   std::vector<double> out;
   const char* p = arg;
-  while (*p != '\0') {
+  for (;;) {
     char* end = nullptr;
-    out.push_back(std::strtod(p, &end));
-    if (end == p) {
-      std::fprintf(stderr, "run_campaign: bad number list '%s'\n", arg);
+    errno = 0;
+    const double v = std::strtod(p, &end);
+    if (end == p || (*end != ',' && *end != '\0') || errno == ERANGE ||
+        !std::isfinite(v) || (non_negative && v < 0.0)) {
+      std::fprintf(stderr,
+                   "run_campaign: %s needs a comma-separated list of finite%s "
+                   "numbers, got '%s'\n",
+                   flag, non_negative ? ", non-negative" : "", arg);
       std::exit(2);
     }
-    p = (*end == ',') ? end + 1 : end;
+    out.push_back(v);
+    if (*end == '\0') return out;
+    p = end + 1;
   }
-  return out;
 }
 
 std::vector<std::size_t> parse_rates(const char* arg,
                                      const ProtocolTarget& target) {
   std::vector<std::size_t> out;
-  for (const double mbps : parse_doubles(arg)) {
+  for (const double mbps : parse_doubles("--rates", arg)) {
     bool found = false;
     for (std::size_t i = 0; i < target.rates.size(); ++i) {
       if (target.rates[i].mbps == mbps) {
@@ -85,7 +97,8 @@ std::vector<std::size_t> parse_rates(const char* arg,
       }
     }
     if (!found) {
-      std::fprintf(stderr, "run_campaign: target '%s' has no %g Mbps rate\n",
+      std::fprintf(stderr,
+                   "run_campaign: --rates: target '%s' has no %g Mbps rate\n",
                    target.name.c_str(), mbps);
       std::exit(2);
     }
@@ -149,12 +162,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--list-targets") == 0) {
       return list_targets();
     } else if (std::strcmp(a, "--snrs") == 0) {
-      spec.grid.snrs_db = parse_doubles(next());
+      spec.grid.snrs_db = parse_doubles(a, next());
     } else if (std::strcmp(a, "--rates") == 0) {
       rates_arg = next();
       rates_given = true;
     } else if (std::strcmp(a, "--fault-scales") == 0) {
-      spec.grid.fault_scales = parse_doubles(next());
+      spec.grid.fault_scales = parse_doubles(a, next(), /*non_negative=*/true);
       fault_axis = true;
     } else if (std::strcmp(a, "--trials") == 0) {
       spec.grid.trials_per_point = parse_count(a, next(), 1, SIZE_MAX);
