@@ -157,6 +157,17 @@ void BM_Resample20to25(benchmark::State& state) {
 }
 BENCHMARK(BM_Resample20to25);
 
+// The wifi_dsss plan-build case: one 310-byte 1 Mb/s 802.11b frame's worth
+// (192 us PLCP + 2480 us PSDU at 11 Mchip/s), rendered to the fabric rate.
+void BM_Resample11to25(benchmark::State& state) {
+  dsp::NoiseSource noise(1.0, 5);
+  const dsp::cvec in = noise.block(29392);
+  const dsp::Resampler rs(11e6, 25e6);
+  for (auto _ : state) benchmark::DoNotOptimize(rs.resample(in));
+  state.SetItemsProcessed(state.iterations() * in.size());
+}
+BENCHMARK(BM_Resample11to25);
+
 // Console reporter that also collects each benchmark's item rate so main()
 // can emit the BENCH_fabric.json summary.
 class RateCollector : public benchmark::ConsoleReporter {

@@ -171,14 +171,18 @@ struct DetectionTrialOutcome {
       static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(shifted)));
 }
 
-/// Identity of the trial-capture synthesis: the noise generator
-/// (dsp::NoiseSource) and CFO phasor (cfo_phasor) run_detection_trial builds
-/// every capture with. CampaignSpec::fingerprint folds it, so a shard store
-/// written by a different generator is rejected instead of merged. Bump it
+/// Identity of the trial-capture synthesis: the frame resampler
+/// (dsp::Resampler) prepare_detection_trials renders the timing-phase
+/// variants with, and the noise generator (dsp::NoiseSource) and CFO phasor
+/// (cfo_phasor) run_detection_trial builds every capture with.
+/// CampaignSpec::fingerprint folds it, so a shard store written by a
+/// different generator is rejected instead of merged. Bump it
 /// with any change that alters a capture's bits for the same (plan, trial).
 ///   1: libm double Box-Muller and cos/sin (implicit; never folded).
 ///   2: branch-free float kernels (dsp/synth_math.h).
-inline constexpr std::uint64_t kTrialSynthesisVersion = 2;
+///   3: exact rational resampler phases (dsp::Resampler); moves the frame
+///      variants of non-20 MSPS targets (wifi_dsss, WiMAX) by a few 1e-7.
+inline constexpr std::uint64_t kTrialSynthesisVersion = 3;
 
 /// Run the experiment: `frame_native` is the frame waveform at
 /// `config.tx_rate_hz` with arbitrary scale (re-scaled per-trial).

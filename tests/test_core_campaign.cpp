@@ -202,25 +202,35 @@ TEST(Campaign, MismatchedStoreIsRejectedNotMerged) {
   std::remove(path.c_str());
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 // Golden value of small_spec()'s fingerprint. Any change to what a trial
 // synthesises must bump kTrialSynthesisVersion, which moves this value on
 // purpose; a change that moves it by accident fails here first.
-constexpr std::uint64_t kSmallSpecFingerprint = 0xbad60500370a11a5ull;
+constexpr std::uint64_t kSmallSpecFingerprint = 0xf4877ab2c08deb54ull;
+// The same spec's fingerprint under trial synthesis version 2 (float noise
+// and CFO kernels, continuous-phase resampler): what every store written
+// before the exact rational resampler phases carries.
+constexpr std::uint64_t kSmallSpecFingerprintV2 = 0xbad60500370a11a5ull;
 // The same spec's fingerprint before the version word existed (libm noise
 // and CFO phasor): what every store written by that generator carries.
 constexpr std::uint64_t kSmallSpecFingerprintLibmSynthesis =
     0x773fb0df8e4a3437ull;
 
 TEST(Campaign, FingerprintIsPinnedToTrialSynthesisVersion) {
-  static_assert(kTrialSynthesisVersion == 2,
+  static_assert(kTrialSynthesisVersion == 3,
                 "re-pin kSmallSpecFingerprint with the new version");
   EXPECT_EQ(small_spec().fingerprint(), kSmallSpecFingerprint);
 }
 
 TEST(Campaign, StoreFromOlderTrialSynthesisIsRejected) {
-  // A partial store exactly as the libm generator left it: same seed, grid
+  // A partial store exactly as an older generator left it: same seed, grid
   // and shard cut, one completed shard. Resuming must not merge its counts
-  // with trials drawn from the new noise and CFO streams.
+  // with trials drawn from the new noise and CFO streams or frame variants,
+  // and must leave the store byte-identical.
   const std::string path = temp_store("rjf_campaign_old_synthesis.rjfc");
   const CampaignSpec spec = small_spec();
   const auto write_partial_store = [&](std::uint64_t fingerprint) {
@@ -239,8 +249,13 @@ TEST(Campaign, StoreFromOlderTrialSynthesisIsRejected) {
     record.frames_detected = 7;
     ASSERT_TRUE(store->append(record));
   };
-  write_partial_store(kSmallSpecFingerprintLibmSynthesis);
-  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+  for (const std::uint64_t older :
+       {kSmallSpecFingerprintLibmSynthesis, kSmallSpecFingerprintV2}) {
+    write_partial_store(older);
+    const std::string written = file_bytes(path);
+    EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error) << older;
+    EXPECT_EQ(file_bytes(path), written) << older;
+  }
   // Control: the same store stamped with the current fingerprint resumes.
   write_partial_store(spec.fingerprint());
   EXPECT_NO_THROW((void)run_campaign(spec, path));
@@ -253,11 +268,6 @@ void poke_word(const std::string& path, std::size_t word, std::uint64_t value) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(static_cast<std::streamoff>(word * sizeof(std::uint64_t)));
   f.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // Regression: resume trusted the header's shard_trials as is. A header

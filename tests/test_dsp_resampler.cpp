@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <utility>
+#include <vector>
 
+#include "core/detection_experiment.h"
 #include "dsp/db.h"
+#include "dsp/rng.h"
 
 namespace rjf::dsp {
 namespace {
@@ -23,6 +28,25 @@ cvec tone(double freq_hz, double rate_hz, std::size_t n) {
 TEST(Resampler, RejectsNonPositiveRates) {
   EXPECT_THROW(Resampler(0.0, 25e6), std::invalid_argument);
   EXPECT_THROW(Resampler(20e6, -1.0), std::invalid_argument);
+  // Non-finite and fractional-Hz rates are rejected up front: a NaN rate
+  // would otherwise reach a floor(NaN) to size_t cast.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf, 20e6 + 0.5}) {
+    EXPECT_THROW(Resampler(bad, 25e6), std::invalid_argument) << bad;
+    EXPECT_THROW(Resampler(25e6, bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)resample_reference({}, bad, 25e6), std::invalid_argument)
+        << bad;
+  }
+  const Resampler rs(20e6, 25e6);
+  const cvec in(64, cfloat{1.0f, 0.0f});
+  for (const double bad : {-0.1, 1.0, kNan}) {
+    EXPECT_THROW((void)rs.resample(in, bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)rs.resample({}, bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)resample_reference(in, 20e6, 25e6, bad),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Resampler, OutputLengthMatchesRatio) {
@@ -167,6 +191,113 @@ TEST(Resampler, DownconversionBandLimits) {
   const cvec out = resample(in, 25e6, 20e6);
   const std::span<const cfloat> mid(out.data() + out.size() / 4, out.size() / 2);
   EXPECT_LT(mean_power_db(mid), -6.0);
+}
+
+// --- Differential: table-driven polyphase path vs. the continuous loop ------
+
+cvec random_signal(Xoshiro256& rng, std::size_t n) {
+  cvec x(n);
+  for (cfloat& v : x) v = rng.complex_gaussian();
+  return x;
+}
+
+// Lengths 0..9, where every output's support crosses a buffer edge, then
+// random lengths up to a few thousand samples.
+std::vector<std::size_t> differential_lengths(Xoshiro256& rng) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n < 10; ++n) lengths.push_back(n);
+  for (int i = 0; i < 6; ++i) lengths.push_back(10 + rng.uniform_int(6000));
+  return lengths;
+}
+
+// The delays the detection harness pre-renders each frame at.
+double timing_phase(unsigned p) {
+  return static_cast<double>(p) / static_cast<double>(core::kTimingPhases);
+}
+
+::testing::AssertionResult bytes_equal(const cvec& a, const cvec& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure()
+           << "length " << a.size() << " vs " << b.size();
+  for (std::size_t m = 0; m < a.size(); ++m)
+    if (std::memcmp(&a[m], &b[m], sizeof(cfloat)) != 0)
+      return ::testing::AssertionFailure()
+             << "output " << m << ": " << a[m] << " vs " << b[m];
+  return ::testing::AssertionSuccess();
+}
+
+// At 20<->25 MSPS (ratios 5/4 and 4/5) the table rows reproduce the
+// continuous loop's taps exactly, at every timing phase.
+TEST(ResamplerDifferential, ByteIdenticalToReferenceAtWifiRates) {
+  Xoshiro256 rng(derive_seed(0x5e5a, 1));
+  for (const auto& [in_rate, out_rate] :
+       {std::pair{20e6, 25e6}, std::pair{25e6, 20e6}}) {
+    const Resampler rs(in_rate, out_rate);
+    for (const std::size_t n : differential_lengths(rng)) {
+      const cvec in = random_signal(rng, n);
+      for (unsigned p = 0; p < core::kTimingPhases; ++p) {
+        const double d = timing_phase(p);
+        EXPECT_TRUE(bytes_equal(rs.resample(in, d),
+                                resample_reference(in, in_rate, out_rate, d)))
+            << in_rate << "->" << out_rate << " n=" << n << " d=" << d;
+      }
+    }
+  }
+}
+
+// At 11 and 11.2 MSPS the reference's double m / ratio drifts along the
+// buffer; the exact rational phases differ from it only by that drift.
+TEST(ResamplerDifferential, ExactPhasesTrackReferenceAtDsssAndWimaxRates) {
+  Xoshiro256 rng(derive_seed(0x5e5a, 2));
+  for (const auto& [in_rate, out_rate] :
+       {std::pair{11e6, 25e6}, std::pair{11.2e6, 25e6},
+        std::pair{25e6, 11.2e6}}) {
+    const Resampler rs(in_rate, out_rate);
+    for (const std::size_t n : differential_lengths(rng)) {
+      const cvec in = random_signal(rng, n);
+      for (unsigned p = 0; p < core::kTimingPhases; ++p) {
+        const double d = timing_phase(p);
+        const cvec fast = rs.resample(in, d);
+        const cvec ref = resample_reference(in, in_rate, out_rate, d);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (std::size_t m = 0; m < fast.size(); ++m) {
+          EXPECT_NEAR(fast[m].real(), ref[m].real(), 2e-7)
+              << in_rate << "->" << out_rate << " n=" << n << " d=" << d
+              << " m=" << m;
+          EXPECT_NEAR(fast[m].imag(), ref[m].imag(), 2e-7)
+              << in_rate << "->" << out_rate << " n=" << n << " d=" << d
+              << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
+// A row must carry exactly the reference's taps, zero-weight end taps
+// included: inf * 0 at an end tap is NaN, so it must happen in both paths
+// or in neither, and NaN and inf inputs must propagate the same bits.
+TEST(ResamplerDifferential, NonFiniteInputsByteIdenticalToReference) {
+  Xoshiro256 rng(derive_seed(0x5e5a, 3));
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [in_rate, out_rate] :
+       {std::pair{20e6, 25e6}, std::pair{25e6, 20e6}}) {
+    const Resampler rs(in_rate, out_rate);
+    for (const std::size_t n : differential_lengths(rng)) {
+      cvec in = random_signal(rng, n);
+      for (std::size_t k = 0; k < n; k += 1 + rng.uniform_int(40)) {
+        const float special = k % 3 == 0 ? kInf : k % 3 == 1 ? -kInf : kNan;
+        in[k] = rng.uniform_int(2) == 0 ? cfloat{special, in[k].imag()}
+                                        : cfloat{in[k].real(), special};
+      }
+      for (unsigned p = 0; p < core::kTimingPhases; ++p) {
+        const double d = timing_phase(p);
+        EXPECT_TRUE(bytes_equal(rs.resample(in, d),
+                                resample_reference(in, in_rate, out_rate, d)))
+            << in_rate << "->" << out_rate << " n=" << n << " d=" << d;
+      }
+    }
+  }
 }
 
 }  // namespace
