@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/jammer_config.h"
 #include "core/templates.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
@@ -71,6 +72,49 @@ void BM_DspCoreRunBlock(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DspCoreRunBlock);
+
+// The preset personality (xcorr trigger, white noise, JammerConfig's
+// 2500-sample default uptime) on air where the jammer is mid-burst in most
+// sample periods, as in the detection campaigns: the template's own sign
+// pattern recurs every 1024 samples on a noise floor, so each burst is
+// re-triggered by the first match after it ends and ~80% of periods are on
+// the air (the on_air_frac counter). BM_DspCoreRunBlock is the idle-air
+// case.
+void BM_DspCoreRunBlockJamming(benchmark::State& state) {
+  fpga::DspCore core;
+  const auto tpl = core::wifi_short_preamble_template();
+  auto& regs = core.registers();
+  fpga::program_template(regs, tpl);
+  regs.set_trigger_stages(fpga::kEventXcorr, 0, 0);
+  regs.set_jammer(fpga::JamWaveform::kWhiteNoise, true, 0);
+  regs.write(fpga::Reg::kJamDuration, core::JammerConfig{}.jam_uptime_samples);
+  core.apply_registers();
+  regs.write(fpga::Reg::kXcorrThreshold, core.correlator().max_metric() / 2);
+  core.apply_registers();
+
+  dsp::NoiseSource noise(0.01, 1);
+  dsp::iqvec samples = dsp::to_iq16(noise.block(16384));
+  const auto rail = [](int coef) {
+    return static_cast<std::int16_t>(coef < 0 ? -8000 : 8000);
+  };
+  for (std::size_t at = 0; at < samples.size(); at += 1024)
+    for (std::size_t k = 0; k < fpga::kCorrelatorLength; ++k)
+      samples[at + k] = dsp::IQ16{rail(tpl.coef_i[k]), rail(tpl.coef_q[k])};
+
+  std::vector<fpga::SamplePeriodOutput> out(samples.size());
+  for (auto _ : state) {
+    core.run_block(samples, out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+  // The share of on-air periods in the last pass.
+  std::size_t on_air = 0;
+  for (const fpga::SamplePeriodOutput& p : out) on_air += p.rf_active ? 1 : 0;
+  state.counters["on_air_frac"] =
+      static_cast<double>(on_air) / static_cast<double>(out.size());
+}
+BENCHMARK(BM_DspCoreRunBlockJamming);
 
 // Same block pass with the full telemetry bundle attached: the core keeps
 // its straight-line block loop and appends event-ring records behind the

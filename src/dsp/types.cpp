@@ -11,11 +11,7 @@ std::int16_t to_q15(float x) noexcept {
   return static_cast<std::int16_t>(std::lrintf(clamped));
 }
 
-float from_q15(std::int16_t x) noexcept { return static_cast<float>(x) / 32768.0f; }
-
 IQ16 to_iq16(cfloat x) noexcept { return IQ16{to_q15(x.real()), to_q15(x.imag())}; }
-
-cfloat from_iq16(IQ16 x) noexcept { return cfloat{from_q15(x.i), from_q15(x.q)}; }
 
 iqvec to_iq16(std::span<const cfloat> in) {
   iqvec out(in.size());

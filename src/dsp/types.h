@@ -30,14 +30,19 @@ using iqvec = std::vector<IQ16>;
 /// Saturating conversion from a float in [-1, 1) to a Q0.15 sample value.
 [[nodiscard]] std::int16_t to_q15(float x) noexcept;
 
-/// Inverse of to_q15: maps int16 full scale back to [-1, 1).
-[[nodiscard]] float from_q15(std::int16_t x) noexcept;
+/// Inverse of to_q15: maps int16 full scale back to [-1, 1). Inline: the
+/// radio's TX scan converts every jamming sample through it.
+[[nodiscard]] inline float from_q15(std::int16_t x) noexcept {
+  return static_cast<float>(x) / 32768.0f;
+}
 
 /// Convert a float baseband sample to the 16-bit fabric representation.
 [[nodiscard]] IQ16 to_iq16(cfloat x) noexcept;
 
 /// Convert a fabric sample back to float baseband.
-[[nodiscard]] cfloat from_iq16(IQ16 x) noexcept;
+[[nodiscard]] inline cfloat from_iq16(IQ16 x) noexcept {
+  return cfloat{from_q15(x.i), from_q15(x.q)};
+}
 
 /// Bulk conversions.
 [[nodiscard]] iqvec to_iq16(std::span<const cfloat> in);

@@ -174,10 +174,23 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
       ++feedback_.jam_triggers;
       feedback_.last_trigger_vita = vita_ticks_;
     }
-    // An idle jammer ignores a false trigger; skip the clocking.
+    // Mid-burst with the FSM disengaged, the period's four clocks are all
+    // on the air, issue one TX sample and change nothing else (a trigger on
+    // the strobe clock is ignored by the busy jammer), so they run as one
+    // step. `tx` is then the strobe clock's view: the sample lands on it
+    // only when the jammer's strobe phase is 0 there.
+    const bool period_step = !fsm_.engaged() && jammer_.mid_burst();
     JammerController::TxOut tx;
-    if (jam || jammer_.busy()) tx = jammer_.clock(jam);
-    fold(rec, tx);
+    if (period_step) {
+      tx.rf_active = true;
+      tx.sample_strobe = jammer_.strobe_due();
+      tx.sample = jammer_.jam_period();
+      rec = SamplePeriodOutput{tx.sample, true, true};
+    } else if (jam || jammer_.busy()) {
+      // An idle jammer ignores a false trigger; skip the clocking.
+      tx = jammer_.clock(jam);
+      fold(rec, tx);
+    }
 
     if constexpr (kTraced) {
       using obs::EventKind;
@@ -223,8 +236,15 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
       probe_xcorr_metric_ = xc.metric;
       probe_energy_sum_ = en.energy_sum;
       probe_rx_ = sample;
+      // A period-step sample that lands on an idle clock reaches the
+      // probe after the strobe snapshot, as it does clock by clock.
+      if (period_step) probe_tx_ = tx.sample;
     }
     ++vita_ticks_;
+    if (period_step) {
+      vita_ticks_ += kClocksPerSample - 1;
+      continue;
+    }
 
     // --- Idle clocks: detector outputs hold low; only the FSM window
     // countdown and the jammer's cycle timers can advance. With no events

@@ -1,5 +1,7 @@
 #include "fpga/jammer_controller.h"
 
+#include <algorithm>
+
 namespace rjf::fpga {
 
 JammerController::JammerController() = default;
@@ -28,8 +30,10 @@ void JammerController::set_host_waveform(std::vector<dsp::IQ16> samples) {
 
 void JammerController::fast_forward(std::uint64_t samples) noexcept {
   std::uint64_t cycles = samples * kClocksPerSample;
-  while (cycles > 0 && state_ != State::kIdle) {
+  while (cycles > 0) {
     switch (state_) {
+      case State::kIdle:
+        return;
       case State::kDelay:
       case State::kInit: {
         const std::uint64_t used =
@@ -50,21 +54,22 @@ void JammerController::fast_forward(std::uint64_t samples) noexcept {
         break;
       }
       case State::kJamming: {
-        const std::uint64_t avail = cycles / kClocksPerSample;
-        const std::uint64_t used = std::min(avail, remaining_samples_.u64());
-        remaining_samples_ = hw::UInt<32>(remaining_samples_.u64() - used);
-        cycles -= used * kClocksPerSample;
-        cycles_jamming_ += used * kClocksPerSample;
-        if (remaining_samples_ == 0) {
-          state_ = State::kIdle;
-        } else {
-          // Fewer than one full sample period left in the gap.
-          cycles = 0;
-        }
+        // Strobes fall at clock offsets first + 4k; the one for the last
+        // remaining sample (k = remaining - 1) ends the burst on its clock.
+        const std::uint64_t first =
+            (kClocksPerSample - strobe_phase_.u64()) % kClocksPerSample;
+        const std::uint64_t to_end =
+            first + (remaining_samples_.u64() - 1) * kClocksPerSample + 1;
+        const std::uint64_t used = std::min(cycles, to_end);
+        const std::uint64_t strobes =
+            used > first ? (used - first - 1) / kClocksPerSample + 1 : 0;
+        remaining_samples_ =
+            hw::UInt<32>(remaining_samples_.u64() - strobes);
+        strobe_phase_ = hw::wrap_u<2>(strobe_phase_.u64() + used);
+        if (remaining_samples_ == 0) state_ = State::kIdle;
+        cycles -= used;
         break;
       }
-      case State::kIdle:
-        break;
     }
   }
 }
@@ -76,7 +81,6 @@ void JammerController::reset() noexcept {
   strobe_phase_ = hw::UInt<2>();
   playback_pos_ = 0;
   jam_count_ = 0;
-  cycles_jamming_ = 0;
 }
 
 }  // namespace rjf::fpga

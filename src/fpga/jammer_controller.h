@@ -30,6 +30,41 @@ inline constexpr std::size_t kReplayMask = kReplayDepth - 1;
 inline constexpr std::uint32_t kTxInitCycles = 8;  // 1 trigger + 7 DUC fill
 inline constexpr std::uint32_t kClocksPerSample = 4;  // 100 MHz / 25 MSPS
 
+// Four Galois steps of the noise LFSR, as two lookups. The step
+// s -> (s >> 1) ^ (s & 1 ? taps : 0) is linear over GF(2), and a state whose
+// low 4 bits are clear just shifts through four steps, so four steps give
+// (s >> 4) ^ feedback4[s & 0xF]. The low byte after step j <= 4 depends
+// only on state bits 0..j+7 (bits j..j+7 shifted down, plus the feedback
+// of bits 0..j-1), so the four low bytes' sum is a function of bits 0..11:
+// sum4[s & 0xFFF]. Both tables are built by stepping the LFSR itself.
+struct LfsrJumpTables {
+  std::array<hw::UInt<10>, 4096> sum4{};    // <= 4 * 255 = 1020
+  std::array<hw::UInt<32>, 16> feedback4{};
+};
+
+inline constexpr hw::UInt<32> kLfsrTaps{0xB4BCD35Cu};  // taps 32,31,29,1
+
+consteval LfsrJumpTables build_lfsr_jump_tables() {
+  LfsrJumpTables t;
+  for (std::uint32_t v = 0; v < t.sum4.size(); ++v) {
+    hw::UInt<32> s(v);
+    hw::UInt<10> acc;
+    for (int k = 0; k < 4; ++k) {
+      // Galois step: logical shift right (the top bit refills with zero),
+      // then conditionally apply the tap mask.
+      const bool lsb = s.truncate<1>() == 1u;
+      s = s.shr<1>().zext<32>();
+      if (lsb) s = s ^ kLfsrTaps;
+      acc = (acc + s.truncate<8>()).narrow<10>();
+    }
+    t.sum4[v] = acc;
+    if (v < t.feedback4.size()) t.feedback4[v] = s;
+  }
+  return t;
+}
+
+inline constexpr LfsrJumpTables kLfsrJump = build_lfsr_jump_tables();
+
 class JammerController {
  public:
   JammerController();
@@ -98,7 +133,6 @@ class JammerController {
         break;
       case State::kJamming:
         out.rf_active = true;
-        ++cycles_jamming_;
         if (strobe_phase_ == 0) {
           out.sample_strobe = true;
           out.sample = next_waveform_sample();
@@ -111,9 +145,36 @@ class JammerController {
     return out;
   }
 
-  /// Advance `samples` baseband sample periods without per-clock work,
-  /// resolving delay/init/uptime countdowns arithmetically. Used by the
-  /// network simulation to skip idle air time; exact w.r.t. jam scheduling.
+  /// True when the next sample period (kClocksPerSample clocks) is on the
+  /// air end to end and the burst outlives it: kJamming with at least two
+  /// samples left. Such a period issues exactly one TX sample, because the
+  /// 2-bit strobe phase passes 0 once in any four clocks.
+  [[nodiscard]] bool mid_burst() const noexcept {
+    return state_ == State::kJamming && remaining_samples_ > 1u;
+  }
+
+  /// True when the next clock issues a TX sample (the strobe phase is 0).
+  [[nodiscard]] bool strobe_due() const noexcept { return strobe_phase_ == 0; }
+
+  /// Advance one whole sample period while mid_burst() and return the TX
+  /// sample it issues. Bit-identical to kClocksPerSample clock() calls:
+  /// the busy jammer ignores a trigger on any of them, the burst loses one
+  /// sample, and the strobe phase wraps back to where it started.
+  [[nodiscard]] dsp::IQ16 jam_period() noexcept {
+    remaining_samples_ = hw::wrap_dec(remaining_samples_);
+    return next_waveform_sample();
+  }
+
+  /// Advance `samples` baseband sample periods (kClocksPerSample clocks
+  /// each, no triggers) without per-clock work, resolving the delay/init
+  /// countdowns and the burst's strobe schedule arithmetically. Exact
+  /// w.r.t. jam scheduling: state, remaining uptime and strobe phase end up
+  /// where clocking would leave them, so busy(), rf_active() and every
+  /// later clock's rf_active/sample_strobe match. The waveform does not
+  /// advance across the gap: the LFSR, replay and host-stream positions
+  /// stay where they were, as if the skipped samples were never generated.
+  /// Used to skip air time the host never saw (overflow gaps, idle air in
+  /// the network simulation).
   void fast_forward(std::uint64_t samples) noexcept;
 
   /// True while jamming energy is on the air.
@@ -123,9 +184,6 @@ class JammerController {
 
   [[nodiscard]] bool busy() const noexcept { return state_ != State::kIdle; }
   [[nodiscard]] std::uint64_t jam_count() const noexcept { return jam_count_; }
-  [[nodiscard]] std::uint64_t cycles_jamming() const noexcept {
-    return cycles_jamming_;
-  }
 
   void reset() noexcept;
 
@@ -175,17 +233,13 @@ class JammerController {
   // On-fabric noise generator: 32-bit Galois LFSR feeding a CLT shaper.
   hw::UInt<32> lfsr_{0xACE1ACE1u};
   [[nodiscard]] std::int16_t lfsr_gaussian() noexcept {
-    // Sum of four 8-bit uniform variates, centred: a cheap CLT Gaussian
-    // approximation matching what fits in fabric logic.
-    hw::UInt<10> acc;  // 4 * 255 tops out at 1020
-    for (int k = 0; k < 4; ++k) {
-      const bool lsb = lfsr_.truncate<1>() == 1u;
-      // Galois step: logical shift right (the top bit refills with zero),
-      // then conditionally apply the tap mask.
-      lfsr_ = lfsr_.shr<1>().zext<32>();
-      if (lsb) lfsr_ = lfsr_ ^ hw::UInt<32>(0xB4BCD35Cu);  // taps 32,31,29,1
-      acc = (acc + lfsr_.truncate<8>()).narrow<10>();
-    }
+    // Sum of four 8-bit uniform variates (the low byte after each of four
+    // Galois steps), centred: a cheap CLT Gaussian approximation matching
+    // what fits in fabric logic. The four steps are one jump-table lookup
+    // each for the sum and the next state (see LfsrJumpTables).
+    const hw::UInt<10> acc = kLfsrJump.sum4[lfsr_.truncate<12>().u64()];
+    lfsr_ = lfsr_.shr<4>().zext<32>() ^
+            kLfsrJump.feedback4[lfsr_.truncate<4>().u64()];
     // acc in [0, 1020]; centre and scale to ~1/4 full scale RMS. The
     // centred value rides in Int<12>, the scaled product in Int<18>, and
     // |result| <= 12240 fits the 16-bit DAC rail exactly.
@@ -195,7 +249,6 @@ class JammerController {
   }
 
   std::uint64_t jam_count_ = 0;
-  std::uint64_t cycles_jamming_ = 0;
 };
 
 }  // namespace rjf::fpga

@@ -85,10 +85,6 @@ dsp::iqvec Adc::convert(std::span<const dsp::cfloat> in) const {
   return out;
 }
 
-dsp::cfloat Dac::sample(dsp::IQ16 in) const noexcept {
-  return dsp::from_iq16(in);
-}
-
 dsp::cvec Dac::convert(std::span<const dsp::IQ16> in) const {
   dsp::cvec out(in.size());
   std::transform(in.begin(), in.end(), out.begin(),

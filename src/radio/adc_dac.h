@@ -39,7 +39,9 @@ class Adc {
 /// 16-bit DAC: fabric samples back to float baseband.
 class Dac {
  public:
-  [[nodiscard]] dsp::cfloat sample(dsp::IQ16 in) const noexcept;
+  [[nodiscard]] dsp::cfloat sample(dsp::IQ16 in) const noexcept {
+    return dsp::from_iq16(in);
+  }
   [[nodiscard]] dsp::cvec convert(std::span<const dsp::IQ16> in) const;
 };
 

@@ -115,17 +115,24 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
     const auto chunk = std::span(periods).first(len);
     core_.run_block(rx.subspan(n, len), chunk);
 
-    // Scan the per-sample records for TX samples and jam-burst boundaries.
-    for (std::size_t m = 0; m < len; ++m) {
-      const fpga::SamplePeriodOutput& p = chunk[m];
-      if (p.tx_strobe) result.tx[n + m] = dac_.sample(p.tx);
-      if (p.rf_active && !burst_open) {
-        result.bursts.push_back(JamBurst{n + m, 0});
-        burst_open = true;
-      } else if (!p.rf_active && burst_open) {
+    // Scan the per-sample records one run at a time. A TX sample is only
+    // ever issued on the air, so an idle record just closes the open
+    // burst, and each on-air run converts its TX samples and adds its
+    // length to the burst once.
+    for (std::size_t m = 0; m < len;) {
+      if (!chunk[m].rf_active) {
         burst_open = false;
+        ++m;
+        continue;
       }
-      if (burst_open) ++result.bursts.back().length;
+      const std::size_t run_start = m;
+      for (; m < len && chunk[m].rf_active; ++m)
+        if (chunk[m].tx_strobe) result.tx[n + m] = dac_.sample(chunk[m].tx);
+      if (!burst_open) {
+        result.bursts.push_back(JamBurst{n + run_start, 0});
+        burst_open = true;
+      }
+      result.bursts.back().length += m - run_start;
     }
     n = end;
   }

@@ -16,6 +16,7 @@
 #include "fpga/cross_correlator.h"
 #include "fpga/dsp_core.h"
 #include "phy80211/preamble.h"
+#include "tests/ring_recording.h"
 
 namespace rjf::fpga {
 namespace {
@@ -274,6 +275,165 @@ TEST(RunBlockEquivalence, MillionSampleStreamBitIdentical) {
   EXPECT_GT(block_core.feedback().jam_triggers, 0u);
   EXPECT_GT(block_core.feedback().xcorr_detections, 0u);
   EXPECT_GT(block_core.feedback().energy_high_detections, 0u);
+}
+
+struct JamHeavyTotals {
+  std::uint64_t periods = 0;  // sample periods of the > 3-sample uptimes
+  std::uint64_t on_air = 0;   // ... and how many of them were on the air
+  std::uint64_t jam_triggers = 0;
+};
+
+// One jam-heavy case: short-preamble bursts every 100-2500 samples on a
+// noise floor, a 1-stage (xcorr) or 2-stage (energy rise, then xcorr)
+// trigger, the given waveform, a random delay (0-3) and an uptime of
+// class 0-4: 1, 2 or 3 samples, up to 3000, or past stream_fabric's
+// 8192-sample chunk. run_block() takes random splits; the reference clocks
+// every sample through tick().
+void run_jam_heavy_case(std::uint64_t seed, JamWaveform waveform,
+                        int uptime_class, int stages, bool traced,
+                        std::uint32_t xcorr_threshold, const dsp::iqvec& burst,
+                        JamHeavyTotals& totals) {
+  dsp::Xoshiro256 rng(seed);
+  const auto delay = static_cast<std::uint32_t>(rng.uniform_int(4));
+  const std::uint32_t uptime =
+      uptime_class < 3 ? static_cast<std::uint32_t>(uptime_class + 1)
+      : uptime_class == 3
+          ? static_cast<std::uint32_t>(1 + rng.uniform_int(3000))
+          : static_cast<std::uint32_t>(8193 + rng.uniform_int(8000));
+  SCOPED_TRACE(::testing::Message()
+               << "waveform " << static_cast<int>(waveform) << " delay "
+               << delay << " uptime " << uptime << " stages " << stages
+               << (traced ? " traced" : " plain"));
+  std::vector<dsp::IQ16> host_wave(1 + rng.uniform_int(100));
+  for (dsp::IQ16& v : host_wave)
+    v = dsp::IQ16{
+        static_cast<std::int16_t>(static_cast<int>(rng.uniform_int(4001)) - 2000),
+        static_cast<std::int16_t>(static_cast<int>(rng.uniform_int(4001)) - 2000)};
+
+  DspCore tick_core;
+  DspCore block_core;
+  for (DspCore* core : {&tick_core, &block_core}) {
+    auto& regs = core->registers();
+    program_template(regs, core::wifi_short_preamble_template());
+    regs.write(Reg::kXcorrThreshold, xcorr_threshold);
+    regs.write(Reg::kEnergyThreshHigh, core::energy_threshold_q88_from_db(6.0));
+    regs.write(Reg::kEnergyThreshLow, core::energy_threshold_q88_from_db(6.0));
+    regs.write(Reg::kEnergyFloor, 1000);
+    if (stages == 1)
+      regs.set_trigger_stages(kEventXcorr, 0, 0);
+    else
+      regs.set_trigger_stages(kEventEnergyHigh, kEventXcorr, 0);
+    regs.write(Reg::kTriggerWindow, 4096);
+    regs.set_jammer(waveform, true, static_cast<std::uint16_t>(delay));
+    regs.write(Reg::kJamDuration, uptime);
+    core->apply_registers();
+    core->jammer().set_host_waveform(host_wave);
+  }
+
+  obs::RingConfig cfg;
+  cfg.strobe_sample_period = static_cast<std::uint32_t>(1 + rng.uniform_int(16));
+  obs::EventRing tick_ring(cfg);
+  obs::EventRing block_ring(cfg);
+  test::RecordingSink tick_sink;
+  test::RecordingSink block_sink;
+  if (traced) {
+    tick_ring.set_consumer(&tick_sink, /*inline_drain=*/true);
+    block_ring.set_consumer(&block_sink, /*inline_drain=*/true);
+    tick_core.set_ring(&tick_ring);
+    block_core.set_ring(&block_ring);
+  }
+
+  // Air: noise floor with a preamble burst every 100-2500 samples, long
+  // enough that a > 8192-sample burst straddles run_block splits of every
+  // size and stream_fabric's chunking.
+  dsp::NoiseSource noise(0.002, dsp::derive_seed(seed, 1));
+  dsp::iqvec air;
+  const std::size_t total = uptime > 8192 ? 3 * std::size_t{uptime} : 24'000;
+  while (air.size() < total) {
+    const std::size_t gap = 100 + rng.uniform_int(2400);
+    for (std::size_t k = 0; k < gap; ++k)
+      air.push_back(dsp::to_iq16(noise.sample()));
+    air.insert(air.end(), burst.begin(), burst.end());
+  }
+
+  std::vector<SamplePeriodOutput> block_out;
+  std::size_t pos = 0;
+  while (pos < air.size()) {
+    // Now and then 1-3 raw clocks and a skipped gap: fast_forward() realigns
+    // the core's strobe divider but not a busy jammer's, so the bursts in
+    // flight issue their samples on idle clocks from then on.
+    if (rng.uniform_int(8) == 0) {
+      const std::uint64_t raw = 1 + rng.uniform_int(3);
+      const std::uint64_t gap = 1 + rng.uniform_int(50);
+      for (DspCore* core : {&tick_core, &block_core}) {
+        for (std::uint64_t c = 0; c < raw; ++c) (void)core->tick(std::nullopt);
+        core->fast_forward(gap);
+      }
+    }
+    const std::size_t want = rng.uniform_int(4) == 0
+                                 ? 1 + rng.uniform_int(8)
+                                 : 1 + rng.uniform_int(12'000);
+    const std::size_t len = std::min(want, air.size() - pos);
+    const auto chunk = std::span(air).subspan(pos, len);
+    block_out.resize(len);
+    block_core.run_block(chunk, block_out);
+    for (std::size_t k = 0; k < len; ++k) {
+      expect_records_equal(block_out[k], tick_period(tick_core, chunk[k]),
+                           pos + k);
+      if (::testing::Test::HasFatalFailure()) return;
+      if (uptime > 3) totals.on_air += block_out[k].rf_active ? 1 : 0;
+    }
+    // The tick path drains at the same block boundaries run_block does.
+    if (traced) tick_ring.drain_if_inline();
+    expect_feedback_equal(block_core.feedback(), tick_core.feedback());
+    if (::testing::Test::HasFatalFailure()) return;
+    pos += len;
+  }
+  ASSERT_EQ(block_core.jammer().jam_count(), tick_core.jammer().jam_count());
+  if (uptime > 3) totals.periods += air.size();
+  totals.jam_triggers += block_core.feedback().jam_triggers;
+  if (traced) {
+    ASSERT_EQ(block_ring.dropped(), 0u);
+    ASSERT_EQ(tick_ring.dropped(), 0u);
+    ASSERT_FALSE(block_sink.seen.empty());
+    test::expect_same_records(block_sink.seen, tick_sink.seen);
+  }
+}
+
+TEST(RunBlockEquivalence, JamHeavyAirBitIdentical) {
+  // Air on which the jammer is mid-burst in most sample periods, so
+  // run_block() takes its one-step-per-period path most of the time, and
+  // leaves it on every burst edge and whenever the 2-stage FSM engages.
+  const dsp::iqvec burst = fabric_preamble(phy80211::short_preamble(), 0.5f);
+  std::uint32_t peak = 0;
+  {
+    CrossCorrelator c;
+    const auto tpl = core::wifi_short_preamble_template();
+    c.set_coefficients(tpl.coef_i, tpl.coef_q);
+    for (const auto s : burst) peak = std::max(peak, c.step(s).metric);
+  }
+  ASSERT_GT(peak, 0u);
+
+  constexpr std::uint64_t kSeed = 0x5EED'0019'B10Cu;
+  JamHeavyTotals totals;
+  std::uint64_t index = 0;
+  for (const JamWaveform waveform :
+       {JamWaveform::kWhiteNoise, JamWaveform::kReplay,
+        JamWaveform::kHostStream}) {
+    for (int u = 0; u < 5; ++u) {  // uptime class
+      for (const int stages : {1, 2}) {
+        for (const bool traced : {false, true}) {
+          run_jam_heavy_case(dsp::derive_seed(kSeed, index++), waveform, u,
+                             stages, traced, peak / 2, burst, totals);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  // The comparison proves nothing unless the jammer fired often and, with
+  // the longer uptimes, was on the air in most periods.
+  EXPECT_GT(totals.jam_triggers, 500u);
+  EXPECT_GT(totals.on_air * 2, totals.periods);
 }
 
 TEST(RunBlockEquivalence, MisalignedStrobePhaseFallsBackToTickCadence) {

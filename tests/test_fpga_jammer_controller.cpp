@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "dsp/rng.h"
+
 namespace rjf::fpga {
 namespace {
 
@@ -151,24 +156,68 @@ TEST(JammerController, WhiteNoiseIsNonConstantAndBounded) {
   }
 }
 
-TEST(JammerController, FastForwardMatchesClockedUptime) {
-  // fast_forward must land in the same state as explicit clocking.
-  JammerController a, b;
-  for (auto* ctl : {&a, &b})
-    ctl->configure(JamWaveform::kWhiteNoise, true, 5, 50);
-  (void)a.clock(true);
-  (void)b.clock(true);
+// Clock `ctl` for `n` clocks with no trigger.
+void clock_idle(JammerController& ctl, std::uint64_t n) {
+  for (std::uint64_t k = 0; k < n; ++k) (void)ctl.clock(false);
+}
 
-  // a: clocked for 30 sample periods; b: fast-forwarded the same span.
-  for (std::uint32_t k = 0; k < 30 * kClocksPerSample; ++k) (void)a.clock(false);
-  b.fast_forward(30);
-  EXPECT_EQ(a.busy(), b.busy());
+// fast_forward(n) must leave the jammer where 4n untriggered clocks leave
+// it: the same busy() and rf_active(), and the same rf_active and
+// sample_strobe on every later clock. The waveform is not compared: by
+// contract it does not advance across the gap.
+void expect_fast_forward_matches_clocking(JamWaveform waveform,
+                                          std::uint32_t delay,
+                                          std::uint32_t uptime,
+                                          std::uint64_t pre_roll,
+                                          std::uint64_t gap) {
+  JammerController clocked;
+  JammerController skipped;
+  for (JammerController* ctl : {&clocked, &skipped}) {
+    ctl->configure(waveform, true, delay, uptime);
+    (void)ctl->clock(true);
+    clock_idle(*ctl, pre_roll);
+  }
+  clock_idle(clocked, gap * kClocksPerSample);
+  skipped.fast_forward(gap);
+  SCOPED_TRACE(::testing::Message()
+               << "delay " << delay << " uptime " << uptime << " pre-roll "
+               << pre_roll << " gap " << gap);
+  ASSERT_EQ(clocked.busy(), skipped.busy());
+  ASSERT_EQ(clocked.rf_active(), skipped.rf_active());
+  for (int k = 0; k < 100; ++k) {
+    const auto a = clocked.clock(false);
+    const auto b = skipped.clock(false);
+    ASSERT_EQ(a.rf_active, b.rf_active) << "clock " << k;
+    ASSERT_EQ(a.sample_strobe, b.sample_strobe) << "clock " << k;
+  }
+  EXPECT_EQ(clocked.jam_count(), skipped.jam_count());
+}
 
-  // Continue both to completion and compare total jam extent.
-  for (std::uint32_t k = 0; k < 200 * kClocksPerSample; ++k) (void)a.clock(false);
-  b.fast_forward(200);
-  EXPECT_FALSE(a.busy());
-  EXPECT_FALSE(b.busy());
+TEST(JammerController, FastForwardMatchesClockedScheduling) {
+  // The minimal case that used to fail: the 1-3 clocks left over when
+  // kInit ended mid-period were dropped, so the one-sample burst outlived
+  // its clocked twin.
+  expect_fast_forward_matches_clocking(JamWaveform::kWhiteNoise, 0, 1, 0, 2);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Random delay (0-3), uptime (1-12) and gap; the pre-roll after the
+  // trigger clock is whole sample periods plus 0-3 clocks (3 is where
+  // DspCore leaves it: triggers fire on strobe clocks), so the gap starts
+  // at every strobe phase of every state.
+  constexpr std::uint64_t kSeed = 0x5EED'0019;
+  constexpr std::uint64_t kCases = 50'000;
+  for (std::uint64_t c = 0; c < kCases; ++c) {
+    dsp::Xoshiro256 rng(dsp::derive_seed(kSeed, c));
+    const auto waveform = static_cast<JamWaveform>(rng.uniform_int(3));
+    const auto delay = static_cast<std::uint32_t>(rng.uniform_int(4));
+    const auto uptime = static_cast<std::uint32_t>(1 + rng.uniform_int(12));
+    const std::uint64_t pre_roll =
+        kClocksPerSample * rng.uniform_int(16) + rng.uniform_int(4);
+    const std::uint64_t gap = rng.uniform_int(24);
+    expect_fast_forward_matches_clocking(waveform, delay, uptime, pre_roll,
+                                         gap);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(JammerController, FastForwardThroughIdleIsNoop) {
@@ -177,6 +226,132 @@ TEST(JammerController, FastForwardThroughIdleIsNoop) {
   ctl.fast_forward(100000);
   EXPECT_FALSE(ctl.busy());
   EXPECT_EQ(ctl.jam_count(), 0u);
+}
+
+// Test-local per-step model of the on-fabric noise generator: the 32-bit
+// Galois LFSR stepped once per 8-bit uniform variate, four variates per
+// rail, centred and scaled the way the controller documents.
+class GaloisNoiseModel {
+ public:
+  explicit GaloisNoiseModel(std::uint32_t state) : state_(state) {}
+
+  // One Galois step: shift right, apply the taps if a 1 was shifted out.
+  void step() {
+    const bool lsb = (state_ & 1u) != 0;
+    state_ >>= 1;
+    if (lsb) state_ ^= 0xB4BCD35Cu;
+  }
+
+  // Four steps, summing the low byte after each.
+  int sum4() {
+    int acc = 0;
+    for (int k = 0; k < 4; ++k) {
+      step();
+      acc += static_cast<int>(state_ & 0xFFu);
+    }
+    return acc;
+  }
+
+  dsp::IQ16 sample() {
+    const auto rail = [&] {
+      return static_cast<std::int16_t>((sum4() - 510) * 24);
+    };
+    const std::int16_t i = rail();
+    const std::int16_t q = rail();
+    return dsp::IQ16{i, q};
+  }
+
+  [[nodiscard]] std::uint32_t state() const { return state_; }
+
+ private:
+  std::uint32_t state_;
+};
+
+TEST(JammerController, LfsrJumpTablesMatchPerStepGaloisModel) {
+  // From arbitrary states, one lookup pair equals four single steps.
+  constexpr std::uint64_t kSeed = 0x5EED'0019'1F5Bu;
+  dsp::Xoshiro256 rng(dsp::derive_seed(kSeed, 0));
+  for (int k = 0; k < 1'000'000; ++k) {
+    const auto s = static_cast<std::uint32_t>(rng.next());
+    GaloisNoiseModel model(s);
+    const int acc = model.sum4();
+    ASSERT_EQ(kLfsrJump.sum4[s & 0xFFFu].u64(), static_cast<std::uint64_t>(acc))
+        << "state " << s;
+    ASSERT_EQ((s >> 4) ^ kLfsrJump.feedback4[s & 0xFu].u64(), model.state())
+        << "state " << s;
+  }
+}
+
+TEST(JammerController, WhiteNoiseMatchesPerStepGaloisModel) {
+  // Several bursts, each starting from the LFSR state the previous one left
+  // behind, with samples drawn alternately clock by clock and by whole
+  // sample periods: more than a million draws, all equal to the model's.
+  JammerController ctl;
+  GaloisNoiseModel model(0xACE1ACE1u);  // the fabric's power-on state
+  std::uint64_t draws = 0;
+  for (const std::uint32_t uptime : {1u, 7u, 2'500u, 300'000u, 800'000u}) {
+    ctl.configure(JamWaveform::kWhiteNoise, true, 0, uptime);
+    (void)ctl.clock(true);
+    while (ctl.busy()) {
+      if (ctl.mid_burst() && (draws & 1u) != 0) {
+        ASSERT_EQ(ctl.jam_period(), model.sample()) << "draw " << draws;
+        ++draws;
+        continue;
+      }
+      const auto out = ctl.clock(false);
+      if (!out.sample_strobe) continue;
+      ASSERT_EQ(out.sample, model.sample()) << "draw " << draws;
+      ++draws;
+    }
+  }
+  EXPECT_GE(draws, 1'000'000u);
+}
+
+TEST(JammerController, PeriodStepMatchesFourClocks) {
+  // jam_period() against four clock() calls from every strobe phase, with
+  // a trigger on the first clock (the busy jammer must ignore it).
+  for (const JamWaveform waveform :
+       {JamWaveform::kWhiteNoise, JamWaveform::kReplay,
+        JamWaveform::kHostStream}) {
+    for (std::uint64_t phase = 0; phase < kClocksPerSample; ++phase) {
+      JammerController stepped;
+      JammerController clocked;
+      for (JammerController* ctl : {&stepped, &clocked}) {
+        ctl->configure(waveform, true, 0, 6);
+        ctl->set_host_waveform({dsp::IQ16{1, 2}, dsp::IQ16{3, 4},
+                                dsp::IQ16{5, 6}});
+        for (std::int16_t k = 0; k < 512; ++k)
+          ctl->record_rx(dsp::IQ16{k, static_cast<std::int16_t>(-k)});
+        (void)ctl->clock(true);
+        clock_idle(*ctl, kTxInitCycles - 1 + phase);
+      }
+      while (stepped.mid_burst()) {
+        const bool due = stepped.strobe_due();
+        const dsp::IQ16 got = stepped.jam_period();
+        std::uint32_t strobes = 0;
+        for (std::uint32_t c = 0; c < kClocksPerSample; ++c) {
+          const auto out = clocked.clock(c == 0);
+          ASSERT_TRUE(out.rf_active);
+          if (!out.sample_strobe) continue;
+          ++strobes;
+          ASSERT_EQ(out.sample, got);
+          ASSERT_EQ(c == 0, due);
+        }
+        ASSERT_EQ(strobes, 1u);
+      }
+      ASSERT_TRUE(clocked.busy());
+      ASSERT_TRUE(stepped.busy());
+      EXPECT_EQ(stepped.jam_count(), clocked.jam_count());
+      for (int k = 0; k < 16; ++k) {
+        const auto a = stepped.clock(false);
+        const auto b = clocked.clock(false);
+        ASSERT_EQ(a.rf_active, b.rf_active);
+        ASSERT_EQ(a.sample_strobe, b.sample_strobe);
+        ASSERT_EQ(a.sample, b.sample);
+      }
+      EXPECT_FALSE(stepped.busy());
+    }
+  }
 }
 
 TEST(JammerController, LoadFromRegisters) {

@@ -22,6 +22,7 @@
 #include "fpga/cross_correlator.h"
 #include "obs/event_ring.h"
 #include "radio/usrp_n210.h"
+#include "tests/ring_recording.h"
 
 namespace rjf::radio {
 namespace {
@@ -90,59 +91,6 @@ UsrpN210::StreamResult reference_stream(UsrpN210& radio,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Ring consumer: keeps every record it is handed, in order.
-
-struct Seen {
-  bool strobe = false;
-  obs::EventKind kind = obs::EventKind::kXcorrTrigger;
-  obs::FabricSignals signals;  // strobe records
-  std::uint64_t vita_ticks = 0;
-  std::uint64_t value = 0;
-};
-
-class RecordingSink final : public obs::FabricSink {
- public:
-  void on_event(obs::EventKind kind, std::uint64_t vita_ticks,
-                std::uint64_t value) override {
-    // The wall-clock payload is the one nondeterministic field.
-    if (kind == obs::EventKind::kStreamWall) value = 0;
-    seen.push_back(Seen{false, kind, {}, vita_ticks, value});
-  }
-  void on_strobe(const obs::FabricSignals& s) override {
-    seen.push_back(Seen{true, obs::EventKind::kXcorrTrigger, s, s.vita_ticks, 0});
-  }
-  std::vector<Seen> seen;
-};
-
-void expect_same_records(const std::vector<Seen>& got,
-                         const std::vector<Seen>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    const Seen& a = got[k];
-    const Seen& b = want[k];
-    ASSERT_EQ(a.strobe, b.strobe) << "record " << k;
-    ASSERT_EQ(a.vita_ticks, b.vita_ticks) << "record " << k;
-    if (!a.strobe) {
-      ASSERT_EQ(a.kind, b.kind) << "record " << k;
-      ASSERT_EQ(a.value, b.value) << "record " << k;
-      continue;
-    }
-    const obs::FabricSignals& s = a.signals;
-    const obs::FabricSignals& t = b.signals;
-    ASSERT_EQ(s.rx, t.rx) << "record " << k;
-    ASSERT_EQ(s.xcorr_metric, t.xcorr_metric) << "record " << k;
-    ASSERT_EQ(s.energy_sum, t.energy_sum) << "record " << k;
-    ASSERT_EQ(s.fsm_stage, t.fsm_stage) << "record " << k;
-    ASSERT_EQ(s.xcorr_trigger, t.xcorr_trigger) << "record " << k;
-    ASSERT_EQ(s.energy_high, t.energy_high) << "record " << k;
-    ASSERT_EQ(s.energy_low, t.energy_low) << "record " << k;
-    ASSERT_EQ(s.jam_trigger, t.jam_trigger) << "record " << k;
-    ASSERT_EQ(s.rf_active, t.rf_active) << "record " << k;
-    ASSERT_EQ(s.tx, t.tx) << "record " << k;
-  }
-}
-
 void expect_same_result(const UsrpN210::StreamResult& got,
                         const UsrpN210::StreamResult& want) {
   ASSERT_EQ(got.tx.size(), want.tx.size());
@@ -178,7 +126,7 @@ std::int16_t rand_rail(dsp::Xoshiro256& rng, std::int32_t amp) {
 
 // A full register image but the correlator threshold: correlator taps,
 // detector thresholds, FSM stages and window, jammer waveform, delay (0..3)
-// and uptime (1..300).
+// and uptime (1..300, or 2000..11999).
 fpga::RegisterFile random_personality(dsp::Xoshiro256& rng) {
   fpga::RegisterFile regs;
   for (std::size_t k = 0; k < fpga::kCorrelatorLength; ++k) {
@@ -204,8 +152,13 @@ fpga::RegisterFile random_personality(dsp::Xoshiro256& rng) {
   regs.set_jammer(static_cast<fpga::JamWaveform>(rng.uniform_int(3)),
                   rng.uniform_int(8) != 0,
                   static_cast<std::uint16_t>(rng.uniform_int(4)));
+  // Short bursts, or (one in four) bursts long enough to straddle blocks
+  // and stream_fabric's 8192-sample chunks, so the fabric's one-step-per-
+  // period path runs for most of their length.
   regs.write(fpga::Reg::kJamDuration,
-             static_cast<std::uint32_t>(1 + rng.uniform_int(300)));
+             static_cast<std::uint32_t>(
+                 rng.uniform_int(4) == 0 ? 2000 + rng.uniform_int(10'000)
+                                         : 1 + rng.uniform_int(300)));
   return regs;
 }
 
@@ -327,8 +280,8 @@ void run_trial(std::uint64_t trial, bool traced, Totals& totals) {
       static_cast<std::uint32_t>(1 + rng.uniform_int(16));
   obs::EventRing fast_ring(cfg);
   obs::EventRing ref_ring(cfg);
-  RecordingSink fast_sink;
-  RecordingSink ref_sink;
+  test::RecordingSink fast_sink;
+  test::RecordingSink ref_sink;
   for (UsrpN210* radio : {&fast, &ref}) {
     for (std::size_t r = 0; r < fpga::kNumUserRegisters; ++r)
       radio->write_register_now(static_cast<fpga::Reg>(r),
@@ -401,7 +354,7 @@ void run_trial(std::uint64_t trial, bool traced, Totals& totals) {
     EXPECT_EQ(fast_ring.dropped(), 0u);
     EXPECT_EQ(ref_ring.dropped(), 0u);
     EXPECT_FALSE(fast_sink.seen.empty());
-    expect_same_records(fast_sink.seen, ref_sink.seen);
+    test::expect_same_records(fast_sink.seen, ref_sink.seen);
   }
 }
 
