@@ -8,8 +8,9 @@
 // Besides the console table, the run emits a machine-readable summary to
 // BENCH_fabric.json (override the path with RJF_BENCH_JSON): samples/s per
 // stage plus the bit-parallel and block-processing speedup ratios over the
-// scalar / per-tick reference paths, so the perf trajectory is trackable
-// across commits.
+// scalar / per-tick reference paths, the batched correlator's speedup over
+// step() and the SIMD tier that produced it, so the perf trajectory is
+// trackable across commits.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include "core/templates.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
+#include "dsp/simd/dispatch.h"
 #include "fpga/dsp_core.h"
 #include "obs/telemetry.h"
 #include "radio/usrp_n210.h"
@@ -161,6 +163,29 @@ void BM_CrossCorrelatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossCorrelatorStep);
 
+// The same buffer through the block entry point run_block uses: the
+// batched kernel of this host's SIMD tier, or the step() loop where the
+// tier has none (xcorr_block_speedup then reads ~1).
+void BM_CrossCorrelatorBlock(benchmark::State& state) {
+  fpga::CrossCorrelator corr;
+  const auto tpl = core::wifi_long_preamble_template();
+  corr.set_coefficients(tpl.coef_i, tpl.coef_q);
+  dsp::NoiseSource noise(0.01, 2);
+  const dsp::iqvec samples = dsp::to_iq16(noise.block(4096));
+  std::vector<std::uint32_t> metric(fpga::kMetricBlock);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (std::size_t m = 0; m < samples.size(); m += metric.size()) {
+      corr.metrics(std::span(samples).subspan(m, metric.size()), metric);
+      for (const std::uint32_t v : metric) acc += v;
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_CrossCorrelatorBlock);
+
 void BM_CrossCorrelatorStepReference(benchmark::State& state) {
   fpga::CrossCorrelator corr;
   const auto tpl = core::wifi_long_preamble_template();
@@ -253,10 +278,15 @@ int main(int argc, char** argv) {
   for (const auto& [name, rate] : collector.rates())
     json.set(name + "_items_per_s", rate);
 
+  json.set("simd_isa",
+           std::string(dsp::simd::isa_name(dsp::simd::active_isa())));
   const double ref = collector.rate("BM_CrossCorrelatorStepReference");
   const double fast = collector.rate("BM_CrossCorrelatorStep");
   if (ref > 0.0 && fast > 0.0)
     json.set("xcorr_bitparallel_speedup", fast / ref);
+  const double batched = collector.rate("BM_CrossCorrelatorBlock");
+  if (fast > 0.0 && batched > 0.0)
+    json.set("xcorr_block_speedup", batched / fast);
   const double tick = collector.rate("BM_DspCoreTick");
   const double block = collector.rate("BM_DspCoreRunBlock");
   if (tick > 0.0 && block > 0.0)

@@ -8,8 +8,14 @@ namespace {
 Isa detect() noexcept {
   const char* veto = std::getenv("RJF_DISABLE_SIMD");
   if (veto != nullptr && veto[0] != '\0') return Isa::kScalar;
-#if defined(RJF_SIMD_HAVE_AVX2) || defined(RJF_SIMD_HAVE_SSE42)
+#if defined(RJF_SIMD_HAVE_AVX512) || defined(RJF_SIMD_HAVE_AVX2) || \
+    defined(RJF_SIMD_HAVE_SSE42)
 #if defined(__GNUC__) || defined(__clang__)
+#if defined(RJF_SIMD_HAVE_AVX512)
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512vpopcntdq"))
+    return Isa::kAvx512;
+#endif
 #if defined(RJF_SIMD_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
 #endif
@@ -29,7 +35,9 @@ Isa active_isa() noexcept {
 }
 
 Isa compiled_isa() noexcept {
-#if defined(RJF_SIMD_HAVE_AVX2)
+#if defined(RJF_SIMD_HAVE_AVX512)
+  return Isa::kAvx512;
+#elif defined(RJF_SIMD_HAVE_AVX2)
   return Isa::kAvx2;
 #elif defined(RJF_SIMD_HAVE_SSE42)
   return Isa::kSse42;
@@ -43,6 +51,7 @@ const char* isa_name(Isa isa) noexcept {
     case Isa::kScalar: return "scalar";
     case Isa::kSse42: return "sse4.2";
     case Isa::kAvx2: return "avx2";
+    case Isa::kAvx512: return "avx512";
   }
   return "?";
 }

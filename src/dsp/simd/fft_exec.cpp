@@ -4,6 +4,8 @@ namespace rjf::dsp::simd {
 
 bool fft_exec(Isa isa, const FftKernelRun& run, float* x) {
   switch (isa) {
+    case Isa::kAvx512:  // no AVX-512 variant: the AVX2 kernel serves
+      [[fallthrough]];
     case Isa::kAvx2:
       if (detail::fft_exec_avx2(run, x)) return true;
       [[fallthrough]];

@@ -6,6 +6,7 @@
 // dispatcher falls back to the next-best ISA.
 #include "dsp/simd/fft_kernels.h"
 #include "dsp/simd/viterbi.h"
+#include "dsp/simd/xcorr.h"
 
 #if defined(RJF_SIMD_HAVE_AVX2) && defined(__AVX2__)
 
@@ -13,6 +14,7 @@
 
 #include "dsp/simd/fft_kernels_impl.h"
 #include "dsp/simd/viterbi_kernels_impl.h"
+#include "dsp/simd/xcorr_kernel_impl.h"
 
 namespace rjf::dsp::simd {
 namespace {
@@ -93,6 +95,121 @@ struct AvxOps {
   }
 };
 
+// The batched correlator kernel at ymm width (xcorr_kernel_impl.h): four
+// successive histories per rail per pass. AVX2 has no vector popcount, so
+// each sign/plane AND is counted per byte from a vpshufb nibble table, the
+// plane weights (+1, +2, -4) and the dot products of re and im are combined
+// per byte, and one vpsadbw per lane sums the bytes.
+struct AvxXcorrOps {
+  static constexpr std::size_t kGather = 8;
+  static constexpr std::size_t kLanes = 4;
+
+  // Each byte of a 64-bit lane split into its low and high nibbles.
+  struct Nibbles {
+    __m256i lo, hi;
+  };
+  static Nibbles split(__m256i v) noexcept {
+    const __m256i low4 = _mm256_set1_epi8(0x0F);
+    return {_mm256_and_si256(v, low4),
+            _mm256_and_si256(_mm256_srli_epi64(v, 4), low4)};
+  }
+
+  struct Template {
+    explicit Template(const XcorrPlanes& p) noexcept
+        // re = sum_i + sum_q - 2*neg_sum_re and the byte sums below carry
+        // a +512 lift per lane (8 bytes x 64), hence the +1024.
+        : re_bias(_mm256_set1_epi64x(p.sum_i + p.sum_q + 1024)),
+          im_bias(_mm256_set1_epi64x(p.sum_i - p.sum_q + 1024)) {
+      for (std::size_t k = 0; k < 3; ++k) {
+        i[k] = split(_mm256_set1_epi64x(static_cast<long long>(p.i[k])));
+        q[k] = split(_mm256_set1_epi64x(static_cast<long long>(p.q[k])));
+      }
+    }
+    Nibbles i[3], q[3];
+    __m256i re_bias, im_bias;
+  };
+
+  // Per byte: popcount(neg & plane).
+  static __m256i count(const Nibbles& neg, const Nibbles& plane) noexcept {
+    const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3,
+                                         2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3,
+                                         1, 2, 2, 3, 2, 3, 3, 4);
+    return _mm256_add_epi8(
+        _mm256_shuffle_epi8(lut, _mm256_and_si256(neg.lo, plane.lo)),
+        _mm256_shuffle_epi8(lut, _mm256_and_si256(neg.hi, plane.hi)));
+  }
+
+  // Per byte: n0 + 2*n1 - 4*n2 of one dot product's negative taps, in
+  // [-32, 24] (two's complement in the byte).
+  static __m256i weighted(const Nibbles& neg,
+                          const Nibbles (&bank)[3]) noexcept {
+    const __m256i n1 = count(neg, bank[1]);
+    const __m256i n2 = count(neg, bank[2]);
+    const __m256i n2x2 = _mm256_add_epi8(n2, n2);
+    return _mm256_sub_epi8(
+        _mm256_add_epi8(count(neg, bank[0]), _mm256_add_epi8(n1, n1)),
+        _mm256_add_epi8(n2x2, n2x2));
+  }
+
+  // Per lane: the sum of its 8 bytes, each lifted by 64 out of [-64, 56]
+  // so vpsadbw can add them unsigned.
+  static __m256i lane_sum(__m256i bytes) noexcept {
+    return _mm256_sad_epu8(_mm256_add_epi8(bytes, _mm256_set1_epi8(64)),
+                           _mm256_setzero_si256());
+  }
+
+  // IQ16 is {int16 i, int16 q}: movemask_ps reads bit 31 of each 32-bit
+  // lane, the Q sign, and after a 16-bit shift the I sign. The masked load
+  // reads only the live samples.
+  static SignWords signs(const IQ16* rx, std::size_t live) noexcept {
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256i v =
+        _mm256_maskload_epi32(reinterpret_cast<const int*>(rx), mask);
+    return {static_cast<std::uint64_t>(_mm256_movemask_ps(
+                _mm256_castsi256_ps(_mm256_slli_epi32(v, 16)))),
+            static_cast<std::uint64_t>(
+                _mm256_movemask_ps(_mm256_castsi256_ps(v)))};
+  }
+
+  static void metrics(const Template& t, SignWords h, SignWords x,
+                      std::size_t c0, std::uint32_t* out,
+                      std::size_t live) noexcept {
+    const __m256i c =
+        _mm256_add_epi64(_mm256_setr_epi64x(1, 2, 3, 4),
+                         _mm256_set1_epi64x(static_cast<long long>(c0)));
+    const __m256i rest = _mm256_sub_epi64(_mm256_set1_epi64x(64), c);
+    const Nibbles ni = split(_mm256_or_si256(
+        _mm256_sllv_epi64(_mm256_set1_epi64x(static_cast<long long>(h.i)), c),
+        _mm256_srlv_epi64(_mm256_set1_epi64x(static_cast<long long>(x.i)),
+                          rest)));
+    const Nibbles nq = split(_mm256_or_si256(
+        _mm256_sllv_epi64(_mm256_set1_epi64x(static_cast<long long>(h.q)), c),
+        _mm256_srlv_epi64(_mm256_set1_epi64x(static_cast<long long>(x.q)),
+                          rest)));
+    // s * conj(c): re = <si,ci> + <sq,cq>, im = <sq,ci> - <si,cq>. Their
+    // negative-tap sums per byte lie in [-64, 48] and [-56, 56].
+    const __m256i re_neg = lane_sum(
+        _mm256_add_epi8(weighted(ni, t.i), weighted(nq, t.q)));
+    const __m256i im_neg = lane_sum(
+        _mm256_sub_epi8(weighted(nq, t.i), weighted(ni, t.q)));
+    const __m256i re =
+        _mm256_sub_epi64(t.re_bias, _mm256_add_epi64(re_neg, re_neg));
+    const __m256i im =
+        _mm256_sub_epi64(t.im_bias, _mm256_add_epi64(im_neg, im_neg));
+    // |re|, |im| <= 1024: the low dwords hold them exactly, and the low
+    // dword of each square is the 32-bit metric register.
+    const __m256i m = _mm256_add_epi64(_mm256_mul_epi32(re, re),
+                                       _mm256_mul_epi32(im, im));
+    const __m128i packed = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        m, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+    const __m128i mask = _mm_cmpgt_epi32(
+        _mm_set1_epi32(static_cast<int>(live)), _mm_setr_epi32(0, 1, 2, 3));
+    _mm_maskstore_epi32(reinterpret_cast<int*>(out), mask, packed);
+  }
+};
+
 }  // namespace
 
 namespace detail {
@@ -114,6 +231,10 @@ bool fft_exec_avx2(const FftKernelRun& run, float* x) {
   return true;
 }
 
+XcorrBlockFn xcorr_block_avx2() noexcept {
+  return &xcorr_block_t<AvxXcorrOps>;
+}
+
 }  // namespace detail
 }  // namespace rjf::dsp::simd
 
@@ -131,6 +252,8 @@ bool viterbi_soft_avx2(const float*, std::size_t, std::uint64_t*, float*) {
 }
 
 bool fft_exec_avx2(const FftKernelRun&, float*) { return false; }
+
+XcorrBlockFn xcorr_block_avx2() noexcept { return nullptr; }
 
 }  // namespace rjf::dsp::simd::detail
 

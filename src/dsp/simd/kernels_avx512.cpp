@@ -1,0 +1,115 @@
+// AVX-512 batched correlator metric kernel (dsp/simd/xcorr.h). This TU is
+// the only one compiled with -mavx512f -mavx512vpopcntdq; when the
+// toolchain lacks them (or RJF_ENABLE_SIMD is OFF) it only provides the
+// nullptr accessor and the dispatcher falls through to the AVX2 kernel.
+//
+// Eight 64-bit lanes hold eight successive sign histories per rail (see
+// xcorr_kernel_impl.h); each of the four sign/plane dot products is three
+// AND + vpopcntq passes over them, so 12 vector popcounts serve 8 samples
+// where step() does 96 scalar ones.
+#include "dsp/simd/xcorr.h"
+
+#if defined(RJF_SIMD_HAVE_AVX512) && defined(__AVX512F__) && \
+    defined(__AVX512VPOPCNTDQ__)
+
+// GCC 12's AVX-512 intrinsics seed their shift helpers from an undefined
+// vector, which -Wmaybe-uninitialized misreports (GCC bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+
+#include "dsp/simd/xcorr_kernel_impl.h"
+
+namespace rjf::dsp::simd {
+namespace {
+
+// Lane view of one coefficient bank: its three broadcast bit-planes and
+// its coefficient sum.
+struct Bank {
+  __m512i b0, b1, b2, sum;
+};
+
+Bank broadcast(const std::uint64_t (&planes)[3], std::int64_t sum) noexcept {
+  return {_mm512_set1_epi64(static_cast<long long>(planes[0])),
+          _mm512_set1_epi64(static_cast<long long>(planes[1])),
+          _mm512_set1_epi64(static_cast<long long>(planes[2])),
+          _mm512_set1_epi64(sum)};
+}
+
+// Per lane: sum_k sign[k] * coef[k] with sign = 1 - 2*neg, i.e.
+// coef_sum - 2 * (n0 + 2*n1 - 4*n2) over the plane popcounts.
+__m512i dot(__m512i neg, const Bank& p) noexcept {
+  const __m512i n0 = _mm512_popcnt_epi64(_mm512_and_si512(neg, p.b0));
+  const __m512i n1 = _mm512_popcnt_epi64(_mm512_and_si512(neg, p.b1));
+  const __m512i n2 = _mm512_popcnt_epi64(_mm512_and_si512(neg, p.b2));
+  const __m512i neg_sum = _mm512_sub_epi64(
+      _mm512_add_epi64(n0, _mm512_slli_epi64(n1, 1)), _mm512_slli_epi64(n2, 2));
+  return _mm512_sub_epi64(p.sum, _mm512_slli_epi64(neg_sum, 1));
+}
+
+struct Avx512Ops {
+  static constexpr std::size_t kGather = 16;
+  static constexpr std::size_t kLanes = 8;
+
+  struct Template {
+    explicit Template(const XcorrPlanes& p) noexcept
+        : i(broadcast(p.i, p.sum_i)), q(broadcast(p.q, p.sum_q)) {}
+    Bank i, q;
+  };
+
+  // IQ16 is {int16 i, int16 q}: in each 32-bit lane, bit 15 is the I sign
+  // and bit 31 the Q sign. The masked load reads only the live samples.
+  static SignWords signs(const IQ16* rx, std::size_t live) noexcept {
+    const auto mask = static_cast<__mmask16>((1u << live) - 1u);
+    const __m512i v = _mm512_maskz_loadu_epi32(mask, rx);
+    return {_mm512_test_epi32_mask(v, _mm512_set1_epi32(0x8000)),
+            _mm512_test_epi32_mask(
+                v, _mm512_set1_epi32(static_cast<int>(0x80000000u)))};
+  }
+
+  static void metrics(const Template& t, SignWords h, SignWords x,
+                      std::size_t c0, std::uint32_t* out,
+                      std::size_t live) noexcept {
+    const __m512i c =
+        _mm512_add_epi64(_mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8),
+                         _mm512_set1_epi64(static_cast<long long>(c0)));
+    const __m512i rest = _mm512_sub_epi64(_mm512_set1_epi64(64), c);
+    const __m512i ni = _mm512_or_si512(
+        _mm512_sllv_epi64(_mm512_set1_epi64(static_cast<long long>(h.i)), c),
+        _mm512_srlv_epi64(_mm512_set1_epi64(static_cast<long long>(x.i)),
+                          rest));
+    const __m512i nq = _mm512_or_si512(
+        _mm512_sllv_epi64(_mm512_set1_epi64(static_cast<long long>(h.q)), c),
+        _mm512_srlv_epi64(_mm512_set1_epi64(static_cast<long long>(x.q)),
+                          rest));
+    // s * conj(c): re = <si,ci> + <sq,cq>, im = <sq,ci> - <si,cq>.
+    const __m512i re = _mm512_add_epi64(dot(ni, t.i), dot(nq, t.q));
+    const __m512i im = _mm512_sub_epi64(dot(nq, t.i), dot(ni, t.q));
+    // |re|, |im| <= 1024, so the low dwords hold them exactly and the
+    // signed 32x32->64 products are the squares; the truncating store is
+    // the 32-bit metric register.
+    const __m512i m = _mm512_add_epi64(_mm512_mul_epi32(re, re),
+                                       _mm512_mul_epi32(im, im));
+    const auto mask = static_cast<__mmask8>((1u << live) - 1u);
+    _mm512_mask_cvtepi64_storeu_epi32(out, mask, m);
+  }
+};
+
+}  // namespace
+
+XcorrBlockFn detail::xcorr_block_avx512() noexcept {
+  return &xcorr_block_t<Avx512Ops>;
+}
+
+}  // namespace rjf::dsp::simd
+
+#else
+
+namespace rjf::dsp::simd {
+
+XcorrBlockFn detail::xcorr_block_avx512() noexcept { return nullptr; }
+
+}  // namespace rjf::dsp::simd
+
+#endif

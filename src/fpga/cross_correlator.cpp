@@ -2,7 +2,11 @@
 
 namespace rjf::fpga {
 
-CrossCorrelator::CrossCorrelator() noexcept {
+CrossCorrelator::CrossCorrelator() noexcept
+    : CrossCorrelator(dsp::simd::active_isa()) {}
+
+CrossCorrelator::CrossCorrelator(dsp::simd::Isa isa) noexcept
+    : block_kernel_(dsp::simd::xcorr_block_kernel(isa)) {
   sign_i_.fill(hw::Int<2>(1));
   sign_q_.fill(hw::Int<2>(1));
 }
@@ -50,6 +54,25 @@ void CrossCorrelator::rebuild_derived() noexcept {
     peak = (peak + coef_i_[k].abs() + coef_q_[k].abs()).narrow<10>();
   }
   max_metric_ = (peak * peak).zext<32>().value();
+}
+
+// rjf: realtime
+void CrossCorrelator::metrics(std::span<const dsp::IQ16> rx,
+                              std::span<std::uint32_t> metric) noexcept {
+  if (metric.size() < rx.size()) rx = rx.first(metric.size());
+  if (block_kernel_ == nullptr) {
+    for (std::size_t n = 0; n < rx.size(); ++n) metric[n] = step(rx[n]).metric;
+    return;
+  }
+  const dsp::simd::XcorrPlanes planes{
+      {planes_i_.b0.value(), planes_i_.b1.value(), planes_i_.b2.value()},
+      {planes_q_.b0.value(), planes_q_.b1.value(), planes_q_.b2.value()},
+      planes_i_.coef_sum.value(),
+      planes_q_.coef_sum.value()};
+  dsp::simd::SignWords history{neg_i_.value(), neg_q_.value()};
+  block_kernel_(planes, history, rx, metric);
+  neg_i_ = SignHistory(history.i);
+  neg_q_ = SignHistory(history.q);
 }
 
 CrossCorrelator::Output CrossCorrelator::step_reference(

@@ -17,13 +17,17 @@
 // bits of the 3-bit values, weights +1, +2, -4). step() then computes every
 // sign/coefficient dot product as a handful of AND + popcount operations —
 // bit-identical to the scalar shift-register model, which is preserved as
-// step_reference() for equivalence testing.
+// step_reference() for equivalence testing. metrics() runs a whole block of
+// samples through the batched kernel of the host's SIMD tier (dsp/simd/
+// xcorr.h, picked once at construction), falling back to a step() loop.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 
+#include "dsp/simd/xcorr.h"
 #include "dsp/types.h"
 #include "fpga/hw_int.h"
 #include "fpga/register_file.h"
@@ -48,6 +52,10 @@ class CrossCorrelator {
   using SignHistory = hw::UInt<kCorrelatorLength>;
 
   CrossCorrelator() noexcept;
+  /// metrics() runs the batched kernel of SIMD tier `isa` (the default is
+  /// the host's active tier; a tier without a kernel runs step() per
+  /// sample). Equivalence tests pin each tier this way.
+  explicit CrossCorrelator(dsp::simd::Isa isa) noexcept;
 
   /// Latch the coefficient banks and threshold from the register file,
   /// mirroring the run-time loading path the paper added to the WARP core.
@@ -91,6 +99,14 @@ class CrossCorrelator {
     return out;
   }
 
+  /// Block entry point: clock in every sample of `rx` and write the metric
+  /// step() would return for each into `metric` (which must hold
+  /// rx.size() entries; the trigger is metric[n] > threshold()). Carries
+  /// the sign history across calls and interleaves freely with step(), so
+  /// outputs are bit-identical to a step() loop however a stream is split.
+  void metrics(std::span<const dsp::IQ16> rx,
+               std::span<std::uint32_t> metric) noexcept;
+
   /// Scalar shift-register model of the same datapath. Maintains its own
   /// delay-line state, so drive a given instance through either step() or
   /// step_reference(), never both; equivalence tests run two instances on
@@ -102,6 +118,11 @@ class CrossCorrelator {
   /// Peak achievable metric for the installed template (all signs agree).
   /// Cached at coefficient-load time.
   [[nodiscard]] std::uint32_t max_metric() const noexcept { return max_metric_; }
+
+  /// The carried sign histories of step()/metrics() (bit 0 newest, a set
+  /// bit means the rail was negative).
+  [[nodiscard]] SignHistory history_i() const noexcept { return neg_i_; }
+  [[nodiscard]] SignHistory history_q() const noexcept { return neg_q_; }
 
  private:
   /// Recompute the bit-plane masks, coefficient sums, and cached max_metric
@@ -150,6 +171,10 @@ class CrossCorrelator {
 
   std::uint32_t threshold_ = 0xFFFFFFFFu;
   std::uint32_t max_metric_ = 0;
+
+  // metrics()'s batched kernel, picked at construction; nullptr runs
+  // step() per sample.
+  dsp::simd::XcorrBlockFn block_kernel_;
 };
 
 /// A quantised 64-tap coefficient set, ready for the register bus. Produced

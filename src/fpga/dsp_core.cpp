@@ -1,5 +1,8 @@
 #include "fpga/dsp_core.h"
 
+#include <algorithm>
+#include <array>
+
 namespace rjf::fpga {
 
 DspCore::DspCore() = default;
@@ -143,22 +146,32 @@ void fold(SamplePeriodOutput& rec, const JammerController::TxOut& tx) noexcept {
 template <bool kTraced>
 void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
                              std::span<SamplePeriodOutput> out) noexcept {
+  // The correlator's metrics come a sub-block at a time from its batched
+  // kernel; nothing inside a run_block call changes its coefficients or
+  // threshold (settings-bus writes land between calls).
+  const std::uint32_t threshold = correlator_.threshold();
+  std::array<std::uint32_t, kMetricBlock> metric{};
   for (std::size_t m = 0; m < rx.size(); ++m) {
+    const std::size_t j = m % kMetricBlock;
+    if (j == 0)
+      correlator_.metrics(
+          rx.subspan(m, std::min(kMetricBlock, rx.size() - m)), metric);
     const dsp::IQ16 sample = rx[m];
     SamplePeriodOutput& rec = out[m];
     rec = SamplePeriodOutput{};
 
     // --- Strobe clock: detectors + edge logic (same body as strobe_tick,
     // with the event latch kept in a local so held_events_ stays clear).
-    const auto xc = correlator_.step(sample);
+    const std::uint32_t xc_metric = metric[j];
+    const bool xc_trigger = xc_metric > threshold;
     const auto en = energy_.step(sample);
     jammer_.record_rx(sample);
 
     DetectorEvents ev;
-    ev.xcorr = xc.trigger && !prev_xcorr_;
+    ev.xcorr = xc_trigger && !prev_xcorr_;
     ev.energy_high = en.trigger_high && !prev_high_;
     ev.energy_low = en.trigger_low && !prev_low_;
-    prev_xcorr_ = xc.trigger;
+    prev_xcorr_ = xc_trigger;
     prev_high_ = en.trigger_high;
     prev_low_ = en.trigger_low;
 
@@ -195,7 +208,8 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
     if constexpr (kTraced) {
       using obs::EventKind;
       const std::uint64_t vita = vita_ticks_;
-      if (ev.xcorr) ring_->push_event(EventKind::kXcorrTrigger, vita, xc.metric);
+      if (ev.xcorr)
+        ring_->push_event(EventKind::kXcorrTrigger, vita, xc_metric);
       if (ev.energy_high)
         ring_->push_event(EventKind::kEnergyRise, vita, en.energy_sum);
       if (ev.energy_low)
@@ -221,7 +235,7 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
         obs::FabricSignals snap;
         snap.vita_ticks = vita;
         snap.rx = sample;
-        snap.xcorr_metric = xc.metric;
+        snap.xcorr_metric = xc_metric;
         snap.energy_sum = en.energy_sum;
         snap.fsm_stage = hw::UInt<8>(stage).value();
         snap.xcorr_trigger = ev.xcorr;
@@ -233,7 +247,7 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
         ring_->push_strobe(snap);
       }
       // Keep the probe mirrors coherent for a later per-tick entry.
-      probe_xcorr_metric_ = xc.metric;
+      probe_xcorr_metric_ = xc_metric;
       probe_energy_sum_ = en.energy_sum;
       probe_rx_ = sample;
       // A period-step sample that lands on an idle clock reaches the

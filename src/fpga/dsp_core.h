@@ -30,6 +30,11 @@ namespace rjf::fpga {
 inline constexpr double kFabricClockHz = 100e6;   // fabric-lint: allow(float-in-datapath)
 inline constexpr double kBasebandRateHz = 25e6;   // fabric-lint: allow(float-in-datapath)
 
+/// run_block() takes the correlator's metrics this many samples at a time
+/// (CrossCorrelator::metrics into a stack buffer); a kernel detail, not a
+/// setting.
+inline constexpr std::size_t kMetricBlock = 256;
+
 struct CoreOutput {
   bool rx_strobe = false;       // this tick consumed a baseband sample
   bool xcorr_trigger = false;
