@@ -355,7 +355,7 @@ class PointTrials {
 CampaignReport execute_grid(const CampaignSpec& spec,
                             std::span<const dsp::cvec> frames,
                             const OpenedStore& store) {
-  const auto started = std::chrono::steady_clock::now();  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
+  const auto started = std::chrono::steady_clock::now();  // rjf-analyze: allow(fabric.wall-clock-or-rand) elapsed-time report only
   const CampaignGrid& grid = spec.grid;
   const std::size_t num_points = grid.num_points();
   if (num_points == 0 || grid.trials_per_point == 0)
@@ -499,7 +499,7 @@ CampaignReport execute_grid(const CampaignSpec& spec,
           prog.trials_total = grid.total_trials();
           prog.faults = faults_run;
           prog.elapsed_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
+              std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // rjf-analyze: allow(fabric.wall-clock-or-rand) elapsed-time report only
                   .count();
           if (prog.elapsed_seconds > 0.0)
             prog.trials_per_second =
@@ -558,7 +558,7 @@ CampaignReport execute_grid(const CampaignSpec& spec,
   }
 
   report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // fabric-lint: allow(wall-clock-or-rand) elapsed-time report only
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)  // rjf-analyze: allow(fabric.wall-clock-or-rand) elapsed-time report only
           .count();
 
   // Campaign-level aggregates ride the same registry as the merged shard

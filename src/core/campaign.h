@@ -151,6 +151,14 @@ struct ShardStoreHeader {
 /// Append-only store of completed-shard records. One writer at a time;
 /// appends are internally serialised and flushed so a SIGKILL loses at most
 /// the record being written (never a previously appended one).
+///
+/// Durability: each append ends in fflush, which hands the record to the
+/// OS. That survives the process being killed, but not power loss or an
+/// OS crash: there is no fsync, so records still in the OS page cache can
+/// be lost.
+/// Byte order: words are stored native-endian, unconverted. A store
+/// written on a host of the other byte order fails the magic check, so
+/// load() reads it as unreadable and run_campaign rejects it untouched.
 class ShardStore {
  public:
   struct Loaded {

@@ -8,7 +8,6 @@
 #include <numbers>
 
 #include "dsp/fft.h"
-#include "dsp/simd/dispatch.h"
 #include "dsp/simd/fft_stages_scalar.h"
 
 namespace rjf::dsp {
@@ -110,14 +109,14 @@ void FftPlan::permute(cfloat* x) const {
   for (const auto& [i, j] : swaps_) std::swap(x[i], x[j]);
 }
 
-void FftPlan::run(cfloat* x, bool inverse) const {
+void FftPlan::run(cfloat* x, bool inverse, simd::Isa isa) const {
   permute(x);
   float* xf = reinterpret_cast<float*>(x);
   const simd::FftKernelRun krun{
       n_, radix2_first_, inverse,
       inverse ? inv_views_.data() : fwd_views_.data(),
       stages_.size()};
-  if (simd::fft_exec(simd::active_isa(), krun, xf)) return;
+  if (simd::fft_exec(isa, krun, xf)) return;
   // Scalar path: same stage bodies and tables as the vector kernels.
   if (radix2_first_) simd::fft_radix2_stage(xf, n_);
   for (std::size_t s = 0; s < stages_.size(); ++s) {
@@ -126,7 +125,11 @@ void FftPlan::run(cfloat* x, bool inverse) const {
   }
 }
 
-void FftPlan::forward(cfloat* x) const { run(x, /*inverse=*/false); }
-void FftPlan::inverse(cfloat* x) const { run(x, /*inverse=*/true); }
+void FftPlan::forward(cfloat* x, simd::Isa isa) const {
+  run(x, /*inverse=*/false, isa);
+}
+void FftPlan::inverse(cfloat* x, simd::Isa isa) const {
+  run(x, /*inverse=*/true, isa);
+}
 
 }  // namespace rjf::dsp

@@ -11,10 +11,10 @@
 //
 // Execution is a radix-4 decimation-in-time main loop (radix-2 first pass
 // when log2 n is odd) over the plain bit-reverse order, dispatched to the
-// SSE4.2/AVX2 butterfly kernels in dsp/simd when available; the scalar
-// path runs the same stage bodies (dsp/simd/fft_stages_scalar.h) with the
-// same tables.  Plans are immutable after construction and safe to share
-// across threads.
+// AVX2 butterfly kernels in dsp/simd when available; the scalar path runs
+// the same stage bodies (dsp/simd/fft_stages_scalar.h) with the same
+// tables.  Plans are immutable after construction and safe to share across
+// threads.
 #pragma once
 
 #include <cstddef>
@@ -35,16 +35,18 @@ class FftPlan {
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
   /// In-place transforms over interleaved std::complex<float> data.
-  /// inverse() is unscaled (callers apply 1/N, matching ifft()).
-  void forward(cfloat* x) const;
-  void inverse(cfloat* x) const;
+  /// inverse() is unscaled (callers apply 1/N, matching ifft()). `isa`
+  /// picks the butterfly kernel tier (any tier up to active_isa(); tests
+  /// pin one); a tier without a kernel runs the scalar stages.
+  void forward(cfloat* x, simd::Isa isa = simd::active_isa()) const;
+  void inverse(cfloat* x, simd::Isa isa = simd::active_isa()) const;
 
   /// The plain bit-reverse permutation (exposed for tests).
   void permute(cfloat* x) const;
 
  private:
   explicit FftPlan(std::size_t n);
-  void run(cfloat* x, bool inverse) const;
+  void run(cfloat* x, bool inverse, simd::Isa isa) const;
 
   struct Stage {
     std::size_t quarter;  // L

@@ -8,8 +8,7 @@ namespace {
 Isa detect() noexcept {
   const char* veto = std::getenv("RJF_DISABLE_SIMD");
   if (veto != nullptr && veto[0] != '\0') return Isa::kScalar;
-#if defined(RJF_SIMD_HAVE_AVX512) || defined(RJF_SIMD_HAVE_AVX2) || \
-    defined(RJF_SIMD_HAVE_SSE42)
+#if defined(RJF_SIMD_HAVE_AVX512) || defined(RJF_SIMD_HAVE_AVX2)
 #if defined(__GNUC__) || defined(__clang__)
 #if defined(RJF_SIMD_HAVE_AVX512)
   if (__builtin_cpu_supports("avx512f") &&
@@ -18,9 +17,6 @@ Isa detect() noexcept {
 #endif
 #if defined(RJF_SIMD_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-#endif
-#if defined(RJF_SIMD_HAVE_SSE42)
-  if (__builtin_cpu_supports("sse4.2")) return Isa::kSse42;
 #endif
 #endif
 #endif
@@ -39,8 +35,6 @@ Isa compiled_isa() noexcept {
   return Isa::kAvx512;
 #elif defined(RJF_SIMD_HAVE_AVX2)
   return Isa::kAvx2;
-#elif defined(RJF_SIMD_HAVE_SSE42)
-  return Isa::kSse42;
 #else
   return Isa::kScalar;
 #endif
@@ -49,7 +43,6 @@ Isa compiled_isa() noexcept {
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kSse42: return "sse4.2";
     case Isa::kAvx2: return "avx2";
     case Isa::kAvx512: return "avx512";
   }

@@ -7,10 +7,7 @@ bool fft_exec(Isa isa, const FftKernelRun& run, float* x) {
     case Isa::kAvx512:  // no AVX-512 variant: the AVX2 kernel serves
       [[fallthrough]];
     case Isa::kAvx2:
-      if (detail::fft_exec_avx2(run, x)) return true;
-      [[fallthrough]];
-    case Isa::kSse42:
-      return detail::fft_exec_sse42(run, x);
+      return detail::fft_exec_avx2(run, x);
     case Isa::kScalar:
       break;
   }

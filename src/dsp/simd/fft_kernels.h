@@ -40,7 +40,6 @@ struct FftKernelRun {
 bool fft_exec(Isa isa, const FftKernelRun& run, float* x);
 
 namespace detail {
-bool fft_exec_sse42(const FftKernelRun& run, float* x);
 bool fft_exec_avx2(const FftKernelRun& run, float* x);
 }  // namespace detail
 

@@ -1,9 +1,9 @@
 // AVX2 instantiations of the SIMD DSP kernels.  This TU is the only one
 // compiled with -mavx2; the Ops structs live in an anonymous namespace so
-// the templates instantiate with TU-unique types (no ODR overlap with the
-// SSE4.2 TU).  When the toolchain lacks -mavx2 (or RJF_ENABLE_SIMD is
-// OFF), the entry points compile as stubs returning false and the
-// dispatcher falls back to the next-best ISA.
+// the templates instantiate with TU-unique types (no ODR overlap with
+// code built with other -m flags).  When the toolchain lacks -mavx2 (or
+// RJF_ENABLE_SIMD is OFF), the entry points compile as stubs returning
+// false and the caller runs its scalar reference.
 #include "dsp/simd/fft_kernels.h"
 #include "dsp/simd/viterbi.h"
 #include "dsp/simd/xcorr.h"

@@ -10,13 +10,8 @@ bool viterbi_hard_acs(Isa isa, std::span<const std::uint8_t> coded,
     case Isa::kAvx512:  // no AVX-512 variant: the AVX2 kernel serves
       [[fallthrough]];
     case Isa::kAvx2:
-      if (detail::viterbi_hard_avx2(coded.data(), n_steps, survivors,
-                                    final_metrics))
-        return true;
-      [[fallthrough]];
-    case Isa::kSse42:
-      return detail::viterbi_hard_sse42(coded.data(), n_steps, survivors,
-                                        final_metrics);
+      return detail::viterbi_hard_avx2(coded.data(), n_steps, survivors,
+                                       final_metrics);
     case Isa::kScalar:
       break;
   }
@@ -30,13 +25,8 @@ bool viterbi_soft_acs(Isa isa, std::span<const float> llrs,
     case Isa::kAvx512:  // no AVX-512 variant: the AVX2 kernel serves
       [[fallthrough]];
     case Isa::kAvx2:
-      if (detail::viterbi_soft_avx2(llrs.data(), n_steps, survivors,
-                                    final_metrics))
-        return true;
-      [[fallthrough]];
-    case Isa::kSse42:
-      return detail::viterbi_soft_sse42(llrs.data(), n_steps, survivors,
-                                        final_metrics);
+      return detail::viterbi_soft_avx2(llrs.data(), n_steps, survivors,
+                                       final_metrics);
     case Isa::kScalar:
       break;
   }

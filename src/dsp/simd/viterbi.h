@@ -39,10 +39,6 @@ bool viterbi_soft_acs(Isa isa, std::span<const float> llrs,
                       std::uint64_t* survivors, float* final_metrics);
 
 namespace detail {
-bool viterbi_hard_sse42(const std::uint8_t* coded, std::size_t n_steps,
-                        std::uint64_t* survivors, std::uint16_t* final_metrics);
-bool viterbi_soft_sse42(const float* llrs, std::size_t n_steps,
-                        std::uint64_t* survivors, float* final_metrics);
 bool viterbi_hard_avx2(const std::uint8_t* coded, std::size_t n_steps,
                        std::uint64_t* survivors, std::uint16_t* final_metrics);
 bool viterbi_soft_avx2(const float* llrs, std::size_t n_steps,

@@ -1,8 +1,8 @@
 // Template bodies for the lane-parallel Viterbi ACS kernels.  Included by
-// the per-ISA translation units (kernels_sse42.cpp / kernels_avx2.cpp),
-// which instantiate the templates with an anonymous-namespace Ops struct —
-// anonymous so each TU gets a unique type and there is no ODR overlap
-// between code compiled with different -m flags.
+// the per-ISA translation unit (kernels_avx2.cpp), which instantiates the
+// templates with an anonymous-namespace Ops struct — anonymous so the TU
+// gets a unique type and there is no ODR overlap between code compiled
+// with different -m flags.
 //
 // Ops contract (u8 side): u8v type, kU8Lanes, loadu8/storeu8, set1u8,
 // addsu8 (saturating), subsu8, minu8, cmpequ8, movemasku8 (one bit per

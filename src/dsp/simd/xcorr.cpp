@@ -10,7 +10,6 @@ XcorrBlockFn xcorr_block_kernel(Isa isa) noexcept {
       [[fallthrough]];
     case Isa::kAvx2:
       return detail::xcorr_block_avx2();
-    case Isa::kSse42:
     case Isa::kScalar:
       break;
   }

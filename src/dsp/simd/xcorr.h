@@ -7,8 +7,8 @@
 // coefficient bit-planes and popcounted, several samples per vector pass.
 // Metrics are bit-identical to step() on every input (tested in
 // tests/test_fpga_xcorr_block.cpp). The AVX2 and AVX-512 tiers have a
-// kernel; there is no scalar or SSE4.2 variant — the caller's per-sample
-// step() loop is the fallback there.
+// kernel; there is no scalar variant — the caller's per-sample step() loop
+// is the fallback there.
 #pragma once
 
 #include <cstdint>

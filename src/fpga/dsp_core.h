@@ -27,8 +27,8 @@ namespace rjf::fpga {
 // Host-facing rate constants (Hz). These parameterise latency arithmetic
 // and resampling on the host side; the fabric itself only knows the 4:1
 // clock-to-strobe ratio (kClocksPerSample).
-inline constexpr double kFabricClockHz = 100e6;   // fabric-lint: allow(float-in-datapath)
-inline constexpr double kBasebandRateHz = 25e6;   // fabric-lint: allow(float-in-datapath)
+inline constexpr double kFabricClockHz = 100e6;   // rjf-analyze: allow(fabric.float-in-datapath)
+inline constexpr double kBasebandRateHz = 25e6;   // rjf-analyze: allow(fabric.float-in-datapath)
 
 /// run_block() takes the correlator's metrics this many samples at a time
 /// (CrossCorrelator::metrics into a stack buffer); a kernel detail, not a

@@ -34,11 +34,11 @@ ResourceUsage total_resources() {
 Utilisation utilisation(const DeviceCapacity& device) {
   const ResourceUsage t = total_resources();
   Utilisation u;
-  u.slices_pct = 100.0 * t.slices / device.slices;  // fabric-lint: allow(float-in-datapath)
-  u.ffs_pct = 100.0 * t.ffs / device.ffs;  // fabric-lint: allow(float-in-datapath)
-  u.brams_pct = 100.0 * t.brams / device.brams;  // fabric-lint: allow(float-in-datapath)
-  u.luts_pct = 100.0 * t.luts / device.luts;  // fabric-lint: allow(float-in-datapath)
-  u.dsp48_pct = 100.0 * t.dsp48 / device.dsp48;  // fabric-lint: allow(float-in-datapath)
+  u.slices_pct = 100.0 * t.slices / device.slices;  // rjf-analyze: allow(fabric.float-in-datapath)
+  u.ffs_pct = 100.0 * t.ffs / device.ffs;  // rjf-analyze: allow(fabric.float-in-datapath)
+  u.brams_pct = 100.0 * t.brams / device.brams;  // rjf-analyze: allow(fabric.float-in-datapath)
+  u.luts_pct = 100.0 * t.luts / device.luts;  // rjf-analyze: allow(fabric.float-in-datapath)
+  u.dsp48_pct = 100.0 * t.dsp48 / device.dsp48;  // rjf-analyze: allow(fabric.float-in-datapath)
   return u;
 }
 

@@ -41,11 +41,11 @@ struct DeviceCapacity {
 
 /// Utilisation percentage of the custom core against the device, per field.
 struct Utilisation {
-  double slices_pct = 0.0;  // fabric-lint: allow(float-in-datapath)
-  double ffs_pct = 0.0;  // fabric-lint: allow(float-in-datapath)
-  double brams_pct = 0.0;  // fabric-lint: allow(float-in-datapath)
-  double luts_pct = 0.0;  // fabric-lint: allow(float-in-datapath)
-  double dsp48_pct = 0.0;  // fabric-lint: allow(float-in-datapath)
+  double slices_pct = 0.0;  // rjf-analyze: allow(fabric.float-in-datapath)
+  double ffs_pct = 0.0;  // rjf-analyze: allow(fabric.float-in-datapath)
+  double brams_pct = 0.0;  // rjf-analyze: allow(fabric.float-in-datapath)
+  double luts_pct = 0.0;  // rjf-analyze: allow(fabric.float-in-datapath)
+  double dsp48_pct = 0.0;  // rjf-analyze: allow(fabric.float-in-datapath)
 };
 
 [[nodiscard]] Utilisation utilisation(const DeviceCapacity& device = {});

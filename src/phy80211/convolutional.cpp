@@ -4,7 +4,6 @@
 #include <array>
 #include <limits>
 
-#include "dsp/simd/dispatch.h"
 #include "dsp/simd/viterbi.h"
 #include "dsp/simd/viterbi_trellis.h"
 
@@ -104,9 +103,9 @@ Bits traceback_packed(const std::vector<std::uint64_t>& survivors,
 
 }  // namespace
 
-Bits viterbi_decode(std::span<const std::uint8_t> coded) {
+Bits viterbi_decode(std::span<const std::uint8_t> coded,
+                    dsp::simd::Isa isa) {
   const std::size_t n_steps = coded.size() / 2;
-  const dsp::simd::Isa isa = dsp::simd::active_isa();
   if (isa != dsp::simd::Isa::kScalar) {
     std::vector<std::uint64_t> survivors(n_steps);
     std::array<std::uint16_t, kStates> finals;
@@ -197,9 +196,8 @@ std::vector<float> depuncture_soft(std::span<const float> llrs, CodeRate rate,
   return out;
 }
 
-Bits viterbi_decode_soft(std::span<const float> llrs) {
+Bits viterbi_decode_soft(std::span<const float> llrs, dsp::simd::Isa isa) {
   const std::size_t n_steps = llrs.size() / 2;
-  const dsp::simd::Isa isa = dsp::simd::active_isa();
   if (isa != dsp::simd::Isa::kScalar) {
     std::vector<std::uint64_t> survivors(n_steps);
     std::array<float, kStates> finals;

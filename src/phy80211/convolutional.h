@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "dsp/simd/dispatch.h"
 #include "phy80211/bits.h"
 
 namespace rjf::phy80211 {
@@ -33,10 +34,13 @@ struct RateFraction {
 
 /// Hard-decision Viterbi decode of a (possibly erasure-marked) mother-rate
 /// stream. Input length must be even; returns n/2 decoded bits including
-/// the tail. Erasures (value 2) incur zero branch metric. Dispatches to the
-/// lane-parallel SIMD ACS kernel when available; decoded bits are
+/// the tail. Erasures (value 2) incur zero branch metric. Runs the
+/// lane-parallel ACS kernel of tier `isa` (any tier up to active_isa(); tests
+/// pin one) and the reference where that tier has none; decoded bits are
 /// bit-identical to the reference either way.
-[[nodiscard]] Bits viterbi_decode(std::span<const std::uint8_t> coded);
+[[nodiscard]] Bits viterbi_decode(
+    std::span<const std::uint8_t> coded,
+    dsp::simd::Isa isa = dsp::simd::active_isa());
 
 /// Scalar reference decoder (the semantic authority the SIMD kernels are
 /// tested against). Exposed for equivalence tests and benchmarks.
@@ -58,10 +62,12 @@ struct RateFraction {
                                                  std::size_t n_mother);
 
 /// Soft-decision Viterbi over mother-rate LLRs (positive = bit 1). Erasures
-/// are zero LLRs and contribute nothing. Returns n/2 decoded bits. SIMD
-/// dispatch as for viterbi_decode; the vector kernel replicates the
+/// are zero LLRs and contribute nothing. Returns n/2 decoded bits. Tier
+/// `isa` as for viterbi_decode; the vector kernel replicates the
 /// reference's float arithmetic exactly.
-[[nodiscard]] Bits viterbi_decode_soft(std::span<const float> llrs);
+[[nodiscard]] Bits viterbi_decode_soft(
+    std::span<const float> llrs,
+    dsp::simd::Isa isa = dsp::simd::active_isa());
 
 /// Scalar reference soft decoder (see viterbi_decode_reference).
 [[nodiscard]] Bits viterbi_decode_soft_reference(std::span<const float> llrs);

@@ -6,6 +6,8 @@
 // byte-identical to an uninterrupted single-process run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -351,6 +353,31 @@ TEST(Campaign, UnreadableStoreIsRejectedAndLeftByteIdentical) {
   std::remove(path.c_str());
 }
 
+// Store words are native-endian (campaign.h): a store written on a host of
+// the other byte order reads as every word byte-swapped. Its magic word
+// then fails the check, so the store is rejected as unreadable and left
+// byte-identical, never taken for a store to resume or truncate.
+TEST(Campaign, ByteSwappedStoreIsRejectedAndLeftByteIdentical) {
+  const std::string path = temp_store("rjf_campaign_byteswapped.rjfc");
+  CampaignSpec spec = small_spec();
+  spec.max_shards_this_run = 2;
+  (void)run_campaign(spec, path);
+  std::string swapped = file_bytes(path);
+  ASSERT_EQ(swapped.size() % sizeof(std::uint64_t), 0u);
+  ASSERT_GT(swapped.size(), ShardStoreHeader::kWords * sizeof(std::uint64_t));
+  for (std::size_t w = 0; w < swapped.size(); w += sizeof(std::uint64_t))
+    std::reverse(swapped.begin() + static_cast<std::ptrdiff_t>(w),
+                 swapped.begin() +
+                     static_cast<std::ptrdiff_t>(w + sizeof(std::uint64_t)));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << swapped;
+
+  EXPECT_FALSE(ShardStore::load(path).has_value());
+  spec.max_shards_this_run = 0;
+  EXPECT_THROW((void)run_campaign(spec, path), std::runtime_error);
+  EXPECT_EQ(file_bytes(path), swapped);
+  std::remove(path.c_str());
+}
+
 // Regression: a record passes its checksum but covers trials its schedule
 // entry does not (first_trial off by one). Pre-fix it merged silently.
 TEST(Campaign, RecordOutsideItsScheduleEntryIsRejected) {
@@ -479,6 +506,11 @@ TEST(Campaign, KilledAndResumedRunsAreByteIdenticalToUninterrupted) {
     EXPECT_EQ(resumed.shards_already_complete, kill_after);
     EXPECT_EQ(resumed.trials_replayed, 0u)
         << "resume re-ran shards that were already durable";
+    // Resume runs exactly the outstanding work, nothing twice.
+    EXPECT_EQ(resumed.shards_run, resumed.shards_total - kill_after);
+    EXPECT_EQ(resumed.trials_run,
+              spec.grid.num_points() * spec.grid.trials_per_point -
+                  partial.trials_run);
     EXPECT_EQ(resumed.to_csv(), golden)
         << "shard=" << shard_trials << " threads=" << threads_a << "->"
         << threads_b;

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <numbers>
 #include <set>
@@ -159,6 +161,38 @@ TEST(RunShards, StopsClaimingShardsAfterFirstThrow) {
       std::runtime_error);
   EXPECT_LT(ran_after_throw.load(), tasks.size() / 2)
       << "pool kept claiming shards after the first kernel exception";
+}
+
+// A pool that serialises its workers runs one shard at a time. Here four
+// shards on four threads each wait until all four are in flight; in a
+// serial pool the first one waits alone until the timeout.
+TEST(RunShards, WorkersRunConcurrently) {
+  SweepConfig sweep;
+  sweep.trials_per_point = 4;
+  sweep.shard_trials = 1;
+  const auto tasks = make_shard_schedule(1, sweep);
+  ASSERT_EQ(tasks.size(), 4u);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t in_flight = 0;
+  bool gave_up = false;  // set on a timeout, so later shards do not wait too
+  std::vector<bool> met_all(tasks.size(), false);
+  EXPECT_EQ(run_shards(tasks, 4,
+                       [&](const ShardTask& task) {
+                         std::unique_lock<std::mutex> lock(mu);
+                         ++in_flight;
+                         cv.notify_all();
+                         cv.wait_for(lock, std::chrono::seconds(30), [&] {
+                           return in_flight == tasks.size() || gave_up;
+                         });
+                         met_all[task.index] = in_flight == tasks.size();
+                         if (!met_all[task.index]) gave_up = true;
+                         cv.notify_all();
+                       }),
+            4u);
+  for (std::size_t i = 0; i < met_all.size(); ++i)
+    EXPECT_TRUE(met_all[i]) << "shard " << i << " never saw all four in flight";
 }
 
 TEST(ShardSchedule, AdaptiveGranularityScalesWithThreadsAndClamps) {

@@ -11,8 +11,9 @@
 //
 // The SIMD butterfly kernels are compared against the scalar stage bodies
 // (dsp/simd/fft_stages_scalar.h) run over an independently built copy of
-// the plan's tables; whatever ISA the dispatcher picked must stay within
-// 4 ulp of the scalar path, on the AVX2 CI job and the scalar-only one.
+// the plan's tables; whatever ISA the dispatcher picked, and every other
+// tier the host runs, must stay within 4 ulp of the scalar path, on the
+// AVX2 CI job and the scalar-only one.
 #include "dsp/fft_plan.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "dsp/rng.h"
 #include "dsp/simd/dispatch.h"
 #include "dsp/simd/fft_stages_scalar.h"
+#include "tests/simd_tiers.h"
 
 namespace rjf::dsp {
 namespace {
@@ -91,41 +93,80 @@ std::size_t bit_reverse(std::size_t v, unsigned bits) {
   return r;
 }
 
+unsigned log2_of(std::size_t n) {
+  unsigned lg = 0;
+  while ((std::size_t{1} << lg) < n) ++lg;
+  return lg;
+}
+
+cvec bit_reversed(const cvec& in) {
+  const unsigned lg = log2_of(in.size());
+  cvec x(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) x[bit_reverse(i, lg)] = in[i];
+  return x;
+}
+
+// Twiddle tables of the radix-4 stage with quarter length L, generated the
+// way the plan generates them.
+struct StageTwiddles {
+  std::vector<float> w1, w2, w3;
+};
+
+StageTwiddles stage_twiddles(std::size_t L, bool inverse) {
+  StageTwiddles t{std::vector<float>(2 * L), std::vector<float>(2 * L),
+                  std::vector<float>(2 * L)};
+  const double step = 2.0 * std::numbers::pi / static_cast<double>(4 * L);
+  const double s = inverse ? 1.0 : -1.0;
+  for (std::size_t k = 0; k < L; ++k) {
+    t.w1[2 * k] = static_cast<float>(std::cos(step * static_cast<double>(k)));
+    t.w1[2 * k + 1] =
+        static_cast<float>(s * std::sin(step * static_cast<double>(k)));
+    t.w2[2 * k] =
+        static_cast<float>(std::cos(step * static_cast<double>(2 * k)));
+    t.w2[2 * k + 1] =
+        static_cast<float>(s * std::sin(step * static_cast<double>(2 * k)));
+    t.w3[2 * k] =
+        static_cast<float>(std::cos(step * static_cast<double>(3 * k)));
+    t.w3[2 * k + 1] =
+        static_cast<float>(s * std::sin(step * static_cast<double>(3 * k)));
+  }
+  return t;
+}
+
+// Quarter lengths of the radix-4 stages of an n-point plan.
+std::vector<std::size_t> stage_quarters(std::size_t n) {
+  std::vector<std::size_t> quarters;
+  for (std::size_t L = log2_of(n) % 2 != 0 ? 2 : 1; 4 * L <= n; L *= 4)
+    quarters.push_back(L);
+  return quarters;
+}
+
 // Scalar replica of FftPlan::forward/inverse built entirely inside the
 // test: same bit-reverse order, same double-generated twiddles, scalar
 // stage bodies.  Tables are bit-identical to the plan's by construction,
 // so any divergence from FftPlan output is the dispatched kernel's.
 cvec scalar_reference_fft(const cvec& in, bool inverse) {
   const std::size_t n = in.size();
-  unsigned lg = 0;
-  while ((std::size_t{1} << lg) < n) ++lg;
-  cvec x(n);
-  for (std::size_t i = 0; i < n; ++i) x[bit_reverse(i, lg)] = in[i];
+  cvec x = bit_reversed(in);
   float* xf = reinterpret_cast<float*>(x.data());
-  const bool radix2_first = (lg % 2) != 0;
-  if (radix2_first) simd::fft_radix2_stage(xf, n);
-  const double two_pi = 2.0 * std::numbers::pi;
-  for (std::size_t L = radix2_first ? 2 : 1; 4 * L <= n; L *= 4) {
-    std::vector<float> w1(2 * L), w2(2 * L), w3(2 * L);
-    const double step = two_pi / static_cast<double>(4 * L);
-    for (std::size_t k = 0; k < L; ++k) {
-      const double s = inverse ? 1.0 : -1.0;
-      w1[2 * k] = static_cast<float>(std::cos(step * static_cast<double>(k)));
-      w1[2 * k + 1] =
-          static_cast<float>(s * std::sin(step * static_cast<double>(k)));
-      w2[2 * k] =
-          static_cast<float>(std::cos(step * static_cast<double>(2 * k)));
-      w2[2 * k + 1] =
-          static_cast<float>(s * std::sin(step * static_cast<double>(2 * k)));
-      w3[2 * k] =
-          static_cast<float>(std::cos(step * static_cast<double>(3 * k)));
-      w3[2 * k + 1] =
-          static_cast<float>(s * std::sin(step * static_cast<double>(3 * k)));
-    }
-    simd::fft_radix4_stage(xf, n, L, w1.data(), w2.data(), w3.data(), inverse);
+  if (log2_of(n) % 2 != 0) simd::fft_radix2_stage(xf, n);
+  for (const std::size_t L : stage_quarters(n)) {
+    const StageTwiddles t = stage_twiddles(L, inverse);
+    simd::fft_radix4_stage(xf, n, L, t.w1.data(), t.w2.data(), t.w3.data(),
+                           inverse);
   }
   return x;
 }
+
+void expect_within_4_ulp(const cvec& got, const cvec& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_LE(ulp_distance(got[k].real(), ref[k].real()), 4) << "k=" << k;
+    EXPECT_LE(ulp_distance(got[k].imag(), ref[k].imag()), 4) << "k=" << k;
+  }
+}
+
+using test::host_tiers;
 
 cvec random_signal(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -178,6 +219,59 @@ TEST(FftPlan, DispatchedKernelWithin4UlpOfScalarStages) {
             << simd::isa_name(simd::active_isa()) << " n=" << n
             << " inverse=" << inverse << " k=" << k;
       }
+    }
+  }
+}
+
+// Every tier the host runs, not just the one active_isa() picked, at every
+// size from 2 points (below any kernel's lane count: scalar stages only)
+// to 2048, even and odd log2 n.
+TEST(FftPlanTiers, EveryTierWithin4UlpOfScalarStages) {
+  constexpr std::uint64_t kSeed = 0x5EED'0021'0FF7u;
+  for (const simd::Isa isa : host_tiers()) {
+    std::uint64_t stream = 0;
+    for (std::size_t n = 2; n <= 2048; n *= 2) {
+      for (const bool inverse : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd::isa_name(isa) << " n=" << n
+                     << " inverse=" << inverse);
+        const cvec x = random_signal(n, derive_seed(kSeed, stream++));
+        cvec got = x;
+        if (inverse)
+          FftPlan::of(n).inverse(got.data(), isa);
+        else
+          FftPlan::of(n).forward(got.data(), isa);
+        expect_within_4_ulp(got, scalar_reference_fft(x, inverse));
+      }
+    }
+  }
+}
+
+// A vector tier must run its own butterfly kernel, not the scalar stages
+// the comparison above is made against. 128 points: a radix-2 pass, then
+// radix-4 stages of quarter length 2 (below the AVX2 kernel's 4 complex
+// lanes), 8 and 32.
+TEST(FftPlanTiers, EveryVectorTierRunsItsKernel) {
+  constexpr std::size_t kN = 128;
+  for (const simd::Isa isa : host_tiers()) {
+    for (const bool inverse : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << simd::isa_name(isa) << " inverse=" << inverse);
+      std::vector<StageTwiddles> tables;
+      std::vector<simd::FftStageView> views;
+      for (const std::size_t L : stage_quarters(kN))
+        tables.push_back(stage_twiddles(L, inverse));
+      for (const StageTwiddles& t : tables)
+        views.push_back({t.w1.size() / 2, t.w1.data(), t.w2.data(),
+                         t.w3.data()});
+      const simd::FftKernelRun run{kN, true, inverse, views.data(),
+                                   views.size()};
+      const cvec x = random_signal(kN, 0x128 + (inverse ? 1 : 0));
+      cvec got = bit_reversed(x);
+      EXPECT_EQ(simd::fft_exec(isa, run, reinterpret_cast<float*>(got.data())),
+                isa != simd::Isa::kScalar);
+      if (isa != simd::Isa::kScalar)
+        expect_within_4_ulp(got, scalar_reference_fft(x, inverse));
     }
   }
 }

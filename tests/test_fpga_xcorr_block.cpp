@@ -20,6 +20,7 @@
 #include "dsp/simd/xcorr.h"
 #include "fpga/cross_correlator.h"
 #include "fpga/register_file.h"
+#include "tests/simd_tiers.h"
 
 namespace rjf::fpga {
 namespace {
@@ -49,12 +50,7 @@ std::size_t random_chunk(dsp::Xoshiro256& rng) {
 }
 
 // Every SIMD tier this host runs, scalar (the step() fallback) included.
-std::vector<dsp::simd::Isa> host_tiers() {
-  std::vector<dsp::simd::Isa> tiers;
-  for (int t = 0; t <= static_cast<int>(dsp::simd::active_isa()); ++t)
-    tiers.push_back(static_cast<dsp::simd::Isa>(t));
-  return tiers;
-}
+using test::host_tiers;
 
 // Three instances of one configuration: `block` driven through metrics()
 // on tier `isa` (and now and then step(), which must interleave), `step`
@@ -220,7 +216,7 @@ TEST(CrossCorrelatorBlock, EmptyBlockChangesNothing) {
 
 TEST(CrossCorrelatorBlock, EveryVectorTierFromAvx2UpHasAKernel) {
   // So the differentials above cover a kernel on every AVX2 or wider
-  // tier this host runs; SSE4.2 and scalar run the step() loop.
+  // tier this host runs; scalar runs the step() loop.
   using dsp::simd::Isa;
   for (const Isa isa : host_tiers()) {
     SCOPED_TRACE(dsp::simd::isa_name(isa));

@@ -9,6 +9,10 @@
 // float arithmetic operation-for-operation, so its outputs are
 // bit-identical too.
 //
+// Most tests here run the tier active_isa() picked; the ViterbiTiers suite
+// pins every tier the host runs, scalar included, so a narrower tier is
+// checked on a host whose dispatcher would never pick it.
+//
 // The suite names contain "Viterbi" so the ASan+UBSan CI job's test
 // filter picks them up: the u8 kernel leans on saturating arithmetic and
 // reinterpreted vector lanes, exactly the territory UBSan watches.
@@ -16,11 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <vector>
 
 #include "dsp/rng.h"
 #include "dsp/simd/dispatch.h"
+#include "dsp/simd/viterbi.h"
+#include "tests/simd_tiers.h"
 
 namespace rjf::phy80211 {
 namespace {
@@ -186,6 +193,112 @@ TEST(ViterbiSimd, SoftShortInputsMatchReference) {
     const std::vector<float> llrs = to_llrs(mother, 3.0f);
     EXPECT_EQ(viterbi_decode_soft(llrs), viterbi_decode_soft_reference(llrs))
         << "n_info=" << n_info;
+  }
+}
+
+// ---- every tier the host runs ----------------------------------------------
+
+using dsp::simd::Isa;
+using test::host_tiers;
+
+constexpr std::uint64_t kTierSeed = 0x5EED'0021'7123u;
+
+// A random trellis length: mostly short and ragged (no multiple of any
+// lane count is favoured), now and then long enough to cross the u8
+// kernel's 64-step renormalisation many times.
+std::size_t random_steps(dsp::Xoshiro256& rng) {
+  return rng.uniform_int(8) == 0 ? 300 + rng.uniform_int(1200)
+                                 : rng.uniform_int(140);
+}
+
+// A hard mother-rate stream: half the rounds an encoded message with
+// errors and erasures, half uniform symbols (tie-heavy); an odd trailing
+// symbol now and then, and rare out-of-range symbol values.
+Bits random_hard_stream(dsp::Xoshiro256& rng) {
+  const std::size_t steps = random_steps(rng);
+  Bits coded;
+  if (rng.uniform_int(2) == 0) {
+    Bits data(steps);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(2));
+    coded = convolutional_encode(data);
+    for (auto& b : coded) {
+      const double r = rng.uniform();
+      if (r < 0.1)
+        b ^= 1;
+      else if (r < 0.2)
+        b = 2;
+    }
+  } else {
+    coded.resize(2 * steps);
+    for (auto& b : coded) b = static_cast<std::uint8_t>(rng.uniform_int(3));
+  }
+  if (rng.uniform_int(4) == 0) coded.push_back(1);
+  for (auto& b : coded)
+    if (rng.uniform_int(500) == 0)
+      b = static_cast<std::uint8_t>(3 + rng.uniform_int(253));
+  return coded;
+}
+
+// Soft LLRs: Gaussian magnitudes around an encoded message, exact-zero ties,
+// and rarely +/-1e30, +/-inf or NaN.
+std::vector<float> random_llrs(dsp::Xoshiro256& rng) {
+  const std::size_t steps = random_steps(rng);
+  Bits data(steps);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(2));
+  const Bits mother = convolutional_encode(data);
+  std::vector<float> llrs(mother.size() + rng.uniform_int(2));
+  for (std::size_t k = 0; k < llrs.size(); ++k) {
+    const float sign = k < mother.size() && mother[k] ? 1.0f : -1.0f;
+    llrs[k] = sign + static_cast<float>(rng.gaussian());
+    switch (rng.uniform_int(200)) {
+      case 0: llrs[k] = 0.0f; break;
+      case 1: llrs[k] = sign * 1e30f; break;
+      case 2: llrs[k] = sign * std::numeric_limits<float>::infinity(); break;
+      case 3: llrs[k] = std::numeric_limits<float>::quiet_NaN(); break;
+      default: break;
+    }
+  }
+  return llrs;
+}
+
+TEST(ViterbiTiers, HardBitIdenticalToReferenceOnEveryTier) {
+  for (const Isa isa : host_tiers()) {
+    SCOPED_TRACE(dsp::simd::isa_name(isa));
+    // A vector tier must run its own kernel, not fall back to the
+    // reference the comparison below is made against.
+    const std::array<std::uint8_t, 6> probe = {0, 1, 2, 1, 1, 0};
+    std::array<std::uint64_t, 3> survivors{};
+    std::array<std::uint16_t, 64> finals{};
+    EXPECT_EQ(dsp::simd::viterbi_hard_acs(isa, probe, survivors.data(),
+                                          finals.data()),
+              isa != Isa::kScalar);
+
+    dsp::Xoshiro256 rng(dsp::derive_seed(kTierSeed, 1));
+    for (int round = 0; round < 64; ++round) {
+      const Bits coded = random_hard_stream(rng);
+      ASSERT_EQ(viterbi_decode(coded, isa), viterbi_decode_reference(coded))
+          << "round " << round << ", " << coded.size() << " symbols";
+    }
+  }
+}
+
+TEST(ViterbiTiers, SoftBitIdenticalToReferenceOnEveryTier) {
+  for (const Isa isa : host_tiers()) {
+    SCOPED_TRACE(dsp::simd::isa_name(isa));
+    const std::array<float, 6> probe = {-1.0f, 1.0f, 0.0f, 2.0f, 1.0f, -3.0f};
+    std::array<std::uint64_t, 3> survivors{};
+    std::array<float, 64> finals{};
+    EXPECT_EQ(dsp::simd::viterbi_soft_acs(isa, probe, survivors.data(),
+                                          finals.data()),
+              isa != Isa::kScalar);
+
+    dsp::Xoshiro256 rng(dsp::derive_seed(kTierSeed, 2));
+    for (int round = 0; round < 64; ++round) {
+      const std::vector<float> llrs = random_llrs(rng);
+      ASSERT_EQ(viterbi_decode_soft(llrs, isa),
+                viterbi_decode_soft_reference(llrs))
+          << "round " << round << ", " << llrs.size() << " LLRs";
+    }
   }
 }
 

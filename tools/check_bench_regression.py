@@ -7,8 +7,9 @@ Rates above baseline never fail (faster is fine; shared-runner noise mostly
 errs slow).
 
 Absolute floors gate keys that carry a hard invariant rather than a relative
-rate — e.g. BENCH_sweep.json's sweep_deterministic flag must stay 1 and the
-parallel speedup must not collapse. Absolute ceilings (--max-value) gate
+rate — e.g. BENCH_fault.json's fault_deterministic flag must stay 1 and
+BENCH_phy.json's BM_Fft1024 rate must stay above its SIMD speedup floor.
+Absolute ceilings (--max-value) gate
 counters that must stay at or below a bound — e.g. BENCH_fault.json's
 fault_zero_fault_mismatch must stay 0 (the zero-fault inertness contract).
 A --min-value/--max-value key missing from the fresh run fails (the
@@ -18,8 +19,8 @@ Usage:
   tools/check_bench_regression.py --baseline BENCH_fabric.json \
       --fresh BENCH_fabric.ci.json --key BM_DspCoreRunBlock_items_per_s \
       [--key ...] [--max-drop 0.10]
-  tools/check_bench_regression.py --fresh BENCH_sweep.ci.json \
-      --min-value sweep_deterministic=1 --min-value sweep_speedup=0.9
+  tools/check_bench_regression.py --fresh BENCH_scenarios.ci.json \
+      --min-value scenarios_deterministic=1
   tools/check_bench_regression.py --fresh BENCH_fault.ci.json \
       --min-value fault_deterministic=1 --max-value fault_zero_fault_mismatch=0
 """

@@ -29,9 +29,8 @@ Rule table (DESIGN.md section 11):
   wall-clock-or-rand  wall clocks or ambient randomness; time and entropy
                       must come in through explicit seeds/parameters.
 
-Escape hatch: `// fabric-lint: allow(<rule>)` on the offending line (the
-historical tag, still honoured everywhere) or the suite-wide
-`// rjf-analyze: allow(fabric.<rule>)`.
+Escape hatch: `// rjf-analyze: allow(fabric.<rule>)` on the offending
+line.
 """
 
 from __future__ import annotations
@@ -280,12 +279,10 @@ class FabricPass(Pass):
                       " violation per rule, got", per_rule)
                 return 1
 
-            # Tag every seeded line (alternating the legacy and the
-            # suite-wide allow spellings) and assert full suppression.
-            for index, (rid, (rel, _)) in enumerate(sorted(self.SEEDS.items())):
+            # Tag every seeded line and assert full suppression.
+            for rid, (rel, _) in sorted(self.SEEDS.items()):
                 p = root / rel
-                tag = (f"  // fabric-lint: allow({rid})" if index % 2 == 0
-                       else f"  // rjf-analyze: allow(fabric.{rid})")
+                tag = f"  // rjf-analyze: allow(fabric.{rid})"
                 tagged = [
                     line + tag if line.strip() else line
                     for line in p.read_text(encoding="utf-8").splitlines()

@@ -15,7 +15,6 @@ Two views of a file:
 
 Allow-tag grammar (the escape hatch shared by every pass):
 
-  // fabric-lint: allow(<rule>)          legacy form, fabric pass rules only
   // rjf-analyze: allow(<pass>.<rule>)   any pass/rule in the suite
   // rjf-analyze: allow(realtime.call)   audited call edge: the realtime
                                          pass will not traverse callees on
@@ -30,9 +29,7 @@ from __future__ import annotations
 import pathlib
 import re
 
-# Legacy fabric-lint tags: bare rule ids.
-FABRIC_ALLOW_RE = re.compile(r"fabric-lint:\s*allow\(([a-z-]+)\)")
-# Suite-wide tags: pass-qualified rule ids (e.g. "layering.undeclared-edge").
+# Pass-qualified rule ids (e.g. "layering.undeclared-edge").
 ANALYZE_ALLOW_RE = re.compile(r"rjf-analyze:\s*allow\(([a-z0-9_.-]+)\)")
 
 
@@ -93,8 +90,7 @@ class SourceFile:
         # line number (1-based) -> set of tag strings
         self._allows: dict[int, set[str]] = {}
         for lineno, raw in enumerate(self.raw_lines, start=1):
-            tags = set(FABRIC_ALLOW_RE.findall(raw))
-            tags.update(ANALYZE_ALLOW_RE.findall(raw))
+            tags = set(ANALYZE_ALLOW_RE.findall(raw))
             if tags:
                 self._allows[lineno] = tags
 
@@ -102,15 +98,8 @@ class SourceFile:
         return self._allows.get(lineno, set())
 
     def allowed(self, lineno: int, pass_id: str, rule_id: str) -> bool:
-        """True when a tag on `lineno` suppresses pass_id.rule_id.
-
-        The qualified form always matches; the bare legacy form matches
-        only for the fabric pass (fabric_lint compatibility contract).
-        """
-        tags = self.allows(lineno)
-        if f"{pass_id}.{rule_id}" in tags:
-            return True
-        return pass_id == "fabric" and rule_id in tags
+        """True when a tag on `lineno` suppresses pass_id.rule_id."""
+        return f"{pass_id}.{rule_id}" in self.allows(lineno)
 
     def lines(self):
         """Yield (lineno, code, raw) triples, lineno 1-based."""
