@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <numeric>
 #include <stdexcept>
@@ -52,6 +53,19 @@ double cutoff_for(double ratio) { return 0.5 * std::min(1.0, ratio); }
 std::size_t output_length(std::size_t n_in, double ratio) {
   return static_cast<std::size_t>(
       std::floor(static_cast<double>(n_in) * ratio));
+}
+
+// IEEE 754 leaves the sign of a NaN result to operand order, and an
+// optimiser may commute that order, so the table-driven loop and the
+// reference can disagree on it. Both end with this pass, which writes every
+// NaN component as the one quiet NaN. It is branch-free and outside the
+// tap loop: a compare-and-blend per vector of output components.
+void canonicalize_nans(cvec& v) noexcept {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  // An array of std::complex<float> may be accessed as interleaved floats.
+  float* f = reinterpret_cast<float*>(v.data());
+  for (std::size_t k = 0; k < 2 * v.size(); ++k)
+    f[k] = std::isnan(f[k]) ? kNan : f[k];
 }
 
 // The taps of every output with phase r: input indices q·M + first ..
@@ -123,6 +137,7 @@ cvec Resampler::resample(std::span<const cfloat> in,
       out[m++] = acc;
     }
   }
+  canonicalize_nans(out);
   return out;
 }
 
@@ -149,6 +164,7 @@ cvec resample_reference(std::span<const cfloat> in, double in_rate,
     }
     out[m] = acc;
   }
+  canonicalize_nans(out);
   return out;
 }
 

@@ -14,68 +14,72 @@ void DspCore::apply_registers() noexcept {
   jammer_.load_from_registers(regs_);
 }
 
-void DspCore::finish_tick(CoreOutput& out) noexcept {
+void DspCore::finish_tick(CoreOutput& out, const StrobeTap* tap) noexcept {
   out.jam_trigger = fsm_.clock(held_events_);
   if (out.jam_trigger) {
     ++feedback_.jam_triggers;
     feedback_.last_trigger_vita = vita_ticks_;
   }
-  // Event pulses are single-strobe; clear after the FSM consumed them.
-  held_events_ = DetectorEvents{};
-
   out.tx = jammer_.clock(out.jam_trigger);
 
   if (ring_ != nullptr) [[unlikely]]
-    emit_tick(out);
+    publish_tick(out, tap);
+  // Event pulses are single-strobe; clear once the FSM and the ring have
+  // consumed them.
+  held_events_ = DetectorEvents{};
 
   ++vita_ticks_;
   feedback_.vita_ticks = vita_ticks_;
 }
 
 // rjf: realtime
-void DspCore::emit_tick(const CoreOutput& out) noexcept {
+inline void DspCore::publish(const DetectorEvents& ev, bool jam,
+                             const JammerController::TxOut& tx,
+                             const StrobeTap* strobe) noexcept {
+  obs::EventRing& ring = *ring_;
   const std::uint64_t vita = vita_ticks_;
   using obs::EventKind;
-  if (out.xcorr_trigger)
-    ring_->push_event(EventKind::kXcorrTrigger, vita, probe_xcorr_metric_);
-  if (out.energy_high)
-    ring_->push_event(EventKind::kEnergyRise, vita, probe_energy_sum_);
-  if (out.energy_low)
-    ring_->push_event(EventKind::kEnergyFall, vita, probe_energy_sum_);
+  // Detector edges fire only on strobe clocks, where `strobe` is set.
+  if (ev.xcorr)
+    ring.push_event(EventKind::kXcorrTrigger, vita, strobe->xcorr_metric);
+  if (ev.energy_high)
+    ring.push_event(EventKind::kEnergyRise, vita, strobe->energy_sum);
+  if (ev.energy_low)
+    ring.push_event(EventKind::kEnergyFall, vita, strobe->energy_sum);
   const int stage = fsm_.stage();
   if (stage != prev_stage_) {
     prev_stage_ = stage;
-    if (ring_->want_spans())
-      ring_->push_event(EventKind::kFsmStage, vita, hw::UInt<8>(stage).u64());
+    if (obs::EventRing::want_spans())
+      ring.push_event(EventKind::kFsmStage, vita, hw::UInt<8>(stage).u64());
   }
-  if (out.jam_trigger) ring_->push_event(EventKind::kJamTrigger, vita, 0);
-  if (out.tx.rf_active != prev_rf_) {
-    ring_->push_event(out.tx.rf_active ? EventKind::kJamStart
-                                       : EventKind::kJamEnd,
-                      vita, 0);
-    prev_rf_ = out.tx.rf_active;
+  if (jam) ring.push_event(EventKind::kJamTrigger, vita, 0);
+  if (tx.rf_active != prev_rf_) {
+    prev_rf_ = tx.rf_active;
+    ring.push_event(prev_rf_ ? EventKind::kJamStart : EventKind::kJamEnd, vita,
+                    0);
   }
-  if (out.tx.sample_strobe) probe_tx_ = out.tx.sample;
+  if (tx.sample_strobe) probe_tx_ = tx.sample;
 
-  if (out.rx_strobe) {
-    const bool interesting = out.xcorr_trigger || out.energy_high ||
-                             out.energy_low || out.jam_trigger;
-    if (ring_->strobe_gate(interesting)) {
-      obs::FabricSignals s;
-      s.vita_ticks = vita;
-      s.rx = probe_rx_;
-      s.xcorr_metric = probe_xcorr_metric_;
-      s.energy_sum = probe_energy_sum_;
-      s.fsm_stage = hw::UInt<8>(stage).value();
-      s.xcorr_trigger = out.xcorr_trigger;
-      s.energy_high = out.energy_high;
-      s.energy_low = out.energy_low;
-      s.jam_trigger = out.jam_trigger;
-      s.rf_active = out.tx.rf_active;
-      s.tx = probe_tx_;
-      ring_->push_strobe(s);
-    }
+  if (strobe != nullptr && ring.strobe_gate(ev.any() || jam)) {
+    obs::FabricSignals s;
+    s.vita_ticks = vita;
+    s.rx = strobe->rx;
+    s.xcorr_metric = strobe->xcorr_metric;
+    s.energy_sum = strobe->energy_sum;
+    s.fsm_stage = hw::UInt<8>(stage).value();
+    s.xcorr_trigger = ev.xcorr;
+    s.energy_high = ev.energy_high;
+    s.energy_low = ev.energy_low;
+    s.jam_trigger = jam;
+    s.rf_active = tx.rf_active;
+    s.tx = probe_tx_;
+    ring.push_strobe(s);
   }
+}
+
+void DspCore::publish_tick(const CoreOutput& out,
+                           const StrobeTap* tap) noexcept {
+  publish(held_events_, out.jam_trigger, out.tx, tap);
 }
 
 CoreOutput DspCore::strobe_tick(dsp::IQ16 sample) noexcept {
@@ -86,12 +90,6 @@ CoreOutput DspCore::strobe_tick(dsp::IQ16 sample) noexcept {
   const auto xc = correlator_.step(sample);
   const auto en = energy_.step(sample);
   jammer_.record_rx(sample);
-
-  if (ring_ != nullptr) [[unlikely]] {
-    probe_xcorr_metric_ = xc.metric;
-    probe_energy_sum_ = en.energy_sum;
-    probe_rx_ = sample;
-  }
 
   // Edge-detect so one packet produces one event per detector, not one
   // per sample while the metric stays above threshold.
@@ -110,7 +108,8 @@ CoreOutput DspCore::strobe_tick(dsp::IQ16 sample) noexcept {
   out.energy_high = held_events_.energy_high;
   out.energy_low = held_events_.energy_low;
 
-  finish_tick(out);
+  const StrobeTap tap{sample, xc.metric, en.energy_sum};
+  finish_tick(out, &tap);
   return out;
 }
 
@@ -119,7 +118,7 @@ CoreOutput DspCore::idle_tick() noexcept {
   out.vita_ticks = vita_ticks_;
   // held_events_ were cleared when the previous tick's FSM consumed them,
   // so detector outputs read false between strobes.
-  finish_tick(out);
+  finish_tick(out, nullptr);
   return out;
 }
 
@@ -206,50 +205,8 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
     }
 
     if constexpr (kTraced) {
-      using obs::EventKind;
-      const std::uint64_t vita = vita_ticks_;
-      if (ev.xcorr)
-        ring_->push_event(EventKind::kXcorrTrigger, vita, xc_metric);
-      if (ev.energy_high)
-        ring_->push_event(EventKind::kEnergyRise, vita, en.energy_sum);
-      if (ev.energy_low)
-        ring_->push_event(EventKind::kEnergyFall, vita, en.energy_sum);
-      const int stage = fsm_.stage();
-      if (stage != prev_stage_) {
-        prev_stage_ = stage;
-        if (ring_->want_spans())
-          ring_->push_event(EventKind::kFsmStage, vita,
-                            hw::UInt<8>(stage).u64());
-      }
-      if (jam) ring_->push_event(EventKind::kJamTrigger, vita, 0);
-      if (tx.rf_active != prev_rf_) {
-        ring_->push_event(tx.rf_active ? EventKind::kJamStart
-                                       : EventKind::kJamEnd,
-                          vita, 0);
-        prev_rf_ = tx.rf_active;
-      }
-      if (tx.sample_strobe) probe_tx_ = tx.sample;
-      const bool interesting =
-          ev.xcorr || ev.energy_high || ev.energy_low || jam;
-      if (ring_->strobe_gate(interesting)) {
-        obs::FabricSignals snap;
-        snap.vita_ticks = vita;
-        snap.rx = sample;
-        snap.xcorr_metric = xc_metric;
-        snap.energy_sum = en.energy_sum;
-        snap.fsm_stage = hw::UInt<8>(stage).value();
-        snap.xcorr_trigger = ev.xcorr;
-        snap.energy_high = ev.energy_high;
-        snap.energy_low = ev.energy_low;
-        snap.jam_trigger = jam;
-        snap.rf_active = tx.rf_active;
-        snap.tx = probe_tx_;
-        ring_->push_strobe(snap);
-      }
-      // Keep the probe mirrors coherent for a later per-tick entry.
-      probe_xcorr_metric_ = xc_metric;
-      probe_energy_sum_ = en.energy_sum;
-      probe_rx_ = sample;
+      const StrobeTap tap{sample, xc_metric, en.energy_sum};
+      publish(ev, jam, tx, &tap);
       // A period-step sample that lands on an idle clock reaches the
       // probe after the strobe snapshot, as it does clock by clock.
       if (period_step) probe_tx_ = tx.sample;
@@ -267,12 +224,8 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
     // state and put nothing on the air: only VITA time moves, and the ring
     // owes a jam_end if a burst stopped on the strobe clock.
     if (!fsm_.engaged() && !jammer_.busy()) {
-      if constexpr (kTraced) {
-        if (prev_rf_) {
-          ring_->push_event(obs::EventKind::kJamEnd, vita_ticks_, 0);
-          prev_rf_ = false;
-        }
-      }
+      if constexpr (kTraced)
+        publish(DetectorEvents{}, false, JammerController::TxOut{}, nullptr);
       vita_ticks_ += kClocksPerSample - 1;
       continue;
     }
@@ -281,23 +234,7 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
       if (fsm_.engaged()) (void)fsm_.clock(DetectorEvents{});
       if (jammer_.busy()) t = jammer_.clock(false);
       fold(rec, t);
-      if constexpr (kTraced) {
-        using obs::EventKind;
-        const int stage = fsm_.stage();
-        if (stage != prev_stage_) {
-          prev_stage_ = stage;
-          if (ring_->want_spans())
-            ring_->push_event(EventKind::kFsmStage, vita_ticks_,
-                              hw::UInt<8>(stage).u64());
-        }
-        if (t.rf_active != prev_rf_) {
-          ring_->push_event(t.rf_active ? EventKind::kJamStart
-                                        : EventKind::kJamEnd,
-                            vita_ticks_, 0);
-          prev_rf_ = t.rf_active;
-        }
-        if (t.sample_strobe) probe_tx_ = t.sample;
-      }
+      if constexpr (kTraced) publish(DetectorEvents{}, false, t, nullptr);
       ++vita_ticks_;
     }
   }
@@ -367,9 +304,6 @@ void DspCore::reset() noexcept {
   strobe_phase_ = hw::UInt<2>();
   held_events_ = DetectorEvents{};
   prev_xcorr_ = prev_high_ = prev_low_ = false;
-  probe_xcorr_metric_ = 0;
-  probe_energy_sum_ = 0;
-  probe_rx_ = dsp::IQ16{};
   probe_tx_ = dsp::IQ16{};
   prev_rf_ = false;
   prev_stage_ = 0;

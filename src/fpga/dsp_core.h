@@ -114,30 +114,57 @@ class DspCore {
   /// fixed-size records into the ring on trigger edges, FSM transitions,
   /// jam bursts and sampled strobes; outputs stay bit-identical to an
   /// untraced run because the traced run_block() instantiation keeps the
-  /// same straight-line compute path and only appends records behind the
-  /// existing rare-event branches (the overhead contract; see DESIGN.md
-  /// "Observability"). Inline-drain rings are drained at block boundaries.
-  void set_ring(obs::EventRing* ring) noexcept { ring_ = ring; }
+  /// same straight-line compute path and only adds publish() calls (the
+  /// overhead contract; see DESIGN.md "Observability"). Inline-drain rings
+  /// are drained at block boundaries.
+  /// The ring's edge latches restart on attach: RF reads off and the FSM
+  /// stage reads as it stands, so a ring never receives the end of a burst
+  /// it did not see start, and a burst in progress opens with a jam_start
+  /// at the first traced clock.
+  void set_ring(obs::EventRing* ring) noexcept {
+    ring_ = ring;
+    prev_rf_ = false;
+    prev_stage_ = fsm_.stage();
+  }
   [[nodiscard]] obs::EventRing* ring() const noexcept { return ring_; }
 
  private:
+  /// What the ring's strobe snapshot taps on a receive-strobe clock, on
+  /// top of the clock's edges and TX output.
+  struct StrobeTap {
+    dsp::IQ16 rx{};
+    std::uint32_t xcorr_metric = 0;
+    std::uint64_t energy_sum = 0;
+  };
   /// Strobe-tick body: detectors + edge logic + FSM/jammer clocks.
   CoreOutput strobe_tick(dsp::IQ16 sample) noexcept;
   /// Idle-tick body: detectors hold; FSM window and jammer timers advance.
   CoreOutput idle_tick() noexcept;
   /// Shared tail of every tick: FSM, jam bookkeeping, TX path, VITA time.
-  void finish_tick(CoreOutput& out) noexcept;
-  /// Publish this tick's events/snapshot to the ring (ring_ != nullptr).
-  /// Kept out of line and cold so the no-ring tick path stays inlinable.
+  /// `tap` is the strobe clock's snapshot input, nullptr on idle clocks;
+  /// it is read only while a ring is attached.
+  void finish_tick(CoreOutput& out, const StrobeTap* tap) noexcept;
+  /// Publish one fabric clock to the ring (ring_ != nullptr): its detector
+  /// edges, jam trigger and TX output, and on a strobe clock (`strobe`
+  /// non-null) the sampled snapshot. The one trace tap of both paths;
+  /// forced inline so the traced block loop pays no call per clock.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((always_inline))
+#endif
+  inline void publish(const DetectorEvents& ev, bool jam,
+                      const JammerController::TxOut& tx,
+                      const StrobeTap* strobe) noexcept;
+  /// tick()'s way into publish(): out of line and cold so the no-ring tick
+  /// path stays inlinable. It reads the clock's edges from held_events_, so
+  /// finish_tick() calls it before clearing them.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((noinline, cold))
 #endif
-  void emit_tick(const CoreOutput& out) noexcept;
-  /// The block loop, compiled twice: the kTraced instantiation interleaves
-  /// ring emission behind the existing rare-event branches, the plain one
-  /// is the untouched fast path. Both run the same datapath computations in
-  /// the same order, which is what makes traced-vs-plain bit-identity hold
-  /// by construction.
+  void publish_tick(const CoreOutput& out, const StrobeTap* tap) noexcept;
+  /// The block loop, compiled twice: the kTraced instantiation calls
+  /// publish() on each clock it covers, the plain one is the untouched fast
+  /// path. Both run the same datapath computations in the same order, which
+  /// is what makes traced-vs-plain bit-identity hold by construction.
   template <bool kTraced>
   void run_block_body(std::span<const dsp::IQ16> rx,
                       std::span<SamplePeriodOutput> out) noexcept;
@@ -159,13 +186,10 @@ class DspCore {
   bool prev_high_ = false;
   bool prev_low_ = false;
 
-  // Telemetry tap. The probe_* mirrors are only written while a ring is
-  // attached; they exist because the strobe-tick locals (metric, energy
-  // sum) are consumed before the FSM/TX state the snapshot also needs.
+  // Telemetry tap: the ring, the last TX sample issued (the snapshot's
+  // `tx` field) and the edge latches behind jam_start/jam_end and FSM
+  // stage events.
   obs::EventRing* ring_ = nullptr;
-  std::uint32_t probe_xcorr_metric_ = 0;
-  std::uint64_t probe_energy_sum_ = 0;
-  dsp::IQ16 probe_rx_{};
   dsp::IQ16 probe_tx_{};
   bool prev_rf_ = false;
   int prev_stage_ = 0;

@@ -11,16 +11,11 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-ObsLevel clamp_level(ObsLevel level) {
-  return level > kCompiledObsLevel ? kCompiledObsLevel : level;
-}
-
 }  // namespace
 
 EventRing::EventRing(const RingConfig& config)
     : ring_(round_up_pow2(config.capacity)),
       mask_(ring_.size() - 1),
-      level_(clamp_level(config.level)),
       period_(config.strobe_sample_period == 0 ? 1
                                                : config.strobe_sample_period) {}
 
@@ -42,7 +37,7 @@ bool EventRing::try_push(const RingRecord& record) noexcept {
 // rjf: realtime
 bool EventRing::push_event(EventKind kind, std::uint64_t vita_ticks,
                            std::uint64_t value) noexcept {
-  if (level_ == ObsLevel::kOff) return false;
+  if constexpr (kCompiledObsLevel == ObsLevel::kOff) return false;
   RingRecord r{};
   r.vita_ticks = vita_ticks;
   r.value = value;

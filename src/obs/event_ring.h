@@ -19,14 +19,16 @@
 //     mutex so an explicit flush and the drain thread serialise; producer
 //     wait-freedom is untouched.
 //
-// Observability levels gate what producers even construct:
-//   kOff      — ring attached but silent
+// Observability levels are a compile-time ceiling on what producers even
+// construct, set with -DRJF_OBS_MAX_LEVEL=N (default 3):
+//   kOff      — rings stay silent
 //   kCounters — discrete events only (detector edges, jam bursts, settings
 //               traffic, faults): everything the always-on counters need
 //   kSpans    — + FSM stage transitions (span-class detail)
 //   kProbes   — + per-strobe signal snapshots, decimated 1-in-N
-// Compiling with -DRJF_OBS_MAX_LEVEL=N folds the gates for higher levels to
-// constant false, so a counters-only build pays nothing for probe hooks.
+// The gates for levels above N fold to constant false, so a counters-only
+// build pays nothing for probe hooks. There is no runtime level: a caller
+// that wants no records attaches no ring.
 //
 // Strobe sampling is a deterministic 1-in-N countdown (pure function of the
 // call sequence — no clocks, no RNG — so traces are bit-reproducible).
@@ -53,8 +55,8 @@
 
 namespace rjf::obs {
 
-/// What the producers are willing to construct. Runtime level is clamped by
-/// the compile-time ceiling kCompiledObsLevel.
+/// What the producers are willing to construct, up to the compile-time
+/// ceiling kCompiledObsLevel.
 enum class ObsLevel : std::uint8_t {
   kOff = 0,
   kCounters = 1,
@@ -95,8 +97,6 @@ inline constexpr std::uint8_t kStrobeRfActive = 1u << 4;
 struct RingConfig {
   /// Record slots; rounded up to a power of two, minimum 16.
   std::size_t capacity = std::size_t{1} << 16;
-  /// Runtime emission level (clamped to kCompiledObsLevel).
-  ObsLevel level = ObsLevel::kProbes;
   /// Emit 1 of every N idle strobes (detector-edge/jam strobes always
   /// pass). 1 = every strobe, like the pre-ring transport.
   std::uint32_t strobe_sample_period = 16;
@@ -111,24 +111,18 @@ class EventRing {
   // Producer side (single thread, wait-free) ---------------------------------
 
   /// Append a discrete event. Returns false (and counts the drop) when the
-  /// ring is full or the level is kOff.
+  /// ring is full; always false in a kOff build.
   bool push_event(EventKind kind, std::uint64_t vita_ticks,
                   std::uint64_t value) noexcept;
 
   /// Span-class detail gate (FSM stage transitions).
-  [[nodiscard]] bool want_spans() const noexcept {
-    if constexpr (kCompiledObsLevel < ObsLevel::kSpans)
-      return false;
-    else
-      return level_ >= ObsLevel::kSpans;
+  [[nodiscard]] static constexpr bool want_spans() noexcept {
+    return kCompiledObsLevel >= ObsLevel::kSpans;
   }
 
   /// Probe-class detail gate (per-strobe snapshots).
-  [[nodiscard]] bool want_probes() const noexcept {
-    if constexpr (kCompiledObsLevel < ObsLevel::kProbes)
-      return false;
-    else
-      return level_ >= ObsLevel::kProbes;
+  [[nodiscard]] static constexpr bool want_probes() noexcept {
+    return kCompiledObsLevel >= ObsLevel::kProbes;
   }
 
   /// Sampling gate, called once per rx strobe before building the snapshot.
@@ -137,7 +131,7 @@ class EventRing {
   /// function of the strobe sequence. Counts suppressed strobes.
   // rjf: realtime
   [[nodiscard]] bool strobe_gate(bool interesting) noexcept {
-    if (!want_probes()) return false;
+    if constexpr (!want_probes()) return false;
     if (strobe_countdown_ == 0) {
       strobe_countdown_ = period_ - 1;
       return true;
@@ -183,7 +177,6 @@ class EventRing {
 
   // Accounting ---------------------------------------------------------------
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  [[nodiscard]] ObsLevel level() const noexcept { return level_; }
   [[nodiscard]] std::uint32_t strobe_sample_period() const noexcept {
     return period_;
   }
@@ -213,7 +206,6 @@ class EventRing {
 
   std::vector<RingRecord> ring_;
   std::size_t mask_ = 0;
-  ObsLevel level_;
   std::uint32_t period_;
 
   // Producer-local state (never read by the consumer).

@@ -587,5 +587,259 @@ TEST(RunBlockEquivalence, RunBlockWritesOneRecordPerSample) {
             (stream.size() + 3) * kClocksPerSample);
 }
 
+// ---------------------------------------------------------------------------
+// The ring's record stream pinned to recorded values. Both paths publish
+// through one routine, so the block-vs-tick comparisons above cannot see an
+// error common to both; these digests can.
+
+// FNV-1a over every field a drained record carries.
+struct TraceDigest {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3u;
+    }
+  }
+  void add(const test::RingRecord& r) {
+    add(r.strobe ? 1u : 0u);
+    add(r.vita_ticks);
+    if (!r.strobe) {
+      add(static_cast<std::uint64_t>(r.kind));
+      add(r.value);
+      return;
+    }
+    const obs::FabricSignals& s = r.signals;
+    add(static_cast<std::uint16_t>(s.rx.i));
+    add(static_cast<std::uint16_t>(s.rx.q));
+    add(s.xcorr_metric);
+    add(s.energy_sum);
+    add(s.fsm_stage);
+    add((s.xcorr_trigger ? 1u : 0u) | (s.energy_high ? 2u : 0u) |
+        (s.energy_low ? 4u : 0u) | (s.jam_trigger ? 8u : 0u) |
+        (s.rf_active ? 16u : 0u));
+    add(static_cast<std::uint16_t>(s.tx.i));
+    add(static_cast<std::uint16_t>(s.tx.q));
+  }
+};
+
+struct TraceRun {
+  std::uint64_t digest = 0;
+  std::size_t strobes = 0;
+  std::size_t stage_events = 0;
+  std::size_t energy_falls = 0;
+  std::size_t jam_starts = 0;
+};
+
+// One seeded traced run: preamble bursts on a noise floor through the
+// 1- or 2-stage trigger and the given waveform, fed to the block path in
+// random splits or to the tick path clock by clock.
+TraceRun traced_run(JamWaveform waveform, int stages,
+                    std::uint32_t strobe_sample_period, bool block_path,
+                    std::uint32_t xcorr_threshold, const dsp::iqvec& burst) {
+  constexpr std::uint64_t kSeed = 0x5EED'0023'D16Eu;
+  dsp::Xoshiro256 air_rng(dsp::derive_seed(kSeed, 1));
+  dsp::Xoshiro256 split_rng(dsp::derive_seed(kSeed, 2));
+
+  DspCore core;
+  auto& regs = core.registers();
+  program_template(regs, core::wifi_short_preamble_template());
+  regs.write(Reg::kXcorrThreshold, xcorr_threshold);
+  regs.write(Reg::kEnergyThreshHigh, core::energy_threshold_q88_from_db(6.0));
+  regs.write(Reg::kEnergyThreshLow, core::energy_threshold_q88_from_db(6.0));
+  regs.write(Reg::kEnergyFloor, 1000);
+  if (stages == 1)
+    regs.set_trigger_stages(kEventXcorr, 0, 0);
+  else
+    regs.set_trigger_stages(kEventEnergyHigh, kEventXcorr, 0);
+  regs.write(Reg::kTriggerWindow, 4096);
+  regs.set_jammer(waveform, true, 2);
+  regs.write(Reg::kJamDuration, 37);
+  core.apply_registers();
+  std::vector<dsp::IQ16> host_wave(23);
+  for (std::size_t k = 0; k < host_wave.size(); ++k)
+    host_wave[k] = dsp::IQ16{static_cast<std::int16_t>(100 * k),
+                             static_cast<std::int16_t>(-50 * k)};
+  core.jammer().set_host_waveform(host_wave);
+
+  obs::RingConfig cfg;
+  cfg.strobe_sample_period = strobe_sample_period;
+  obs::EventRing ring(cfg);
+  test::RecordingSink sink;
+  ring.set_consumer(&sink, /*inline_drain=*/true);
+  core.set_ring(&ring);
+
+  dsp::NoiseSource noise(0.002, dsp::derive_seed(kSeed, 3));
+  dsp::iqvec air;
+  while (air.size() < 12'000) {
+    const std::size_t gap = 100 + air_rng.uniform_int(900);
+    for (std::size_t k = 0; k < gap; ++k)
+      air.push_back(dsp::to_iq16(noise.sample()));
+    air.insert(air.end(), burst.begin(), burst.end());
+  }
+
+  std::vector<SamplePeriodOutput> out;
+  std::size_t pos = 0;
+  while (pos < air.size()) {
+    const std::size_t len =
+        std::min<std::size_t>(1 + split_rng.uniform_int(3000), air.size() - pos);
+    const auto chunk = std::span(air).subspan(pos, len);
+    if (block_path) {
+      out.resize(len);
+      core.run_block(chunk, out);
+    } else {
+      for (const dsp::IQ16 sample : chunk) (void)tick_period(core, sample);
+      ring.drain_if_inline();
+    }
+    pos += len;
+  }
+  EXPECT_EQ(ring.dropped(), 0u);
+
+  TraceRun run;
+  TraceDigest digest;
+  for (const test::RingRecord& r : sink.seen) {
+    digest.add(r);
+    run.strobes += r.strobe ? 1 : 0;
+    if (r.strobe) continue;
+    run.stage_events += r.kind == obs::EventKind::kFsmStage ? 1 : 0;
+    run.energy_falls += r.kind == obs::EventKind::kEnergyFall ? 1 : 0;
+    run.jam_starts += r.kind == obs::EventKind::kJamStart ? 1 : 0;
+  }
+  run.digest = digest.h;
+  return run;
+}
+
+TEST(RunBlockEquivalence, TraceDigestsMatchRecordedValues) {
+  const dsp::iqvec burst = fabric_preamble(phy80211::short_preamble(), 0.5f);
+  std::uint32_t peak = 0;
+  {
+    CrossCorrelator c;
+    const auto tpl = core::wifi_short_preamble_template();
+    c.set_coefficients(tpl.coef_i, tpl.coef_q);
+    for (const auto s : burst) peak = std::max(peak, c.step(s).metric);
+  }
+  ASSERT_GT(peak, 0u);
+
+  struct Case {
+    JamWaveform waveform;
+    int stages;
+    std::uint32_t period;
+    std::uint64_t digest;
+  };
+  // Recorded when tick() and run_block() still had an emitter each.
+  constexpr Case kCases[] = {
+      {JamWaveform::kWhiteNoise, 1, 1, 0xbbc1a1ab3d4d6c0au},
+      {JamWaveform::kWhiteNoise, 1, 16, 0xb056cc5c561e109bu},
+      {JamWaveform::kWhiteNoise, 2, 1, 0x0af4be65960f147bu},
+      {JamWaveform::kWhiteNoise, 2, 16, 0x8329057a87d7eb1au},
+      {JamWaveform::kReplay, 1, 1, 0x329bcb19f9bf935au},
+      {JamWaveform::kReplay, 1, 16, 0x2946a2c318e2cb44u},
+      {JamWaveform::kReplay, 2, 1, 0x02aa06212b630d7eu},
+      {JamWaveform::kReplay, 2, 16, 0x184f0acbc851e6b7u},
+      {JamWaveform::kHostStream, 1, 1, 0x758e5ca2de40907au},
+      {JamWaveform::kHostStream, 1, 16, 0x007b64b9826f5677u},
+      {JamWaveform::kHostStream, 2, 1, 0xc3c02a9d43556546u},
+      {JamWaveform::kHostStream, 2, 16, 0x70ecfa3c65912a13u},
+  };
+  for (const Case& c : kCases) {
+    for (const bool block_path : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "waveform " << static_cast<int>(c.waveform)
+                   << " stages " << c.stages << " period " << c.period
+                   << (block_path ? " block" : " tick"));
+      const TraceRun run = traced_run(c.waveform, c.stages, c.period,
+                                      block_path, peak / 2, burst);
+      // Every field the publisher writes must be in the stream.
+      EXPECT_GT(run.strobes, 0u);
+      EXPECT_GT(run.energy_falls, 0u);
+      EXPECT_GT(run.jam_starts, 0u);
+      if (c.stages == 2) {
+        EXPECT_GT(run.stage_events, 0u);
+      }
+      EXPECT_EQ(run.digest, c.digest);
+    }
+  }
+}
+
+// A ring attached to a core that ran untraced must see only the jam edges
+// of its own span: no jam_end for a burst that began while detached (here,
+// one another ring saw start), and a jam_start at the first traced clock
+// for a burst already on the air. Energy-rise trigger with a 100-sample
+// (4 us) white-noise burst, as core::energy_reactive_preset(4e-6) programs.
+TEST(RunBlockEquivalence, ReattachedRingSeesOnlyItsOwnJamEdges) {
+  dsp::NoiseSource floor_noise(0.002, 31);
+  dsp::NoiseSource loud_noise(0.2, 32);
+  for (const bool block_path : {true, false}) {
+    SCOPED_TRACE(block_path ? "block path" : "tick path");
+    DspCore core;
+    auto& regs = core.registers();
+    regs.write(Reg::kEnergyThreshHigh, core::energy_threshold_q88_from_db(10.0));
+    regs.write(Reg::kEnergyFloor, 1000);
+    regs.set_trigger_stages(kEventEnergyHigh, 0, 0);
+    regs.set_jammer(JamWaveform::kWhiteNoise, true, 0);
+    regs.write(Reg::kJamDuration, 100);
+    core.apply_registers();
+
+    std::vector<SamplePeriodOutput> out(1);
+    const auto feed = [&](dsp::NoiseSource& src) {
+      const dsp::IQ16 sample = dsp::to_iq16(src.sample());
+      if (block_path)
+        core.run_block(std::span(&sample, 1), out);
+      else
+        (void)tick_period(core, sample);
+    };
+    // Floor, then loud air until the jammer's energy is on it.
+    const auto start_burst = [&] {
+      for (int k = 0; k < 600; ++k) feed(floor_noise);
+      for (int k = 0; k < 400 && !core.jammer().rf_active(); ++k)
+        feed(loud_noise);
+      for (int k = 0; k < 2; ++k) feed(loud_noise);
+      ASSERT_TRUE(core.jammer().rf_active());
+    };
+    const auto drained = [](obs::EventRing& ring) {
+      test::RecordingSink sink;
+      (void)ring.drain_into(sink);
+      std::vector<test::RingRecord> jam_edges;
+      for (const test::RingRecord& r : sink.seen)
+        if (!r.strobe && (r.kind == obs::EventKind::kJamStart ||
+                          r.kind == obs::EventKind::kJamEnd))
+          jam_edges.push_back(r);
+      return jam_edges;
+    };
+
+    // Ring A sees a burst start; the burst ends while no ring is attached.
+    obs::EventRing ring_a;
+    core.set_ring(&ring_a);
+    start_burst();
+    if (::testing::Test::HasFatalFailure()) return;
+    core.set_ring(nullptr);
+    const auto edges_a = drained(ring_a);
+    ASSERT_EQ(edges_a.size(), 1u);
+    EXPECT_EQ(edges_a[0].kind, obs::EventKind::kJamStart);
+    for (int k = 0; k < 300; ++k) feed(floor_noise);
+    ASSERT_FALSE(core.jammer().rf_active());
+
+    // Ring B, attached after that burst, owes it nothing.
+    obs::EventRing ring_b;
+    core.set_ring(&ring_b);
+    for (int k = 0; k < 300; ++k) feed(floor_noise);
+    EXPECT_TRUE(drained(ring_b).empty());
+
+    // A burst starts untraced; ring C, attached mid-burst, opens it.
+    core.set_ring(nullptr);
+    start_burst();
+    if (::testing::Test::HasFatalFailure()) return;
+    obs::EventRing ring_c;
+    core.set_ring(&ring_c);
+    const std::uint64_t attach_vita = core.feedback().vita_ticks;
+    for (int k = 0; k < 300; ++k) feed(floor_noise);
+    const auto edges_c = drained(ring_c);
+    ASSERT_EQ(edges_c.size(), 2u);
+    EXPECT_EQ(edges_c[0].kind, obs::EventKind::kJamStart);
+    EXPECT_EQ(edges_c[0].vita_ticks, attach_vita);
+    EXPECT_EQ(edges_c[1].kind, obs::EventKind::kJamEnd);
+  }
+}
+
 }  // namespace
 }  // namespace rjf::fpga

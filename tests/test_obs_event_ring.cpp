@@ -1,7 +1,8 @@
 // EventRing transport tests (DESIGN.md "Observability"): FIFO delivery
 // across index wraparound, drop accounting when the ring fills, the
 // deterministic 1-in-N strobe decimator with its interesting-strobe bypass,
-// runtime level gating, a threaded producer/consumer stress run (the suite
+// a strobe snapshot's push/drain round trip, a threaded producer/consumer
+// stress run (the suite
 // name contains "EventRing" so the TSan CI job's test filter picks it up),
 // and the drain-mode equivalence contract: a run consumed by a
 // RingDrainThread exports a byte-identical Chrome trace to the same run
@@ -131,33 +132,11 @@ TEST(EventRing, StrobeSamplingIsDeterministicAndBypassKeepsPhase) {
   EXPECT_EQ(ring.sampled_out(), 11u);
 }
 
-TEST(EventRing, LevelGatesProducersAndCountsNothingWhenOff) {
-  RingConfig config = tiny_ring(64);
-
-  config.level = ObsLevel::kOff;
-  EventRing off(config);
-  EXPECT_FALSE(off.push_event(EventKind::kJamStart, 1, 1));
-  EXPECT_FALSE(off.want_spans());
-  EXPECT_FALSE(off.want_probes());
-  EXPECT_FALSE(off.strobe_gate(true));
-  EXPECT_EQ(off.pushed(), 0u);
-  EXPECT_EQ(off.dropped(), 0u);  // silence is not loss
-
-  config.level = ObsLevel::kCounters;
-  EventRing counters(config);
-  EXPECT_TRUE(counters.push_event(EventKind::kJamStart, 1, 1));
-  EXPECT_FALSE(counters.want_spans());
-  EXPECT_FALSE(counters.want_probes());
-
-  config.level = ObsLevel::kSpans;
-  EventRing spans(config);
-  EXPECT_TRUE(spans.want_spans());
-  EXPECT_FALSE(spans.want_probes());
-
-  config.level = ObsLevel::kProbes;
-  EventRing probes(config);
-  EXPECT_TRUE(probes.want_spans());
-  EXPECT_TRUE(probes.want_probes());
+// The level gates are compile-time (tests/compile_time/obs_ceiling.cpp
+// pins them at every ceiling); the default build emits everything.
+TEST(EventRing, StrobeSnapshotRoundTripsThroughDrain) {
+  EventRing probes(tiny_ring(64));
+  EXPECT_TRUE(probes.push_event(EventKind::kJamStart, 1, 1));
 
   FabricSignals signals;
   signals.vita_ticks = 7;
@@ -166,7 +145,9 @@ TEST(EventRing, LevelGatesProducersAndCountsNothingWhenOff) {
   ASSERT_TRUE(probes.strobe_gate(true));
   EXPECT_TRUE(probes.push_strobe(signals));
   CollectingSink sink;
-  EXPECT_EQ(probes.drain_into(sink), 1u);
+  EXPECT_EQ(probes.drain_into(sink), 2u);
+  ASSERT_EQ(sink.events.size(), 1u);
+  EXPECT_EQ(sink.events[0].kind, EventKind::kJamStart);
   ASSERT_EQ(sink.strobes.size(), 1u);
   EXPECT_EQ(sink.strobes[0].vita_ticks, 7u);
   EXPECT_EQ(sink.strobes[0].xcorr_metric, 9u);
