@@ -1,8 +1,8 @@
 // PHY hot-path microbenchmarks (google-benchmark): the SIMD DSP layer's
 // headline numbers.  BM_WifiReceive54 and BM_Fft1024 are the two gated
 // rates — CI compares a fresh run against the committed BENCH_phy.json
-// floors — and the Viterbi pairs report the kernel-vs-reference speedup
-// the dispatcher is buying on this host.
+// floors — and the Viterbi, noise and CFO mix pairs report the
+// kernel-vs-reference speedup the dispatcher is buying on this host.
 //
 // Emits BENCH_phy.json (override with RJF_BENCH_JSON) with items/s per
 // benchmark, the SIMD/scalar speedup ratios, and which ISA the dispatcher
@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "dsp/noise.h"
 #include "dsp/rng.h"
 #include "dsp/simd/dispatch.h"
+#include "dsp/simd/synth.h"
 #include "phy80211/convolutional.h"
 #include "phy80211/receiver.h"
 #include "phy80211/transmitter.h"
@@ -129,6 +131,56 @@ void BM_ViterbiSoftReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiSoftReference);
 
+// Capture synthesis, one 1 Mb/s DSSS capture's worth of samples: the
+// noise block kernel of the active tier against the scalar tier's, and the
+// CFO mix against its std::complex reference loop. Items are samples.
+constexpr std::size_t kCaptureSamples = 65536;
+
+void noise_fill(benchmark::State& state, dsp::simd::Isa isa) {
+  dsp::NoiseSource noise(0.01, 11, isa);
+  dsp::cvec buf(kCaptureSamples);
+  for (auto _ : state) {
+    noise.fill(buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+
+void BM_NoiseFill(benchmark::State& state) {
+  noise_fill(state, dsp::simd::active_isa());
+}
+BENCHMARK(BM_NoiseFill);
+
+void BM_NoiseFillReference(benchmark::State& state) {
+  noise_fill(state, dsp::simd::Isa::kScalar);
+}
+BENCHMARK(BM_NoiseFillReference);
+
+template <bool kReference>
+void cfo_mix(benchmark::State& state) {
+  const dsp::cvec frame = dsp::make_wgn(kCaptureSamples, 1.0, 12);
+  dsp::cvec capture = dsp::make_wgn(kCaptureSamples, 0.01, 13);
+  const double w = 2.0 * std::numbers::pi * 2345.0 / 25e6;
+  for (auto _ : state) {
+    if constexpr (kReference)
+      dsp::simd::cfo_mix_reference(capture, frame, w);
+    else
+      dsp::simd::cfo_mix(capture, frame, w);
+    benchmark::DoNotOptimize(capture.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+
+void BM_CfoMix(benchmark::State& state) { cfo_mix<false>(state); }
+BENCHMARK(BM_CfoMix);
+
+void BM_CfoMixReference(benchmark::State& state) { cfo_mix<true>(state); }
+BENCHMARK(BM_CfoMixReference);
+
 class RateCollector : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -182,6 +234,10 @@ int main(int argc, char** argv) {
     json.set("viterbi_hard_speedup", s);
   if (const double s = ratio("BM_ViterbiSoft", "BM_ViterbiSoftReference"))
     json.set("viterbi_soft_speedup", s);
+  if (const double s = ratio("BM_NoiseFill", "BM_NoiseFillReference"))
+    json.set("noise_fill_speedup", s);
+  if (const double s = ratio("BM_CfoMix", "BM_CfoMixReference"))
+    json.set("cfo_mix_speedup", s);
 
   bench::write_json(json, "BENCH_phy.json");
   return 0;

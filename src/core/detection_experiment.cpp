@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "dsp/db.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
 #include "dsp/rng.h"
+#include "dsp/simd/synth.h"
 #include "fpga/dsp_core.h"
 
 namespace rjf::core {
@@ -36,6 +38,14 @@ DetectionTrialPlan prepare_detection_trials(
     dsp::set_mean_power(std::span<dsp::cfloat>(plan.variants[p]),
                         target_power);
   }
+  // dsp::simd::cfo_mix equals the std::complex product only on finite
+  // frames, so a non-finite one is refused here, once per plan, and never
+  // tested in the per-sample loop.
+  for (const dsp::cvec& variant : plan.variants)
+    for (const dsp::cfloat s : variant)
+      if (!std::isfinite(s.real()) || !std::isfinite(s.imag()))
+        throw std::invalid_argument(
+            "prepare_detection_trials: frame is not finite");
   return plan;
 }
 
@@ -69,8 +79,8 @@ DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
   // wrapped, so long captures keep full precision (see cfo_phasor()).
   const double cfo = (2.0 * rng.uniform() - 1.0) * plan.max_cfo_hz;
   const double w = 2.0 * std::numbers::pi * cfo / fpga::kBasebandRateHz;
-  for (std::size_t k = 0; k < frame.size(); ++k)
-    capture[plan.lead_in + k] += frame[k] * cfo_phasor(w, k);
+  dsp::simd::cfo_mix(std::span(capture).subspan(plan.lead_in, frame.size()),
+                     frame, w);
 
   // §3.2 requires independent trials: flush the energy differentiator's
   // moving sums, the correlator pipeline and the trigger FSM so nothing

@@ -31,12 +31,10 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <numbers>
 #include <vector>
 
 #include "core/reactive_jammer.h"
@@ -149,27 +147,8 @@ struct DetectionTrialOutcome {
 [[nodiscard]] DetectionTrialOutcome run_detection_trial(
     ReactiveJammer& jammer, const DetectionTrialPlan& plan, std::size_t trial);
 
-/// Unit phasor e^{j·w·k} for the per-trial CFO rotation; a pure function
-/// of (w, k), with no rotator state. The phase is formed and wrapped in
-/// double: w·k in quarter turns, split into the nearest whole quarter turn
-/// n and a remainder in [-1/2, 1/2]. Only the remainder's cosine and sine
-/// are evaluated in float (dsp::sincos_quadrant), so the error stays below
-/// 2e-7 per component however long the capture — accumulating w·k in
-/// float would lose milliradians by the end of a WiMAX-length capture.
-/// Valid while |w·k| < 2^51 quarter turns and k < 2^63.
-[[nodiscard]] inline dsp::cfloat cfo_phasor(double w,
-                                            std::uint64_t k) noexcept {
-  // Adding 1.5·2^52 rounds any |q| < 2^51 to the nearest integer (ties to
-  // even) and leaves n mod 4 in the sum's low mantissa bits.
-  constexpr double kRoundToInt = 0x1.8p52;
-  const double q = w * static_cast<double>(static_cast<std::int64_t>(k)) *
-                   (2.0 / std::numbers::pi);
-  const double shifted = q + kRoundToInt;
-  const double r = q - (shifted - kRoundToInt);
-  return dsp::sincos_quadrant(
-      static_cast<float>(r * (std::numbers::pi / 2.0)),
-      static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(shifted)));
-}
+/// The per-trial CFO rotation e^{j·w·k} (defined in dsp/synth_math.h).
+using dsp::cfo_phasor;
 
 /// Identity of the trial-capture synthesis: the frame resampler
 /// (dsp::Resampler) prepare_detection_trials renders the timing-phase

@@ -3,24 +3,28 @@
 namespace rjf::dsp {
 
 NoiseSource::NoiseSource(double power, std::uint64_t seed) noexcept
-    : power_(power), sigma_(complex_gaussian_sigma(power)), rng_(seed) {}
+    : NoiseSource(power, seed, simd::active_isa()) {}
+
+NoiseSource::NoiseSource(double power, std::uint64_t seed,
+                         simd::Isa isa) noexcept
+    : power_(power),
+      sigma_(complex_gaussian_sigma(power)),
+      rng_(seed),
+      kernel_(simd::noise_block_kernel(isa)) {}
 
 void NoiseSource::generate(cfloat* out) noexcept {
-  // Drawing the block's raw words first leaves a loop of independent
-  // box_muller calls that the compiler vectorises (this file builds with
-  // -fno-math-errno, so sqrt is a plain instruction). Local copies keep the
-  // generator state in registers: `out` could otherwise alias the members.
+  // The draws stay serial and in stream order; only the Box-Muller
+  // arithmetic runs in the kernel. A local copy keeps the generator state
+  // in registers: `out` could otherwise alias the members.
   Xoshiro256 rng = rng_;
-  const float sigma = sigma_;
   std::uint64_t a[kBlock];
   std::uint64_t b[kBlock];
   for (std::size_t j = 0; j < kBlock; ++j) {
     a[j] = rng.next();
     b[j] = rng.next();
   }
-  for (std::size_t j = 0; j < kBlock; ++j)
-    out[j] = box_muller(a[j], b[j], sigma);
   rng_ = rng;
+  kernel_(a, b, sigma_, out);
 }
 
 void NoiseSource::refill() noexcept {

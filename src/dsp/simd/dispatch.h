@@ -13,8 +13,9 @@
 // A tier need not carry every kernel: an entry point switching on Isa lets
 // a tier without its own variant fall through to the next narrower one
 // (kAvx512 -> kAvx2), so a new tier never drops a kernel to the scalar
-// path. The AVX-512 tier (AVX512F + AVX512VPOPCNTDQ) carries only the
-// batched correlator kernel (dsp/simd/xcorr.h), which AVX2 also has.
+// path. The AVX-512 tier (AVX512F + AVX512VPOPCNTDQ) carries the batched
+// correlator kernel (dsp/simd/xcorr.h) and the capture synthesis kernels
+// (dsp/simd/synth.h), all of which AVX2 also has.
 //
 // The choice is made once per process and cached behind a function-local
 // static; real-time callers resolve it once at construction rather than

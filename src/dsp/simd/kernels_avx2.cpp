@@ -5,6 +5,7 @@
 // RJF_ENABLE_SIMD is OFF), the entry points compile as stubs returning
 // false and the caller runs its scalar reference.
 #include "dsp/simd/fft_kernels.h"
+#include "dsp/simd/synth.h"
 #include "dsp/simd/viterbi.h"
 #include "dsp/simd/xcorr.h"
 
@@ -13,6 +14,7 @@
 #include <immintrin.h>
 
 #include "dsp/simd/fft_kernels_impl.h"
+#include "dsp/simd/synth_kernels_impl.h"
 #include "dsp/simd/viterbi_kernels_impl.h"
 #include "dsp/simd/xcorr_kernel_impl.h"
 
@@ -210,6 +212,65 @@ struct AvxXcorrOps {
   }
 };
 
+// The capture synthesis kernels at ymm width (synth_kernels_impl.h). The
+// CFO mix takes 8 samples per pass, their phases in two vectors of 4
+// double lanes.
+struct AvxSynthOps {
+  // Plain GCC vector types: __m256d and __m256 carry may_alias, which a
+  // template argument (QuarterTurns<D>, CosSin<F>) would drop.
+  using D = double __attribute__((vector_size(32)));
+  using F = float __attribute__((vector_size(32)));
+  using U = std::uint32_t __attribute__((vector_size(32)));
+  static constexpr std::size_t kLanes = 8;
+
+  // even() and odd() leave samples 0, 1, 4, 5 in the low 128-bit lane and
+  // 2, 3, 6, 7 in the high one.
+  static void first_k(D& lo, D& hi) noexcept {
+    lo = _mm256_setr_pd(0, 1, 4, 5);
+    hi = _mm256_setr_pd(2, 3, 6, 7);
+  }
+  static F to_float(D lo, D hi) noexcept {
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
+                                _mm256_cvtpd_ps(hi), 1);
+  }
+  // The low 32 bits of each 64-bit lane.
+  static __m128 low_words(D v) noexcept {
+    return _mm_shuffle_ps(_mm_castpd_ps(_mm256_castpd256_pd128(v)),
+                          _mm_castpd_ps(_mm256_extractf128_pd(v, 1)),
+                          _MM_SHUFFLE(2, 0, 2, 0));
+  }
+  static U low_words(D lo, D hi) noexcept {
+    return reinterpret_cast<U>(_mm256_insertf128_ps(
+        _mm256_castps128_ps256(low_words(lo)), low_words(hi), 1));
+  }
+  static F even(F f0, F f1) noexcept {
+    return _mm256_shuffle_ps(f0, f1, _MM_SHUFFLE(2, 0, 2, 0));
+  }
+  static F odd(F f0, F f1) noexcept {
+    return _mm256_shuffle_ps(f0, f1, _MM_SHUFFLE(3, 1, 3, 1));
+  }
+  static F interleave_lo(F re, F im) noexcept {
+    return _mm256_unpacklo_ps(re, im);
+  }
+  static F interleave_hi(F re, F im) noexcept {
+    return _mm256_unpackhi_ps(re, im);
+  }
+  static __m256i mask(std::size_t count) noexcept {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static F load(const float* p, std::size_t count) noexcept {
+    return count == kLanes ? _mm256_loadu_ps(p)
+                           : _mm256_maskload_ps(p, mask(count));
+  }
+  static void store(float* p, F v, std::size_t count) noexcept {
+    if (count == kLanes)
+      _mm256_storeu_ps(p, v);
+    else
+      _mm256_maskstore_ps(p, mask(count), v);
+  }
+};
+
 }  // namespace
 
 namespace detail {
@@ -235,6 +296,10 @@ XcorrBlockFn xcorr_block_avx2() noexcept {
   return &xcorr_block_t<AvxXcorrOps>;
 }
 
+NoiseBlockFn noise_block_avx2() noexcept { return &noise_block_t<AvxSynthOps>; }
+
+CfoMixFn cfo_mix_avx2() noexcept { return &cfo_mix_t<AvxSynthOps>; }
+
 }  // namespace detail
 }  // namespace rjf::dsp::simd
 
@@ -254,6 +319,8 @@ bool viterbi_soft_avx2(const float*, std::size_t, std::uint64_t*, float*) {
 bool fft_exec_avx2(const FftKernelRun&, float*) { return false; }
 
 XcorrBlockFn xcorr_block_avx2() noexcept { return nullptr; }
+NoiseBlockFn noise_block_avx2() noexcept { return nullptr; }
+CfoMixFn cfo_mix_avx2() noexcept { return nullptr; }
 
 }  // namespace rjf::dsp::simd::detail
 

@@ -1,24 +1,29 @@
-// AVX-512 batched correlator metric kernel (dsp/simd/xcorr.h). This TU is
-// the only one compiled with -mavx512f -mavx512vpopcntdq; when the
-// toolchain lacks them (or RJF_ENABLE_SIMD is OFF) it only provides the
-// nullptr accessor and the dispatcher falls through to the AVX2 kernel.
+// AVX-512 kernels: the batched correlator metric (dsp/simd/xcorr.h) and
+// the capture synthesis kernels (dsp/simd/synth.h). This TU is the only one
+// compiled with -mavx512f -mavx512vpopcntdq; when the toolchain lacks them
+// (or RJF_ENABLE_SIMD is OFF) it only provides the nullptr accessors and
+// the dispatchers fall through to the AVX2 kernels.
 //
-// Eight 64-bit lanes hold eight successive sign histories per rail (see
-// xcorr_kernel_impl.h); each of the four sign/plane dot products is three
-// AND + vpopcntq passes over them, so 12 vector popcounts serve 8 samples
-// where step() does 96 scalar ones.
+// Correlator: eight 64-bit lanes hold eight successive sign histories per
+// rail (see xcorr_kernel_impl.h); each of the four sign/plane dot products
+// is three AND + vpopcntq passes over them, so 12 vector popcounts serve 8
+// samples where step() does 96 scalar ones.
+#include "dsp/simd/synth.h"
 #include "dsp/simd/xcorr.h"
 
 #if defined(RJF_SIMD_HAVE_AVX512) && defined(__AVX512F__) && \
     defined(__AVX512VPOPCNTDQ__)
 
-// GCC 12's AVX-512 intrinsics seed their shift helpers from an undefined
-// vector, which -Wmaybe-uninitialized misreports (GCC bug 105593).
+// GCC 12's AVX-512 intrinsics seed their shift, convert and insert helpers
+// from an undefined vector, which -Wmaybe-uninitialized and -Wuninitialized
+// misreport (GCC bug 105593).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
+#include "dsp/simd/synth_kernels_impl.h"
 #include "dsp/simd/xcorr_kernel_impl.h"
 
 namespace rjf::dsp::simd {
@@ -96,10 +101,68 @@ struct Avx512Ops {
   }
 };
 
+// The capture synthesis kernels at zmm width (synth_kernels_impl.h). The
+// CFO mix takes 16 samples per pass, their phases in two vectors of 8
+// double lanes.
+struct Avx512SynthOps {
+  // Plain GCC vector types: __m512d and __m512 carry may_alias, which a
+  // template argument (QuarterTurns<D>, CosSin<F>) would drop.
+  using D = double __attribute__((vector_size(64)));
+  using F = float __attribute__((vector_size(64)));
+  using U = std::uint32_t __attribute__((vector_size(64)));
+  static constexpr std::size_t kLanes = 16;
+
+  // even() and odd() leave samples 2j, 2j+1, 8+2j, 9+2j in 128-bit lane j.
+  static void first_k(D& lo, D& hi) noexcept {
+    lo = _mm512_setr_pd(0, 1, 8, 9, 2, 3, 10, 11);
+    hi = _mm512_setr_pd(4, 5, 12, 13, 6, 7, 14, 15);
+  }
+  static F to_float(D lo, D hi) noexcept {
+    return _mm512_castpd_ps(_mm512_insertf64x4(
+        _mm512_castpd256_pd512(_mm256_castps_pd(_mm512_cvtpd_ps(lo))),
+        _mm256_castps_pd(_mm512_cvtpd_ps(hi)), 1));
+  }
+  // vpmovqd: the low 32 bits of each 64-bit lane.
+  static U low_words(D lo, D hi) noexcept {
+    return reinterpret_cast<U>(_mm512_inserti64x4(
+        _mm512_castsi256_si512(_mm512_cvtepi64_epi32(_mm512_castpd_si512(lo))),
+        _mm512_cvtepi64_epi32(_mm512_castpd_si512(hi)), 1));
+  }
+  static F even(F f0, F f1) noexcept {
+    return _mm512_shuffle_ps(f0, f1, _MM_SHUFFLE(2, 0, 2, 0));
+  }
+  static F odd(F f0, F f1) noexcept {
+    return _mm512_shuffle_ps(f0, f1, _MM_SHUFFLE(3, 1, 3, 1));
+  }
+  static F interleave_lo(F re, F im) noexcept {
+    return _mm512_unpacklo_ps(re, im);
+  }
+  static F interleave_hi(F re, F im) noexcept {
+    return _mm512_unpackhi_ps(re, im);
+  }
+  static __mmask16 mask(std::size_t count) noexcept {
+    return static_cast<__mmask16>((1u << count) - 1u);
+  }
+  static F load(const float* p, std::size_t count) noexcept {
+    return _mm512_maskz_loadu_ps(mask(count), p);
+  }
+  static void store(float* p, F v, std::size_t count) noexcept {
+    _mm512_mask_storeu_ps(p, mask(count), v);
+  }
+};
+
 }  // namespace
 
 XcorrBlockFn detail::xcorr_block_avx512() noexcept {
   return &xcorr_block_t<Avx512Ops>;
+}
+
+NoiseBlockFn detail::noise_block_avx512() noexcept {
+  return &noise_block_t<Avx512SynthOps>;
+}
+
+detail::CfoMixFn detail::cfo_mix_avx512() noexcept {
+  return &cfo_mix_t<Avx512SynthOps>;
 }
 
 }  // namespace rjf::dsp::simd
@@ -109,6 +172,8 @@ XcorrBlockFn detail::xcorr_block_avx512() noexcept {
 namespace rjf::dsp::simd {
 
 XcorrBlockFn detail::xcorr_block_avx512() noexcept { return nullptr; }
+NoiseBlockFn detail::noise_block_avx512() noexcept { return nullptr; }
+detail::CfoMixFn detail::cfo_mix_avx512() noexcept { return nullptr; }
 
 }  // namespace rjf::dsp::simd
 

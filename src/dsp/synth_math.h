@@ -3,7 +3,7 @@
 // Every detection trial builds its capture from two per-sample
 // transcendentals: the Box-Muller log and sincos behind each complex WGN
 // sample (dsp::NoiseSource, Xoshiro256::complex_gaussian) and the
-// carrier-frequency-offset phasor (core::cfo_phasor). These kernels evaluate
+// carrier-frequency-offset phasor (cfo_phasor). These kernels evaluate
 // them in float from IEEE-754 basic operations only — add, subtract,
 // multiply, divide, sqrt, integer<->float conversion and bit moves — with
 // no libm call and no data-dependent branch. Basic operations are correctly
@@ -16,6 +16,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 
 #include "dsp/types.h"
 
@@ -51,28 +52,83 @@ namespace rjf::dsp {
   return s * (hfsq + r) + k * kLn2Lo - hfsq + f + k * kLn2Hi;
 }
 
-/// (cos θ, sin θ) for θ = x + quadrant·π/2, with x in [−π/4, π/4]; each
-/// component within 1e-7 of the exact value. Cephes' sinf/cosf minimax
-/// polynomials give the pair at x; the quadrant (only its low two bits
-/// matter) then swaps and negates the pair with integer bit operations.
-[[nodiscard]] __attribute__((always_inline)) inline cfloat sincos_quadrant(
-    float x, std::uint32_t quadrant) noexcept {
-  const float z = x * x;
-  const float s =
+/// A cosine and sine pair, of one angle or of one vector of angles.
+template <typename F>
+struct CosSin {
+  F cos;
+  F sin;
+};
+
+/// cos θ and sin θ for θ = x + quadrant·π/2, with x in [−π/4, π/4]; each
+/// within 1e-7 of the exact value. Cephes' sinf/cosf minimax polynomials
+/// give the pair at x; the quadrant (only its low two bits matter) then
+/// swaps and negates the pair with integer bit operations. F is float and U
+/// uint32_t, or F a GCC vector of floats and U the uint32 vector of as many
+/// lanes: the vector CFO kernels (dsp/simd/synth_kernels_impl.h) run these
+/// very operations, in this order, on every lane.
+template <typename F, typename U>
+[[nodiscard]] __attribute__((always_inline)) inline CosSin<F>
+sincos_quadrant_lanes(F x, U quadrant) noexcept {
+  const F z = x * x;
+  const F s =
       x + x * z * (-1.6666654611e-1f +
                    z * (8.3321608736e-3f + z * -1.9515295891e-4f));
-  const float c = 1.0f - 0.5f * z +
-                  z * z * (4.166664568298827e-2f +
-                           z * (-1.388731625493765e-3f +
-                                z * 2.443315711809948e-5f));
-  const std::uint32_t sb = std::bit_cast<std::uint32_t>(s);
-  const std::uint32_t cb = std::bit_cast<std::uint32_t>(c);
-  const std::uint32_t swap = 0u - (quadrant & 1u);  // all ones when odd
-  const std::uint32_t re = (cb & ~swap) | (sb & swap);
-  const std::uint32_t im = (sb & ~swap) | (cb & swap);
+  const F c = 1.0f - 0.5f * z +
+              z * z * (4.166664568298827e-2f +
+                       z * (-1.388731625493765e-3f +
+                            z * 2.443315711809948e-5f));
+  const U sb = std::bit_cast<U>(s);
+  const U cb = std::bit_cast<U>(c);
+  const U swap = 0u - (quadrant & 1u);  // all ones when odd
+  const U re = (cb & ~swap) | (sb & swap);
+  const U im = (sb & ~swap) | (cb & swap);
   // cos θ is negated in quadrants 1 and 2, sin θ in quadrants 2 and 3.
-  return {std::bit_cast<float>(re ^ (((quadrant + 1u) & 2u) << 30)),
-          std::bit_cast<float>(im ^ ((quadrant & 2u) << 30))};
+  return {std::bit_cast<F>(re ^ (((quadrant + 1u) & 2u) << 30)),
+          std::bit_cast<F>(im ^ ((quadrant & 2u) << 30))};
+}
+
+/// (cos θ, sin θ) for θ = x + quadrant·π/2 (sincos_quadrant_lanes).
+[[nodiscard]] __attribute__((always_inline)) inline cfloat sincos_quadrant(
+    float x, std::uint32_t quadrant) noexcept {
+  const auto [c, s] = sincos_quadrant_lanes(x, quadrant);
+  return {c, s};
+}
+
+/// A phase of q quarter turns, |q| < 2^51, split into the nearest whole
+/// quarter turn n and the remainder q − n in [−1/2, 1/2]. Adding 1.5·2^52
+/// rounds q to an integer (ties to even) in the sum's low mantissa bits, so
+/// n mod 4 is the low bits of `shifted`. D is double, or a GCC vector of
+/// doubles for the vector CFO kernels.
+template <typename D>
+struct QuarterTurns {
+  D radians;  // the remainder, times π/2
+  D shifted;  // q + 1.5·2^52
+};
+
+template <typename D>
+[[nodiscard]] __attribute__((always_inline)) inline QuarterTurns<D>
+split_quarter_turns(D q) noexcept {
+  constexpr double kRoundToInt = 0x1.8p52;
+  const D shifted = q + kRoundToInt;
+  return {(q - (shifted - kRoundToInt)) * (std::numbers::pi / 2.0), shifted};
+}
+
+/// Unit phasor e^{j·w·k} for the per-trial CFO rotation; a pure function
+/// of (w, k), with no rotator state. The phase is formed and wrapped in
+/// double: w·k in quarter turns, split into the nearest whole quarter turn
+/// n and a remainder in [-1/2, 1/2]. Only the remainder's cosine and sine
+/// are evaluated in float (sincos_quadrant), so the error stays below 2e-7
+/// per component however long the capture — accumulating w·k in float
+/// would lose milliradians by the end of a WiMAX-length capture. Valid
+/// while |w·k| < 2^51 quarter turns and k < 2^63.
+[[nodiscard]] __attribute__((always_inline)) inline cfloat cfo_phasor(
+    double w, std::uint64_t k) noexcept {
+  const QuarterTurns<double> phase = split_quarter_turns(
+      w * static_cast<double>(static_cast<std::int64_t>(k)) *
+      (2.0 / std::numbers::pi));
+  return sincos_quadrant(
+      static_cast<float>(phase.radians),
+      static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(phase.shifted)));
 }
 
 /// Box-Muller map from two raw 64-bit draws to a circularly-symmetric

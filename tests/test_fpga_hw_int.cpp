@@ -176,7 +176,9 @@ void CheckIntWidth() {
         v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
               : static_cast<std::uint64_t>(v);
     EXPECT_EQ(x.abs().u64(), expect_abs);
-    if (v >= 0) EXPECT_EQ(x.to_unsigned().u64(), static_cast<std::uint64_t>(v));
+    if (v >= 0) {
+      EXPECT_EQ(x.to_unsigned().u64(), static_cast<std::uint64_t>(v));
+    }
 
     if constexpr (W < 64) {
       EXPECT_EQ((-x).i64(), -v);  // Int<W+1> holds -kMin exactly
