@@ -7,18 +7,23 @@
 //
 // Besides the console table, the run emits a machine-readable summary to
 // BENCH_fabric.json (override the path with RJF_BENCH_JSON): samples/s per
-// stage plus the bit-parallel and block-processing speedup ratios over the
-// scalar / per-tick reference paths, the batched correlator's speedup over
-// step() and the SIMD tier that produced it, so the perf trajectory is
+// stage (the median over --benchmark_repetitions, with its coefficient of
+// variation when there is more than one) plus the bit-parallel and
+// block-processing speedup ratios over the scalar / per-tick reference
+// paths, the batched correlator's and energy detector's speedups over
+// step() and the SIMD tier that produced them, so the perf trajectory is
 // trackable across commits.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/fabric_units.h"
 #include "core/jammer_config.h"
 #include "core/templates.h"
 #include "dsp/noise.h"
@@ -186,6 +191,63 @@ void BM_CrossCorrelatorBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossCorrelatorBlock);
 
+// The energy detector per sample and through the block entry point
+// run_block uses (the batched kernel of this host's SIMD tier, or the
+// step() loop where the tier has none: energy_block_speedup then reads
+// ~1). A 6 dB threshold pair on air whose level steps every 1000 samples.
+dsp::iqvec stepped_air(std::size_t n) {
+  dsp::NoiseSource noise(0.01, 3);
+  dsp::iqvec air = dsp::to_iq16(noise.block(n));
+  for (std::size_t k = 0; k < n; ++k)
+    if ((k / 1000) % 2 == 1) air[k] = {static_cast<std::int16_t>(air[k].i * 4),
+                                       static_cast<std::int16_t>(air[k].q * 4)};
+  return air;
+}
+
+void program_energy(fpga::EnergyDifferentiator& det) {
+  const std::uint32_t ratio = core::energy_threshold_q88_from_db(6.0);
+  det.set_thresholds(ratio, ratio, 1000);
+}
+
+void BM_EnergyStep(benchmark::State& state) {
+  fpga::EnergyDifferentiator det;
+  program_energy(det);
+  const dsp::iqvec samples = stepped_air(4096);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (const dsp::IQ16 s : samples) {
+      const auto out = det.step(s);
+      acc += out.energy_sum + (out.trigger_high ? 1 : 0) +
+             (out.trigger_low ? 2 : 0);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_EnergyStep);
+
+void BM_EnergyBlock(benchmark::State& state) {
+  fpga::EnergyDifferentiator det;
+  program_energy(det);
+  const dsp::iqvec samples = stepped_air(4096);
+  fpga::EnergyBlock out;
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (std::size_t m = 0; m < samples.size(); m += fpga::kMetricBlock) {
+      det.block(std::span(samples).subspan(m, fpga::kMetricBlock), out);
+      for (std::size_t k = 0; k < fpga::kMetricBlock; ++k)
+        acc += out.energy_sum(k);
+      for (std::size_t w = 0; w < out.high.size(); ++w)
+        acc += out.high[w] ^ out.low[w];
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_EnergyBlock);
+
 void BM_CrossCorrelatorStepReference(benchmark::State& state) {
   fpga::CrossCorrelator corr;
   const auto tpl = core::wifi_long_preamble_template();
@@ -238,7 +300,9 @@ void BM_Resample11to25(benchmark::State& state) {
 BENCHMARK(BM_Resample11to25);
 
 // Console reporter that also collects each benchmark's item rate so main()
-// can emit the BENCH_fabric.json summary.
+// can emit the BENCH_fabric.json summary. With --benchmark_repetitions=N it
+// keeps every repetition's rate; the summary then reports their median and
+// spread.
 class RateCollector : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -247,20 +311,39 @@ class RateCollector : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end())
-        rates_[run.benchmark_name()] = static_cast<double>(it->second);
+        rates_[run.benchmark_name()].push_back(static_cast<double>(it->second));
     }
   }
 
+  /// Median rate over the repetitions, 0 when the benchmark did not run.
   [[nodiscard]] double rate(const std::string& name) const {
     const auto it = rates_.find(name);
-    return it == rates_.end() ? 0.0 : it->second;
+    return it == rates_.end() ? 0.0 : median(it->second);
   }
-  [[nodiscard]] const std::map<std::string, double>& rates() const {
+  [[nodiscard]] const std::map<std::string, std::vector<double>>& rates()
+      const {
     return rates_;
   }
 
+  static double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t h = v.size() / 2;
+    return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  }
+
+  /// Coefficient of variation (sample standard deviation over mean).
+  static double cv(const std::vector<double>& v) {
+    if (v.size() < 2) return 0.0;
+    double mean = 0.0;
+    for (const double x : v) mean += x;
+    mean /= static_cast<double>(v.size());
+    double ss = 0.0;
+    for (const double x : v) ss += (x - mean) * (x - mean);
+    return std::sqrt(ss / static_cast<double>(v.size() - 1)) / mean;
+  }
+
  private:
-  std::map<std::string, double> rates_;
+  std::map<std::string, std::vector<double>> rates_;
 };
 
 }  // namespace
@@ -275,8 +358,14 @@ int main(int argc, char** argv) {
 
   rjf::bench::JsonWriter json;
   json.set("bench", std::string("fabric_throughput"));
-  for (const auto& [name, rate] : collector.rates())
-    json.set(name + "_items_per_s", rate);
+  std::size_t repetitions = 0;
+  for (const auto& [name, rates] : collector.rates()) {
+    json.set(name + "_items_per_s", RateCollector::median(rates));
+    if (rates.size() > 1)
+      json.set(name + "_items_per_s_cv", RateCollector::cv(rates));
+    repetitions = std::max(repetitions, rates.size());
+  }
+  json.set("repetitions", std::uint64_t{repetitions});
 
   json.set("simd_isa",
            std::string(dsp::simd::isa_name(dsp::simd::active_isa())));
@@ -287,6 +376,10 @@ int main(int argc, char** argv) {
   const double batched = collector.rate("BM_CrossCorrelatorBlock");
   if (fast > 0.0 && batched > 0.0)
     json.set("xcorr_block_speedup", batched / fast);
+  const double energy_step = collector.rate("BM_EnergyStep");
+  const double energy_block = collector.rate("BM_EnergyBlock");
+  if (energy_step > 0.0 && energy_block > 0.0)
+    json.set("energy_block_speedup", energy_block / energy_step);
   const double tick = collector.rate("BM_DspCoreTick");
   const double block = collector.rate("BM_DspCoreRunBlock");
   if (tick > 0.0 && block > 0.0)

@@ -30,7 +30,7 @@ class ReactiveJammer {
   /// Attach a telemetry bundle (nullptr detaches). Wires the bundle's
   /// event ring through the radio into the fabric core and settings bus,
   /// and records the current personality description as a trace
-  /// annotation. Instrumented streaming keeps the straight-line fast path
+  /// annotation. Instrumented streaming keeps the event-driven block path
   /// (see DspCore::set_ring()).
   void attach_trace(obs::Telemetry* telemetry);
   [[nodiscard]] obs::Telemetry* telemetry() const noexcept {

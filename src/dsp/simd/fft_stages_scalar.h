@@ -5,6 +5,12 @@
 // complex arithmetic is spelled out in float (not std::complex) so the
 // reference and the vector kernels perform the same multiply/add
 // sequence, keeping them within a few ulp of each other.
+//
+// Both stages have internal linkage: the baseline FFT plan and each per-ISA
+// kernel TU keep their own copy, compiled with their own -m flags. As
+// inline functions they would be one weak symbol for the whole binary,
+// and the linker would keep whichever object's copy came first, so a
+// baseline caller could run VEX-encoded code.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +19,7 @@ namespace rjf::dsp::simd {
 
 /// One twiddle-free radix-2 pass over adjacent pairs (used as the first
 /// stage when log2(n) is odd; identical for forward and inverse).
-inline void fft_radix2_stage(float* x, std::size_t n) {
+static inline void fft_radix2_stage(float* x, std::size_t n) {
   for (std::size_t i = 0; i < 2 * n; i += 4) {
     const float ar = x[i], ai = x[i + 1];
     const float br = x[i + 2], bi = x[i + 3];
@@ -27,9 +33,10 @@ inline void fft_radix2_stage(float* x, std::size_t n) {
 /// One radix-4 pass with quarter length L over blocks of 4L complexes.
 /// See dsp/simd/fft_kernels.h for the F0/F2/F1/F3 input ordering the
 /// plain bit-reverse permutation produces.
-inline void fft_radix4_stage(float* x, std::size_t n, std::size_t L,
-                             const float* w1, const float* w2,
-                             const float* w3, bool inverse) {
+static inline void fft_radix4_stage(float* x, std::size_t n,
+                                    std::size_t L, const float* w1,
+                                    const float* w2, const float* w3,
+                                    bool inverse) {
   for (std::size_t base = 0; base < 2 * n; base += 8 * L) {
     for (std::size_t k = 0; k < 2 * L; k += 2) {
       float* pa = x + base + k;

@@ -4,6 +4,7 @@
 // code built with other -m flags).  When the toolchain lacks -mavx2 (or
 // RJF_ENABLE_SIMD is OFF), the entry points compile as stubs returning
 // false and the caller runs its scalar reference.
+#include "dsp/simd/energy.h"
 #include "dsp/simd/fft_kernels.h"
 #include "dsp/simd/synth.h"
 #include "dsp/simd/viterbi.h"
@@ -13,6 +14,7 @@
 
 #include <immintrin.h>
 
+#include "dsp/simd/energy_kernel_impl.h"
 #include "dsp/simd/fft_kernels_impl.h"
 #include "dsp/simd/synth_kernels_impl.h"
 #include "dsp/simd/viterbi_kernels_impl.h"
@@ -212,6 +214,98 @@ struct AvxXcorrOps {
   }
 };
 
+// The energy detector at ymm width (energy_kernel_impl.h): four samples per
+// pass, one per 64-bit lane. AVX2 compares 64-bit lanes signed only; every
+// operand but the low product stays below 2^63, and that one is compared
+// with the sign bit flipped on both sides.
+struct AvxEnergyOps {
+  static constexpr std::size_t kLanes = 4;
+
+  struct State {
+    State(const EnergyComparators& c, std::uint64_t sum) noexcept
+        : high(_mm256_set1_epi64x(c.thresh_high_q88)),
+          low(_mm256_set1_epi64x(c.thresh_low_q88)),
+          floor(_mm256_set1_epi64x(c.floor)),
+          sum(_mm256_set1_epi64x(static_cast<long long>(sum))) {}
+    __m256i high, low, floor;
+    __m256i sum;  // the running sum, in every lane
+  };
+
+  // Per lane, all ones where (a << 8) > t * b, exact (see
+  // energy_kernel_impl.h).
+  static __m256i above(__m256i a, __m256i b, __m256i t) noexcept {
+    const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
+    const __m256i shifted = _mm256_slli_epi64(a, 8);
+    const __m256i p_lo = _mm256_mul_epu32(t, b);
+    const __m256i p_hi = _mm256_mul_epu32(t, _mm256_srli_epi64(b, 32));
+    const __m256i rest = _mm256_srli_epi64(
+        _mm256_sub_epi64(_mm256_sub_epi64(shifted, p_lo),
+                         _mm256_set1_epi64x(1)),
+        32);
+    const __m256i lo_below = _mm256_cmpgt_epi64(
+        _mm256_xor_si256(shifted, sign), _mm256_xor_si256(p_lo, sign));
+    return _mm256_andnot_si256(_mm256_cmpgt_epi64(p_hi, rest), lo_below);
+  }
+
+  static std::uint64_t bits(__m256i v) noexcept {
+    return static_cast<std::uint64_t>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(v)));
+  }
+
+  static void pass(State& st, const IQ16* rx, std::size_t live,
+                   const std::uint64_t* old, std::uint64_t* x,
+                   const std::uint64_t* ref, std::uint64_t* y,
+                   std::uint64_t& high, std::uint64_t& low) noexcept {
+    // Masked moves only on a short last pass: vpmaskmov is slow on some
+    // cores.
+    const bool full = live == kLanes;
+    const __m256i m =
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(live)),
+                           _mm256_setr_epi64x(0, 1, 2, 3));
+    const auto load = [&](const std::uint64_t* from) noexcept {
+      const auto* at = reinterpret_cast<const long long*>(from);
+      return full ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at))
+                  : _mm256_maskload_epi64(at, m);
+    };
+    const auto store = [&](std::uint64_t* to, __m256i v) noexcept {
+      auto* at = reinterpret_cast<long long*>(to);
+      if (full)
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(at), v);
+      else
+        _mm256_maskstore_epi64(at, m, v);
+    };
+    // IQ16 is {int16 i, int16 q}: vpmaddwd gives i*i + q*q per 32-bit
+    // lane. Only full-scale-negative I and Q reach 2^31, which the signed
+    // dword wraps and the zero extension restores. Dead lanes load zeros,
+    // so their steps are 0 and the last lane holds the run's sum.
+    const __m128i v =
+        full ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(rx))
+             : _mm_maskload_epi32(
+                   reinterpret_cast<const int*>(rx),
+                   _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(live)),
+                                   _mm_setr_epi32(0, 1, 2, 3)));
+    const __m256i p = _mm256_cvtepu32_epi64(_mm_madd_epi16(v, v));
+    store(x, p);
+    __m256i s = _mm256_sub_epi64(p, load(old));
+    // Prefix sum across the lanes: add the lane below, then the two below.
+    s = _mm256_add_epi64(
+        s, _mm256_blend_epi32(_mm256_permute4x64_epi64(s, 0x90),
+                              _mm256_setzero_si256(), 0x03));
+    s = _mm256_add_epi64(s, _mm256_permute2x128_si256(s, s, 0x08));
+    const __m256i now = _mm256_add_epi64(s, st.sum);
+    st.sum = _mm256_permute4x64_epi64(now, 0xFF);
+    store(y, now);
+
+    const __m256i then = load(ref);
+    const std::uint64_t lanes = bits(m);
+    high = lanes &
+           bits(_mm256_and_si256(_mm256_cmpgt_epi64(now, st.floor),
+                                 above(now, then, st.high)));
+    low = lanes & bits(_mm256_and_si256(_mm256_cmpgt_epi64(then, st.floor),
+                                        above(then, now, st.low)));
+  }
+};
+
 // The capture synthesis kernels at ymm width (synth_kernels_impl.h). The
 // CFO mix takes 8 samples per pass, their phases in two vectors of 4
 // double lanes.
@@ -296,6 +390,10 @@ XcorrBlockFn xcorr_block_avx2() noexcept {
   return &xcorr_block_t<AvxXcorrOps>;
 }
 
+EnergyBlockFn energy_block_avx2() noexcept {
+  return &energy_block_t<AvxEnergyOps>;
+}
+
 NoiseBlockFn noise_block_avx2() noexcept { return &noise_block_t<AvxSynthOps>; }
 
 CfoMixFn cfo_mix_avx2() noexcept { return &cfo_mix_t<AvxSynthOps>; }
@@ -319,6 +417,7 @@ bool viterbi_soft_avx2(const float*, std::size_t, std::uint64_t*, float*) {
 bool fft_exec_avx2(const FftKernelRun&, float*) { return false; }
 
 XcorrBlockFn xcorr_block_avx2() noexcept { return nullptr; }
+EnergyBlockFn energy_block_avx2() noexcept { return nullptr; }
 NoiseBlockFn noise_block_avx2() noexcept { return nullptr; }
 CfoMixFn cfo_mix_avx2() noexcept { return nullptr; }
 

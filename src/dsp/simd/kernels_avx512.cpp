@@ -1,5 +1,6 @@
-// AVX-512 kernels: the batched correlator metric (dsp/simd/xcorr.h) and
-// the capture synthesis kernels (dsp/simd/synth.h). This TU is the only one
+// AVX-512 kernels: the batched correlator metric (dsp/simd/xcorr.h), the
+// batched energy detector (dsp/simd/energy.h) and the capture synthesis
+// kernels (dsp/simd/synth.h). This TU is the only one
 // compiled with -mavx512f -mavx512vpopcntdq; when the toolchain lacks them
 // (or RJF_ENABLE_SIMD is OFF) it only provides the nullptr accessors and
 // the dispatchers fall through to the AVX2 kernels.
@@ -8,6 +9,10 @@
 // rail (see xcorr_kernel_impl.h); each of the four sign/plane dot products
 // is three AND + vpopcntq passes over them, so 12 vector popcounts serve 8
 // samples where step() does 96 scalar ones.
+//
+// Energy detector: eight samples per pass, one per 64-bit lane, with the
+// unsigned 64-bit compares AVX512F has.
+#include "dsp/simd/energy.h"
 #include "dsp/simd/synth.h"
 #include "dsp/simd/xcorr.h"
 
@@ -23,6 +28,7 @@
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
+#include "dsp/simd/energy_kernel_impl.h"
 #include "dsp/simd/synth_kernels_impl.h"
 #include "dsp/simd/xcorr_kernel_impl.h"
 
@@ -101,6 +107,64 @@ struct Avx512Ops {
   }
 };
 
+// The energy detector at zmm width (energy_kernel_impl.h).
+struct Avx512EnergyOps {
+  static constexpr std::size_t kLanes = 8;
+
+  struct State {
+    State(const EnergyComparators& c, std::uint64_t sum) noexcept
+        : high(_mm512_set1_epi64(c.thresh_high_q88)),
+          low(_mm512_set1_epi64(c.thresh_low_q88)),
+          floor(_mm512_set1_epi64(c.floor)),
+          sum(_mm512_set1_epi64(static_cast<long long>(sum))) {}
+    __m512i high, low, floor;
+    __m512i sum;  // the running sum, in every lane
+  };
+
+  // Per lane: (a << 8) > t * b, exact (see energy_kernel_impl.h).
+  static __mmask8 above(__m512i a, __m512i b, __m512i t) noexcept {
+    const __m512i shifted = _mm512_slli_epi64(a, 8);
+    const __m512i p_lo = _mm512_mul_epu32(t, b);
+    const __m512i p_hi = _mm512_mul_epu32(t, _mm512_srli_epi64(b, 32));
+    const __m512i rest = _mm512_srli_epi64(
+        _mm512_sub_epi64(_mm512_sub_epi64(shifted, p_lo),
+                         _mm512_set1_epi64(1)),
+        32);
+    return _mm512_cmplt_epu64_mask(p_lo, shifted) &
+           _mm512_cmpge_epu64_mask(rest, p_hi);
+  }
+
+  static void pass(State& st, const IQ16* rx, std::size_t live,
+                   const std::uint64_t* old, std::uint64_t* x,
+                   const std::uint64_t* ref, std::uint64_t* y,
+                   std::uint64_t& high, std::uint64_t& low) noexcept {
+    const auto m = static_cast<__mmask8>((1u << live) - 1u);
+    // IQ16 is {int16 i, int16 q}: vpmaddwd gives i*i + q*q per 32-bit
+    // lane. Only full-scale-negative I and Q reach 2^31, which the signed
+    // dword wraps and the zero extension restores. Dead lanes load zeros,
+    // so their steps are 0 and the last lane holds the run's sum.
+    const __m256i v = _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(
+        static_cast<__mmask16>((1u << live) - 1u), rx));
+    const __m512i p = _mm512_cvtepu32_epi64(_mm256_madd_epi16(v, v));
+    _mm512_mask_storeu_epi64(x, m, p);
+    __m512i s = _mm512_sub_epi64(p, _mm512_maskz_loadu_epi64(m, old));
+    // Prefix sum across the lanes: add the lanes 1, 2 and 4 below.
+    const __m512i zero = _mm512_setzero_si512();
+    s = _mm512_add_epi64(s, _mm512_alignr_epi64(s, zero, 7));
+    s = _mm512_add_epi64(s, _mm512_alignr_epi64(s, zero, 6));
+    s = _mm512_add_epi64(s, _mm512_alignr_epi64(s, zero, 4));
+    const __m512i now = _mm512_add_epi64(s, st.sum);
+    st.sum = _mm512_permutexvar_epi64(_mm512_set1_epi64(7), now);
+    _mm512_mask_storeu_epi64(y, m, now);
+
+    const __m512i then = _mm512_maskz_loadu_epi64(m, ref);
+    high = m & _mm512_cmpgt_epu64_mask(now, st.floor) &
+           above(now, then, st.high);
+    low = m & _mm512_cmpgt_epu64_mask(then, st.floor) &
+          above(then, now, st.low);
+  }
+};
+
 // The capture synthesis kernels at zmm width (synth_kernels_impl.h). The
 // CFO mix takes 16 samples per pass, their phases in two vectors of 8
 // double lanes.
@@ -157,6 +221,10 @@ XcorrBlockFn detail::xcorr_block_avx512() noexcept {
   return &xcorr_block_t<Avx512Ops>;
 }
 
+EnergyBlockFn detail::energy_block_avx512() noexcept {
+  return &energy_block_t<Avx512EnergyOps>;
+}
+
 NoiseBlockFn detail::noise_block_avx512() noexcept {
   return &noise_block_t<Avx512SynthOps>;
 }
@@ -172,6 +240,7 @@ detail::CfoMixFn detail::cfo_mix_avx512() noexcept {
 namespace rjf::dsp::simd {
 
 XcorrBlockFn detail::xcorr_block_avx512() noexcept { return nullptr; }
+EnergyBlockFn detail::energy_block_avx512() noexcept { return nullptr; }
 NoiseBlockFn detail::noise_block_avx512() noexcept { return nullptr; }
 detail::CfoMixFn detail::cfo_mix_avx512() noexcept { return nullptr; }
 

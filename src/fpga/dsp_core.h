@@ -30,11 +30,6 @@ namespace rjf::fpga {
 inline constexpr double kFabricClockHz = 100e6;   // rjf-analyze: allow(fabric.float-in-datapath)
 inline constexpr double kBasebandRateHz = 25e6;   // rjf-analyze: allow(fabric.float-in-datapath)
 
-/// run_block() takes the correlator's metrics this many samples at a time
-/// (CrossCorrelator::metrics into a stack buffer); a kernel detail, not a
-/// setting.
-inline constexpr std::size_t kMetricBlock = 256;
-
 struct CoreOutput {
   bool rx_strobe = false;       // this tick consumed a baseband sample
   bool xcorr_trigger = false;
@@ -89,9 +84,11 @@ class DspCore {
   /// sample into `out`, which must hold rx.size() entries. Bit-identical to
   /// calling tick(sample) + (kClocksPerSample-1) idle ticks per sample and
   /// folding their TX outputs — trigger edges, VITA timestamps, TX samples,
-  /// feedback counters and ring records all match — but hoists the
-  /// strobe-phase arithmetic, std::optional plumbing and idle-datapath
-  /// calls out of the inner loop.
+  /// feedback counters and ring records all match. Event-driven: the
+  /// detectors run kMetricBlock samples at a time through their batched
+  /// kernels, and only samples with a detector edge, an engaged FSM or a
+  /// jammer in delay, init or its last sample are clocked one by one; the
+  /// quiet and mid-burst stretches between them run in bulk.
   void run_block(std::span<const dsp::IQ16> rx,
                  std::span<SamplePeriodOutput> out) noexcept;
 
@@ -113,10 +110,12 @@ class DspCore {
   /// Attach the telemetry event ring (nullptr detaches). Producers write
   /// fixed-size records into the ring on trigger edges, FSM transitions,
   /// jam bursts and sampled strobes; outputs stay bit-identical to an
-  /// untraced run because the traced run_block() instantiation keeps the
-  /// same straight-line compute path and only adds publish() calls (the
-  /// overhead contract; see DESIGN.md "Observability"). Inline-drain rings
-  /// are drained at block boundaries.
+  /// untraced run because the traced run_block() instantiation runs the
+  /// same datapath computations in the same order and only adds taps: a
+  /// publish() per clock on the samples it clocks one by one, and snapshots
+  /// built from the sub-block's rx, metric and energy arrays on the
+  /// stretches it runs in bulk (the overhead contract; see DESIGN.md
+  /// "Observability"). Inline-drain rings are drained at block boundaries.
   /// The ring's edge latches restart on attach: RF reads off and the FSM
   /// stage reads as it stands, so a ring never receives the end of a burst
   /// it did not see start, and a burst in progress opens with a jam_start
@@ -161,13 +160,39 @@ class DspCore {
   __attribute__((noinline, cold))
 #endif
   void publish_tick(const CoreOutput& out, const StrobeTap* tap) noexcept;
-  /// The block loop, compiled twice: the kTraced instantiation calls
-  /// publish() on each clock it covers, the plain one is the untouched fast
-  /// path. Both run the same datapath computations in the same order, which
-  /// is what makes traced-vs-plain bit-identity hold by construction.
+  /// The block loop, compiled twice: the kTraced instantiation publishes
+  /// each clock and each stretch it covers, the plain one is the untouched
+  /// fast path. Both run the same datapath computations in the same order,
+  /// which is what makes traced-vs-plain bit-identity hold by construction.
   template <bool kTraced>
   void run_block_body(std::span<const dsp::IQ16> rx,
                       std::span<SamplePeriodOutput> out) noexcept;
+  /// One sub-block's detector outputs (defined in dsp_core.cpp).
+  struct SubBlock;
+  /// Sample `n` of the sub-block, clocked as tick() would clock it.
+  template <bool kTraced>
+  void clock_sample(const SubBlock& b, std::size_t n,
+                    SamplePeriodOutput& rec) noexcept;
+  /// Samples [from, to) of the sub-block: no detector edge, the FSM
+  /// disengaged and the jammer idle. Nothing but the replay ring, the
+  /// detector latches and VITA time moves.
+  template <bool kTraced>
+  void quiet_stretch(const SubBlock& b, std::size_t from, std::size_t to,
+                     std::span<SamplePeriodOutput> rec) noexcept;
+  /// Samples [from, to) of the sub-block: no detector edge, the FSM
+  /// disengaged and the jammer mid-burst throughout, one jam_period() each.
+  template <bool kTraced>
+  void jam_stretch(const SubBlock& b, std::size_t from, std::size_t to,
+                   std::span<SamplePeriodOutput> rec) noexcept;
+  /// The strobe snapshots of a stretch [from, to) that the ring's 1-in-N
+  /// countdown picks: FSM stage 0, no edge or trigger, and the TX output
+  /// of `rec` (nullptr on a quiet stretch; a jam stretch's sample lands on
+  /// the strobe clock when `tx_on_strobe`, else after it).
+  void publish_stretch(const SubBlock& b, std::size_t from, std::size_t to,
+                       const SamplePeriodOutput* rec,
+                       bool tx_on_strobe) noexcept;
+  /// Set the detector latches to sample `n`'s flags.
+  void latch(const SubBlock& b, std::size_t n) noexcept;
 
   RegisterFile regs_;
   CrossCorrelator correlator_;

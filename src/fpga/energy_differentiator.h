@@ -7,12 +7,18 @@
 //     trigger_low  :  y[n-64]     > thresh_low  * y[n]
 // Users can set any energy-change threshold between 3 dB and 30 dB, for
 // both rising and falling energy (paper §2.3).
+//
+// Host fast path: block() clocks a run of samples through the batched
+// kernel of the host's SIMD tier (dsp/simd/energy.h, picked once at
+// construction).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 
+#include "dsp/simd/energy.h"
 #include "dsp/types.h"
 #include "fpga/hw_int.h"
 #include "fpga/register_file.h"
@@ -26,10 +32,45 @@ inline constexpr std::size_t kEnergyRefDelay = 64;  // Z^-64 reference delay
 static_assert(std::has_single_bit(kEnergyWindow));
 static_assert(std::has_single_bit(kEnergyRefDelay));
 static_assert(kEnergyRefDelay % kEnergyWindow == 0);
+static_assert(kEnergyWindow == dsp::simd::kEnergyTaps &&
+              kEnergyRefDelay == dsp::simd::kEnergyRefTaps);
+// Samples clocked in before the comparators arm: the pipe must fill.
+inline constexpr std::size_t kEnergyWarmup = kEnergyWindow + kEnergyRefDelay;
+
+/// DspCore::run_block() clocks its detectors this many samples at a time
+/// (CrossCorrelator::metrics and EnergyDifferentiator::block into stack
+/// buffers); a kernel detail, not a setting.
+inline constexpr std::size_t kMetricBlock = 256;
+
+/// One flag per sample of a run of up to kMetricBlock: sample n is bit
+/// n % 64 of word n / 64.
+using BlockMask = std::array<std::uint64_t, kMetricBlock / 64>;
+
+[[nodiscard]] constexpr bool mask_test(const BlockMask& m,
+                                       std::size_t n) noexcept {
+  return ((m[n / 64] >> (n % 64)) & 1u) != 0;
+}
+
+/// What EnergyDifferentiator::block() writes for a run of samples: step()'s
+/// energy_sum, trigger_high and trigger_low for each. Mask bits past the
+/// run are clear.
+struct EnergyBlock {
+  [[nodiscard]] std::uint64_t energy_sum(std::size_t n) const noexcept {
+    return sums[kEnergyRefDelay + n];
+  }
+  /// The moving sums the kernel works on in place: the kEnergyRefDelay
+  /// before the run (the comparators' references), then the run's own.
+  std::array<std::uint64_t, kEnergyRefDelay + kMetricBlock> sums{};
+  BlockMask high{};
+  BlockMask low{};
+};
 
 class EnergyDifferentiator {
  public:
-  EnergyDifferentiator() = default;
+  EnergyDifferentiator() noexcept;
+  /// block() runs the batched kernel of SIMD tier `isa` (the default is the
+  /// host's active tier). Equivalence tests pin each tier this way.
+  explicit EnergyDifferentiator(dsp::simd::Isa isa) noexcept;
 
   /// Latch thresholds from the register file.
   void load_from_registers(const RegisterFile& regs) noexcept;
@@ -68,7 +109,7 @@ class EnergyDifferentiator {
 
     Output out;
     out.energy_sum = y.u64();
-    if (warmup_ < kEnergyWindow + kEnergyRefDelay) {
+    if (warmup_ < kEnergyWarmup) {
       ++warmup_;
       return out;  // pipeline not yet full; comparators disarmed
     }
@@ -82,6 +123,13 @@ class EnergyDifferentiator {
     return out;
   }
 
+  /// Block entry point: clock in the first min(rx.size(), kMetricBlock)
+  /// samples of `rx` and write what step() would return for each into
+  /// `out`. Warm-up and both histories carry across calls, so this
+  /// interleaves freely with step() and is bit-identical to a step() loop
+  /// however a stream is split.
+  void block(std::span<const dsp::IQ16> rx, EnergyBlock& out) noexcept;
+
   void reset() noexcept;
 
  private:
@@ -93,6 +141,9 @@ class EnergyDifferentiator {
   hw::UInt<32> thresh_low_q88_{0xFFFFFFFFu};
   hw::UInt<32> floor_;
   std::size_t warmup_ = 0;  // samples seen; comparators arm after the pipe fills
+
+  // block()'s batched kernel, picked at construction.
+  dsp::simd::EnergyBlockFn block_kernel_;
 };
 
 }  // namespace rjf::fpga

@@ -12,9 +12,11 @@
 // Uptime ranges from 1 sample (40 ns) to 2^32 samples.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dsp/types.h"
@@ -84,6 +86,20 @@ class JammerController {
     replay_write_ = (replay_write_ + 1) & kReplayMask;
   }
 
+  /// record_rx() of each sample of `rx` in order. Only the last
+  /// kReplayDepth can survive in the ring, so only they are copied.
+  void record_rx_block(std::span<const dsp::IQ16> rx) noexcept {
+    if (rx.size() > kReplayDepth) {
+      replay_write_ = (replay_write_ + rx.size() - kReplayDepth) & kReplayMask;
+      rx = rx.last(kReplayDepth);
+    }
+    const std::size_t head = std::min(rx.size(), kReplayDepth - replay_write_);
+    std::ranges::copy(rx.first(head),
+                      std::span(replay_).subspan(replay_write_).begin());
+    std::ranges::copy(rx.subspan(head), replay_.begin());
+    replay_write_ = (replay_write_ + rx.size()) & kReplayMask;
+  }
+
   struct TxOut {
     bool rf_active = false;     // true while jamming energy is on the air
     dsp::IQ16 sample{};         // valid when rf_active and sample_strobe
@@ -151,6 +167,12 @@ class JammerController {
   /// 2-bit strobe phase passes 0 once in any four clocks.
   [[nodiscard]] bool mid_burst() const noexcept {
     return state_ == State::kJamming && remaining_samples_ > 1u;
+  }
+
+  /// For how many sample periods in a row mid_burst() holds from here, each
+  /// advanced by jam_period(): every sample the burst has left but its last.
+  [[nodiscard]] std::uint64_t mid_burst_periods() const noexcept {
+    return state_ == State::kJamming ? remaining_samples_.u64() - 1 : 0;
   }
 
   /// True when the next clock issues a TX sample (the strobe phase is 0).

@@ -1,5 +1,6 @@
 #include "obs/event_ring.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace rjf::obs {
@@ -46,8 +47,7 @@ bool EventRing::push_event(EventKind kind, std::uint64_t vita_ticks,
   return try_push(r);
 }
 
-// rjf: realtime
-bool EventRing::push_strobe(const FabricSignals& signals) noexcept {
+RingRecord EventRing::strobe_record(const FabricSignals& signals) noexcept {
   RingRecord r{};
   r.vita_ticks = signals.vita_ticks;
   r.value = signals.energy_sum;
@@ -64,7 +64,28 @@ bool EventRing::push_strobe(const FabricSignals& signals) noexcept {
       (signals.energy_low ? kStrobeEnergyLow : 0u) |
       (signals.jam_trigger ? kStrobeJamTrigger : 0u) |
       (signals.rf_active ? kStrobeRfActive : 0u));
-  return try_push(r);
+  return r;
+}
+
+// rjf: realtime
+bool EventRing::push_strobe(const FabricSignals& signals) noexcept {
+  return try_push(strobe_record(signals));
+}
+
+// rjf: realtime
+std::size_t EventRing::push_strobes(
+    std::span<const FabricSignals> signals) noexcept {
+  const std::uint64_t head = head_.load(std::memory_order_relaxed);
+  if (head - cached_tail_ + signals.size() > ring_.size())
+    cached_tail_ = tail_.load(std::memory_order_acquire);
+  const std::size_t room = ring_.size() - (head - cached_tail_);
+  const std::size_t taken = std::min(room, signals.size());
+  for (std::size_t k = 0; k < taken; ++k)
+    ring_[(head + k) & mask_] = strobe_record(signals[k]);
+  head_.store(head + taken, std::memory_order_release);
+  relaxed_add(pushed_, taken);
+  relaxed_add(dropped_, signals.size() - taken);
+  return taken;
 }
 
 void EventRing::dispatch(const RingRecord& record, FabricSink& sink) {

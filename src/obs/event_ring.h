@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -142,8 +143,32 @@ class EventRing {
     return false;
   }
 
+  /// strobe_gate(false) for `n` strobes in a row, none of them interesting,
+  /// in one step: returns the offset of the first that passes (n when none
+  /// does); after it, every strobe_sample_period()-th passes. The countdown
+  /// and the sampled-out count end where n calls would leave them.
+  // rjf: realtime
+  [[nodiscard]] std::size_t strobe_gate_quiet(std::size_t n) noexcept {
+    if constexpr (!want_probes()) return n;
+    const std::size_t first = strobe_countdown_;
+    if (n <= first) {
+      strobe_countdown_ -= static_cast<std::uint32_t>(n);
+      relaxed_add(sampled_out_, n);
+      return n;
+    }
+    const std::size_t passed = (n - first - 1) / period_ + 1;
+    const std::size_t last = first + (passed - 1) * period_;
+    strobe_countdown_ = static_cast<std::uint32_t>(period_ - (n - last));
+    relaxed_add(sampled_out_, n - passed);
+    return first;
+  }
+
   /// Append a strobe snapshot (call only when strobe_gate() passed).
   bool push_strobe(const FabricSignals& signals) noexcept;
+
+  /// push_strobe() of each of `signals` in order, with one index update.
+  /// Returns how many the ring took; the rest count as dropped.
+  std::size_t push_strobes(std::span<const FabricSignals> signals) noexcept;
 
   // Consumer side ------------------------------------------------------------
 
@@ -200,9 +225,14 @@ class EventRing {
   /// Single-writer counter bump without a read-modify-write (the lock-free
   /// fetch_add is overkill when only one thread ever writes).
   static void relaxed_inc(std::atomic<std::uint64_t>& counter) noexcept {
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
+    relaxed_add(counter, 1);
+  }
+  static void relaxed_add(std::atomic<std::uint64_t>& counter,
+                          std::uint64_t n) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + n,
                   std::memory_order_relaxed);
   }
+  static RingRecord strobe_record(const FabricSignals& signals) noexcept;
 
   std::vector<RingRecord> ring_;
   std::size_t mask_ = 0;

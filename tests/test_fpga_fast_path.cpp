@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <iterator>
 #include <optional>
 #include <vector>
@@ -585,6 +586,225 @@ TEST(RunBlockEquivalence, RunBlockWritesOneRecordPerSample) {
   core.run_block(stream, std::span(records).first(3));
   EXPECT_EQ(core.feedback().vita_ticks,
             (stream.size() + 3) * kClocksPerSample);
+}
+
+// ---------------------------------------------------------------------------
+// Stretch boundaries. run_block() clocks a sample one by one only at a
+// detector edge, with the FSM engaged, or with the jammer in delay, init or
+// its last sample; between those it runs quiet and mid-burst stretches in
+// bulk, inside kMetricBlock-sample sub-blocks. These pins put edges and
+// burst ends on the boundaries of both and compare with the tick cadence.
+
+// The short-preamble template as full-scale sign rails: a window holding
+// exactly these 64 samples reaches the correlator's max_metric, and no
+// other window of the air below does.
+dsp::iqvec template_rails() {
+  const auto tpl = core::wifi_short_preamble_template();
+  const auto rail = [](int coef) {
+    return static_cast<std::int16_t>(coef < 0 ? -8000 : 8000);
+  };
+  dsp::iqvec rails(kCorrelatorLength);
+  for (std::size_t k = 0; k < kCorrelatorLength; ++k)
+    rails[k] = dsp::IQ16{rail(tpl.coef_i[k]), rail(tpl.coef_q[k])};
+  return rails;
+}
+
+// A 1-stage correlator trigger that fires only on a full template match,
+// and an energy detector that never fires (`energy` false) or fires on
+// 6 dB steps; then the given jammer.
+void program_pin_core(DspCore& core, JamWaveform waveform,
+                      std::uint16_t delay, std::uint32_t uptime,
+                      bool energy) {
+  auto& regs = core.registers();
+  program_template(regs, core::wifi_short_preamble_template());
+  core.apply_registers();
+  regs.write(Reg::kXcorrThreshold, core.correlator().max_metric() - 1);
+  const std::uint32_t ratio =
+      energy ? core::energy_threshold_q88_from_db(6.0) : 0xFFFFFFFFu;
+  regs.write(Reg::kEnergyThreshHigh, ratio);
+  regs.write(Reg::kEnergyThreshLow, ratio);
+  regs.write(Reg::kEnergyFloor, 1000);
+  regs.set_trigger_stages(kEventXcorr, 0, 0);
+  regs.set_jammer(waveform, true, delay);
+  regs.write(Reg::kJamDuration, uptime);
+  core.apply_registers();
+}
+
+// Low noise with the template's last sample at each of `edges`: the
+// correlator edge lands exactly there.
+dsp::iqvec air_with_edges(std::size_t total,
+                          std::initializer_list<std::size_t> edges,
+                          std::uint64_t seed) {
+  dsp::iqvec air = noise_stream(total, 0.002, seed);
+  const dsp::iqvec rails = template_rails();
+  for (const std::size_t e : edges)
+    std::copy(rails.begin(), rails.end(),
+              air.begin() + static_cast<std::ptrdiff_t>(e + 1 - rails.size()));
+  return air;
+}
+
+// Both cores of a pin, with a ring each when traced.
+struct PinCores {
+  PinCores(JamWaveform waveform, std::uint16_t delay, std::uint32_t uptime,
+           bool energy, std::uint32_t strobe_period)
+      : tick_ring(ring_config(strobe_period)),
+        block_ring(ring_config(strobe_period)) {
+    for (DspCore* core : {&tick_core, &block_core})
+      program_pin_core(*core, waveform, delay, uptime, energy);
+    tick_ring.set_consumer(&tick_sink, /*inline_drain=*/true);
+    block_ring.set_consumer(&block_sink, /*inline_drain=*/true);
+  }
+  static obs::RingConfig ring_config(std::uint32_t strobe_period) {
+    obs::RingConfig cfg;
+    cfg.strobe_sample_period = strobe_period;
+    return cfg;
+  }
+  void attach() {
+    tick_core.set_ring(&tick_ring);
+    block_core.set_ring(&block_ring);
+  }
+
+  // Feed air[from, from + len) as one run_block() call and tick by tick,
+  // comparing every record and the feedback after the call. Returns the
+  // samples of the call on which the tick path counted a new correlator
+  // detection.
+  std::vector<std::size_t> feed(const dsp::iqvec& air, std::size_t from,
+                                std::size_t len) {
+    std::vector<std::size_t> detections;
+    const auto chunk = std::span(air).subspan(from, len);
+    std::vector<SamplePeriodOutput> out(len);
+    block_core.run_block(chunk, out);
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::uint64_t before = tick_core.feedback().xcorr_detections;
+      expect_records_equal(out[k], tick_period(tick_core, chunk[k]),
+                           from + k);
+      if (::testing::Test::HasFatalFailure()) return detections;
+      if (tick_core.feedback().xcorr_detections != before)
+        detections.push_back(k);
+      on_air += out[k].rf_active ? 1 : 0;
+      last_on_air = out[k].rf_active ? from + k : last_on_air;
+    }
+    if (tick_core.ring() != nullptr) tick_ring.drain_if_inline();
+    expect_feedback_equal(block_core.feedback(), tick_core.feedback());
+    return detections;
+  }
+
+  void expect_same_trace() {
+    ASSERT_EQ(block_ring.dropped(), 0u);
+    ASSERT_EQ(tick_ring.dropped(), 0u);
+    ASSERT_EQ(block_ring.sampled_out(), tick_ring.sampled_out());
+    test::expect_same_records(block_sink.seen, tick_sink.seen);
+  }
+
+  DspCore tick_core;
+  DspCore block_core;
+  obs::EventRing tick_ring;
+  obs::EventRing block_ring;
+  test::RecordingSink tick_sink;
+  test::RecordingSink block_sink;
+  std::size_t on_air = 0;
+  std::size_t last_on_air = 0;
+};
+
+constexpr std::uint32_t kPinStrobePeriods[] = {1, 16, 1000};
+
+TEST(RunBlockEquivalence, EdgesOnSubBlockBoundariesMatchTickCadence) {
+  // One 700-sample run_block() call after a 1000-sample lead-in, with the
+  // correlator edge at its sample 0, 255, 256 or 699 (its last). The
+  // 300-sample burst it triggers runs on across sub-block and call ends.
+  constexpr std::size_t kLead = 1000;
+  constexpr std::size_t kCall = 700;
+  for (const std::size_t at : {std::size_t{0}, std::size_t{255},
+                               std::size_t{256}, kCall - 1}) {
+    const dsp::iqvec air = air_with_edges(3000, {kLead + at}, 0xED6E + at);
+    for (const bool energy : {false, true}) {
+      for (const std::uint32_t period : {0u, 1u, 16u, 1000u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "edge at " << at << (energy ? " energy" : "")
+                     << (period == 0 ? " plain" : " traced, period ")
+                     << period);
+        PinCores pin(JamWaveform::kWhiteNoise, 0, 300, energy,
+                     period == 0 ? 1 : period);
+        if (period != 0) pin.attach();
+        (void)pin.feed(air, 0, kLead);
+        const std::vector<std::size_t> det = pin.feed(air, kLead, kCall);
+        (void)pin.feed(air, kLead + kCall, air.size() - kLead - kCall);
+        if (::testing::Test::HasFatalFailure()) return;
+        // The air put the one edge where it was meant to be.
+        ASSERT_EQ(det, std::vector<std::size_t>{at});
+        EXPECT_EQ(pin.block_core.feedback().jam_triggers, 1u);
+        EXPECT_EQ(pin.on_air, 300u);
+        if (period != 0) pin.expect_same_trace();
+      }
+    }
+  }
+}
+
+TEST(RunBlockEquivalence, BurstEndingOnSubBlockBoundaryMatchesTickCadence) {
+  // A trigger at sample E puts TX samples on periods E+2 .. E+1+uptime.
+  // With E = 100 the burst's last sample lands on sample 254, 255 (the
+  // last of the first sub-block), 256 (the first of the next) or 257.
+  constexpr std::size_t kEdge = 100;
+  const dsp::iqvec air = air_with_edges(1024, {kEdge}, 0xB0DE);
+  for (const std::uint32_t uptime : {153u, 154u, 155u, 156u}) {
+    for (const std::uint32_t period : {0u, 1u, 16u, 1000u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "uptime " << uptime
+                   << (period == 0 ? " plain" : " traced, period ") << period);
+      PinCores pin(JamWaveform::kWhiteNoise, 0, uptime, false,
+                   period == 0 ? 1 : period);
+      if (period != 0) pin.attach();
+      (void)pin.feed(air, 0, air.size());
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_EQ(pin.last_on_air, kEdge + 1 + uptime);
+      EXPECT_EQ(pin.on_air, uptime);
+      if (period != 0) pin.expect_same_trace();
+    }
+  }
+}
+
+TEST(RunBlockEquivalence, ReplayAfterLongQuietStretchMatchesTickCadence) {
+  // More than 512 quiet samples (several quiet stretches, some wrapping the
+  // ring) are recorded in bulk before the trigger, and a second trigger
+  // follows quiet air recorded around a burst; a 300-sample jam delay
+  // then runs clock by clock. Playback starts at the ring's write position
+  // at the trigger and recording goes on, so the burst replays samples
+  // recorded a delay earlier, through the position the stretches left.
+  const dsp::iqvec air = air_with_edges(5000, {1500, 2900}, 0x5E7A);
+  for (const std::uint32_t period : {0u, 1u, 16u, 1000u}) {
+    SCOPED_TRACE(::testing::Message()
+                 << (period == 0 ? "plain" : "traced, period ") << period);
+    PinCores pin(JamWaveform::kReplay, 300, 700, true,
+                 period == 0 ? 1 : period);
+    if (period != 0) pin.attach();
+    for (std::size_t pos = 0; pos < air.size(); pos += 1300)
+      (void)pin.feed(air, pos, std::min<std::size_t>(1300, air.size() - pos));
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(pin.block_core.feedback().jam_triggers, 2u);
+    EXPECT_EQ(pin.on_air, 1400u);
+    if (period != 0) pin.expect_same_trace();
+  }
+}
+
+TEST(RunBlockEquivalence, RingAttachedMidStretchMatchesTickCadence) {
+  // The rings attach between two run_block() calls, once in quiet air and
+  // once mid-burst: the traces must open identically, the second with a
+  // jam_start at the first traced clock.
+  const dsp::iqvec air = air_with_edges(3000, {400}, 0xA77A);
+  for (const std::size_t attach_at : {std::size_t{300}, std::size_t{600}}) {
+    for (const std::uint32_t period : kPinStrobePeriods) {
+      SCOPED_TRACE(::testing::Message() << "attach at " << attach_at
+                                        << ", period " << period);
+      PinCores pin(JamWaveform::kWhiteNoise, 0, 1000, true, period);
+      (void)pin.feed(air, 0, attach_at);
+      pin.attach();
+      (void)pin.feed(air, attach_at, air.size() - attach_at);
+      if (::testing::Test::HasFatalFailure()) return;
+      pin.expect_same_trace();
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_FALSE(pin.block_sink.seen.empty());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -109,6 +109,38 @@ TEST(JammerController, ReplayPlaysBackRecordedSamples) {
   }
 }
 
+TEST(JammerController, RecordRxBlockMatchesRecordRx) {
+  // Runs of every length up to past the ring's depth, from every write
+  // position the random lengths reach: the whole ring, replayed, must
+  // match the sample-by-sample recording.
+  dsp::Xoshiro256 rng(0x4EC0'4DB1u);
+  for (int round = 0; round < 64; ++round) {
+    JammerController by_sample;
+    JammerController by_block;
+    for (JammerController* ctl : {&by_sample, &by_block})
+      ctl->configure(JamWaveform::kReplay, true, 0, kReplayDepth);
+    for (int run = 0; run < 4; ++run) {
+      std::vector<dsp::IQ16> rx(rng.uniform_int(2 * kReplayDepth + 2));
+      for (dsp::IQ16& v : rx)
+        v = dsp::IQ16{static_cast<std::int16_t>(rng.next()),
+                      static_cast<std::int16_t>(rng.next())};
+      for (const dsp::IQ16 v : rx) by_sample.record_rx(v);
+      by_block.record_rx_block(rx);
+    }
+    std::vector<dsp::IQ16> played[2];
+    for (int c = 0; c < 2; ++c) {
+      JammerController& ctl = c == 0 ? by_sample : by_block;
+      (void)ctl.clock(true);
+      while (ctl.busy()) {
+        const auto out = ctl.clock(false);
+        if (out.sample_strobe) played[c].push_back(out.sample);
+      }
+    }
+    ASSERT_EQ(played[0].size(), kReplayDepth);
+    ASSERT_EQ(played[1], played[0]) << "round " << round;
+  }
+}
+
 TEST(JammerController, HostStreamWaveformCycles) {
   JammerController ctl;
   ctl.configure(JamWaveform::kHostStream, true, 0, 6);

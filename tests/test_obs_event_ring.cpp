@@ -132,6 +132,50 @@ TEST(EventRing, StrobeSamplingIsDeterministicAndBypassKeepsPhase) {
   EXPECT_EQ(ring.sampled_out(), 11u);
 }
 
+TEST(EventRing, QuietStrobeGateMatchesStrobeGateLoop) {
+  // Runs of n quiet strobes, gated in one step on one ring and one by one
+  // on another: the passing offsets, the countdown they leave (seen by the
+  // next run) and the sampled-out count must agree.
+  for (const std::uint32_t period : {1u, 3u, 16u, 1000u}) {
+    RingConfig config = tiny_ring(64);
+    config.strobe_sample_period = period;
+    EventRing bulk(config);
+    EventRing one_by_one(config);
+    for (const std::size_t n : {0, 1, 2, 5, 16, 17, 255, 256, 999, 1001, 3}) {
+      std::vector<std::size_t> want;
+      for (std::size_t k = 0; k < n; ++k)
+        if (one_by_one.strobe_gate(false)) want.push_back(k);
+      std::vector<std::size_t> got;
+      for (std::size_t k = bulk.strobe_gate_quiet(n); k < n; k += period)
+        got.push_back(k);
+      ASSERT_EQ(got, want) << "period " << period << ", run of " << n;
+      ASSERT_EQ(bulk.sampled_out(), one_by_one.sampled_out());
+    }
+    // An interesting strobe after the runs sees the same phase.
+    EXPECT_EQ(bulk.strobe_gate(true), one_by_one.strobe_gate(true));
+    EXPECT_EQ(bulk.strobe_gate(false), one_by_one.strobe_gate(false));
+  }
+}
+
+TEST(EventRing, PushStrobesKeepsOrderAndCountsDrops) {
+  EventRing ring(tiny_ring(16));
+  EXPECT_TRUE(ring.push_event(EventKind::kJamStart, 1, 1));
+  std::vector<FabricSignals> batch(20);
+  for (std::size_t k = 0; k < batch.size(); ++k) batch[k].vita_ticks = 10 + k;
+  // 15 slots are left: the batch's first 15 land in order, 5 drop.
+  EXPECT_EQ(ring.push_strobes(batch), 15u);
+  EXPECT_EQ(ring.pushed(), 16u);
+  EXPECT_EQ(ring.dropped(), 5u);
+  CollectingSink sink;
+  EXPECT_EQ(ring.drain_into(sink), 16u);
+  ASSERT_EQ(sink.strobes.size(), 15u);
+  for (std::size_t k = 0; k < sink.strobes.size(); ++k)
+    EXPECT_EQ(sink.strobes[k].vita_ticks, 10 + k);
+  // Drained, the ring takes a whole batch again.
+  EXPECT_EQ(ring.push_strobes(std::span(batch).first(16)), 16u);
+  EXPECT_EQ(ring.dropped(), 5u);
+}
+
 // The level gates are compile-time (tests/compile_time/obs_ceiling.cpp
 // pins them at every ceiling); the default build emits everything.
 TEST(EventRing, StrobeSnapshotRoundTripsThroughDrain) {
