@@ -1,7 +1,7 @@
 // PHY hot-path microbenchmarks (google-benchmark): the SIMD DSP layer's
 // headline numbers.  BM_WifiReceive54 and BM_Fft1024 are the two gated
 // rates — CI compares a fresh run against the committed BENCH_phy.json
-// floors — and the Viterbi, noise and CFO mix pairs report the
+// floors; BM_WifiReceive6 times the same frame at 6 Mb/s — and the Viterbi, noise and CFO mix pairs report the
 // kernel-vs-reference speedup the dispatcher is buying on this host.
 //
 // Emits BENCH_phy.json (override with RJF_BENCH_JSON) with items/s per
@@ -31,9 +31,9 @@ namespace {
 
 // Same 1534-byte frame as bench_fabric_throughput's BM_WifiReceive54, so
 // the two files' numbers stay directly comparable.
-void BM_WifiReceive54(benchmark::State& state) {
+void wifi_receive(benchmark::State& state, phy80211::Rate rate) {
   const std::vector<std::uint8_t> psdu(1534, 0x42);
-  phy80211::Transmitter tx({phy80211::Rate::kMbps54, 0x5D});
+  phy80211::Transmitter tx({rate, 0x5D});
   dsp::cvec wave = tx.transmit(psdu);
   dsp::NoiseSource noise(1e-4, 3);
   noise.add_to(wave);
@@ -41,7 +41,18 @@ void BM_WifiReceive54(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rx.receive(wave));
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_WifiReceive54(benchmark::State& state) {
+  wifi_receive(state, phy80211::Rate::kMbps54);
+}
 BENCHMARK(BM_WifiReceive54);
+
+// The longest decode of that frame (513 symbols, 12k Viterbi steps), at
+// the rate ARF falls back to under jamming.
+void BM_WifiReceive6(benchmark::State& state) {
+  wifi_receive(state, phy80211::Rate::kMbps6);
+}
+BENCHMARK(BM_WifiReceive6);
 
 void BM_WifiTransmit54(benchmark::State& state) {
   const std::vector<std::uint8_t> psdu(1534, 0x42);

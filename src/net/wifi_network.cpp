@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "dsp/db.h"
+#include "dsp/lap_clock.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
 #include "fpga/dsp_core.h"
+#include "obs/telemetry.h"
 #include "phy80211/ofdm.h"
 #include "phy80211/transmitter.h"
 
@@ -65,6 +68,27 @@ double WifiNetworkSim::nominal_sir_db() const {
 
 void WifiNetworkSim::attach_telemetry(obs::Telemetry* telemetry) {
   if (jammer_) jammer_->attach_trace(telemetry);
+  telemetry_ = telemetry;
+}
+
+void WifiNetworkSim::publish_stage_ns() {
+  if (telemetry_ == nullptr) return;
+  // The sim's thread is the ring's only producer and has stopped, so once
+  // flushed no drain writes the registry alongside these adds.
+  telemetry_->flush();
+  const StageNs& ns = stage_ns_;
+  const std::pair<const char*, std::uint64_t> split[] = {
+      {"net.listen_synth_ns", ns.listen_synth},
+      {"net.observe_ns", ns.observe},
+      {"net.rx_noise_ns", ns.rx_noise},
+      {"net.resample_ns", ns.resample},
+      {"net.rx_sync_ns", ns.rx.sync},
+      {"net.rx_demod_ns", ns.rx.demod},
+      {"net.rx_decode_ns", ns.rx.decode},
+      {"net.rx_descramble_ns", ns.rx.descramble},
+      {"net.parse_ns", ns.parse}};
+  obs::MetricsRegistry& metrics = telemetry_->metrics();
+  for (const auto& [name, value] : split) metrics.add(name, value);
 }
 
 void WifiNetworkSim::sync_jammer_to(double now) {
@@ -91,6 +115,7 @@ bool WifiNetworkSim::deliver(TxSlot& slot, int from, int to, double start,
                              double rx_noise_power, FrameType type,
                              JamCapture& jam) {
   const CachedWaveform& wave = *slot.wave;
+  dsp::LapClock clock(telemetry_ != nullptr);
 
   // ---- The jammer hears the frame and reacts.
   if (jammer_) {
@@ -105,6 +130,7 @@ bool WifiNetworkSim::deliver(TxSlot& slot, int from, int to, double start,
     const float g_listen = network_.path_gain(from, channel::kPortJammerRx);
     for (std::size_t k = 0; k < wave.w25.size(); ++k)
       capture[head + k] += wave.w25[k] * g_listen;
+    clock.lap(stage_ns_.listen_synth);
 
     auto res = jammer_->observe(capture);
     jam.tx = std::move(res.tx);
@@ -113,6 +139,7 @@ bool WifiNetworkSim::deliver(TxSlot& slot, int from, int to, double start,
     for (auto& s : jam.tx) s *= scale;
     jam.bursts = std::move(res.bursts);
     jammer_time_s_ += static_cast<double>(capture.size()) / kBasebandRateHz;
+    clock.lap(stage_ns_.observe);
   }
 
   // ---- Port `to` receives. With no burst provoked by this frame the
@@ -124,6 +151,7 @@ bool WifiNetworkSim::deliver(TxSlot& slot, int from, int to, double start,
   const float g_signal = network_.path_gain(from, to);
   for (std::size_t k = 0; k < rx.size(); ++k)
     rx[k] = wave.w20[k] * g_signal + noise.sample();
+  clock.lap(stage_ns_.rx_noise);
 
   // Superimpose each burst, resampled onto the 20 MSPS window at `start`.
   const float g_jam = network_.path_gain(channel::kPortJammerTx, to);
@@ -146,9 +174,14 @@ bool WifiNetworkSim::deliver(TxSlot& slot, int from, int to, double start,
     }
   }
 
-  const auto decoded = rx_.receive(rx);
+  clock.lap(stage_ns_.resample);
+
+  const auto decoded =
+      rx_.receive(rx, clock.enabled() ? &stage_ns_.rx : nullptr);
+  clock.restart();
   const auto frame = decoded.signal_valid ? parse(decoded.psdu) : std::nullopt;
   const bool ok = frame && frame->type == type;
+  clock.lap(stage_ns_.parse);
   if (jam.bursts.empty()) slot.clean_ok = ok;
   return ok;
 }
@@ -237,6 +270,7 @@ WifiRunResult WifiNetworkSim::run() {
   unsigned attempt = 0;
   double rate_acc = 0.0;
   std::uint64_t rate_samples = 0;
+  stage_ns_ = {};  // the split covers this run only
 
   // Blocking-socket semantics: arrivals are admitted only while the client
   // queue has room; a full queue paces the source instead of dropping.
@@ -328,6 +362,7 @@ WifiRunResult WifiNetworkSim::run() {
   }
   result.mean_tx_rate_mbps =
       rate_samples ? rate_acc / static_cast<double>(rate_samples) : 0.0;
+  publish_stage_ns();
   return result;
 }
 

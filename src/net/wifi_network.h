@@ -73,9 +73,13 @@ class WifiNetworkSim {
   /// Analytic SIR at the AP for this configuration (paper x-axis).
   [[nodiscard]] double nominal_sir_db() const;
 
-  /// Attach a telemetry bundle to the embedded jammer (no-op when the rig
-  /// runs without one). Safe to call before run(); the exported trace then
-  /// covers the whole iperf test.
+  /// Attach a telemetry bundle (nullptr detaches). The embedded jammer, if
+  /// any, streams its fabric events into it, and run() adds the sim's host
+  /// time per stage to its metrics as `net.*_ns` counters: listen_synth,
+  /// observe, rx_noise, resample, rx_sync, rx_demod, rx_decode,
+  /// rx_descramble and parse. Safe to call before run(); the exported trace
+  /// then covers the whole iperf test. A sim without telemetry reads no
+  /// clock for the split.
   void attach_telemetry(obs::Telemetry* telemetry);
 
  private:
@@ -123,12 +127,27 @@ class WifiNetworkSim {
 
   [[nodiscard]] bool cca_busy();
 
+  /// Host ns per stage of deliver(), kept while telemetry is attached.
+  struct StageNs {
+    std::uint64_t listen_synth = 0;  // jammer clock catch-up + capture
+    std::uint64_t observe = 0;       // jammer reaction, scaled to TX power
+    std::uint64_t rx_noise = 0;      // receiver's 20 MSPS signal + noise
+    std::uint64_t resample = 0;      // bursts onto the receiver's window
+    phy80211::RxStageNs rx;          // the 802.11 receiver's split
+    std::uint64_t parse = 0;         // MAC parse of the decoded PSDU
+  };
+
+  /// Add the stage split of this run() to the attached telemetry's metrics.
+  void publish_stage_ns();
+
   WifiNetworkConfig config_;
   channel::FivePortNetwork network_;
   std::optional<core::ReactiveJammer> jammer_;
   double jammer_time_s_ = 0.0;  // wall time of the jammer's sample clock
   dsp::Xoshiro256 rng_;
   phy80211::Receiver rx_;
+  obs::Telemetry* telemetry_ = nullptr;
+  StageNs stage_ns_;
 
   std::array<TxSlot, 8> data_;  // per rate
   TxSlot ack_;

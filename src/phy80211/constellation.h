@@ -38,11 +38,13 @@ void demap_symbols_into(std::span<const dsp::cfloat> symbols, Modulation mod,
 void demap_soft_into(std::span<const dsp::cfloat> symbols, Modulation mod,
                      float noise_var, float* out);
 
-/// Hard demap with a destination permutation: produced bit j is written
-/// to `out[scatter[j]]` instead of `out[j]`.  With the deinterleaver's
+/// Hard demap with a destination map: produced bit j is written to
+/// `out[scatter[j]]` instead of `out[j]`.  With the deinterleaver's
 /// scatter table this fuses demap + deinterleave of one symbol block into
-/// a single pass.  `scatter` must cover symbols.size()*bits_per_symbol(mod)
-/// entries forming a permutation of that range.
+/// a single pass; with mother_scatter() (receiver.h) it also depunctures.
+/// `scatter` must cover symbols.size()*bits_per_symbol(mod) distinct
+/// entries, each a valid index into `out`; slots no entry names are left
+/// as they were.
 void demap_symbols_scatter(std::span<const dsp::cfloat> symbols, Modulation mod,
                            const std::uint16_t* scatter, std::uint8_t* out);
 

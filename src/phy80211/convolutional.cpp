@@ -43,15 +43,6 @@ PuncturePattern pattern_for(CodeRate rate) noexcept {
 
 }  // namespace
 
-RateFraction rate_fraction(CodeRate rate) noexcept {
-  switch (rate) {
-    case CodeRate::kHalf: return {1, 2};
-    case CodeRate::kTwoThirds: return {2, 3};
-    case CodeRate::kThreeQuarters: return {3, 4};
-  }
-  return {1, 2};
-}
-
 Bits convolutional_encode(std::span<const std::uint8_t> data) {
   Bits out;
   out.reserve(data.size() * 2);

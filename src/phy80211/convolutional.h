@@ -18,7 +18,14 @@ struct RateFraction {
   unsigned num;
   unsigned den;
 };
-[[nodiscard]] RateFraction rate_fraction(CodeRate rate) noexcept;
+[[nodiscard]] constexpr RateFraction rate_fraction(CodeRate rate) noexcept {
+  switch (rate) {
+    case CodeRate::kHalf: return {1, 2};
+    case CodeRate::kTwoThirds: return {2, 3};
+    case CodeRate::kThreeQuarters: return {3, 4};
+  }
+  return {1, 2};
+}
 
 /// Encode with the rate-1/2 mother code (output a0 b0 a1 b1 ...).
 /// The caller is responsible for appending the 6 tail zeros beforehand.

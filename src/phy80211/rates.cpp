@@ -1,5 +1,6 @@
 #include "phy80211/rates.h"
 
+#include <algorithm>
 #include <array>
 
 #include "phy80211/ofdm.h"
@@ -23,6 +24,17 @@ constexpr std::array<RateParams, 8> kTable = {{
     {Rate::kMbps54, 54.0, Modulation::kQam64, CodeRate::kThreeQuarters, 6, 288,
      216, 0b0011},
 }};
+
+// The puncturer keeps `den` of every 2*`num` mother bits, so one symbol's
+// N_CBPS coded bits depuncture into exactly its own 2*N_DBPS mother slots
+// when `num` divides N_DBPS. The receiver demaps each symbol straight into
+// those slots (mother_scatter() in receiver.h), which rests on this.
+constexpr bool symbol_fills_its_mother_slots(const RateParams& p) {
+  const RateFraction f = rate_fraction(p.code_rate);
+  return p.n_dbps % f.num == 0 && p.n_dbps / f.num * f.den == p.n_cbps;
+}
+static_assert(std::all_of(kTable.begin(), kTable.end(),
+                          symbol_fills_its_mother_slots));
 
 constexpr std::array<Rate, 8> kAll = {
     Rate::kMbps6,  Rate::kMbps9,  Rate::kMbps12, Rate::kMbps18,

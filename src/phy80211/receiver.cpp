@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dsp/fft.h"
+#include "dsp/lap_clock.h"
 #include "phy80211/constellation.h"
 #include "phy80211/interleaver.h"
 #include "phy80211/ofdm.h"
@@ -27,8 +28,34 @@ double lts_metric(std::span<const dsp::cfloat> x, std::size_t offset,
 
 }  // namespace
 
-RxResult Receiver::receive(std::span<const dsp::cfloat> capture) const {
+const std::uint16_t* mother_scatter(Rate rate) {
+  static const auto kTables = [] {
+    std::array<std::vector<std::uint16_t>, 8> tables;
+    for (const Rate r : all_rates()) {
+      const auto& p = rate_params(r);
+      // The keep index: punctured bit i lands in the i-th mother slot that
+      // depuncture() fills rather than erases.
+      const Bits marks =
+          depuncture(Bits(p.n_cbps, 1), p.code_rate, 2 * p.n_dbps);
+      std::vector<std::uint16_t> keep;
+      for (std::size_t k = 0; k < marks.size(); ++k)
+        if (marks[k] == 1) keep.push_back(static_cast<std::uint16_t>(k));
+      const std::uint16_t* scatter = deinterleave_scatter(p.n_cbps, p.n_bpsc);
+      auto& table = tables[static_cast<std::size_t>(r)];
+      table.resize(p.n_cbps);
+      for (std::size_t j = 0; j < p.n_cbps; ++j) table[j] = keep[scatter[j]];
+    }
+    return tables;
+  }();
+  return kTables[static_cast<std::size_t>(rate)].data();
+}
+
+RxResult Receiver::receive(std::span<const dsp::cfloat> capture,
+                           RxStageNs* stages) const {
   RxResult result;
+  dsp::LapClock clock(stages != nullptr);
+  RxStageNs unused;
+  RxStageNs& ns = stages != nullptr ? *stages : unused;
   if (capture.size() < kNominalDataStart + kSymbolLen + sync_search_)
     return result;
 
@@ -77,6 +104,7 @@ RxResult Receiver::receive(std::span<const dsp::cfloat> capture) const {
   // are computed once instead of per symbol.
   const SymbolDemodulator demod(channel);
   std::array<dsp::cfloat, kNumDataCarriers> data48;
+  clock.lap(ns.sync);
 
   // -- SIGNAL symbol.
   if (capture.size() < data_start + kSymbolLen) return result;
@@ -98,64 +126,51 @@ RxResult Receiver::receive(std::span<const dsp::cfloat> capture) const {
     return result;
   }
 
-  // Demap each symbol straight into its deinterleaved slot of one
-  // whole-frame buffer: the block interleaver works symbol-by-symbol, so
-  // scatter-writing each demapped bit through the inverse permutation is
-  // identical to deinterleaving per symbol and concatenating, without the
-  // separate gather pass or per-symbol allocations.
-  const std::size_t n_data_bits = n_sym * p.n_dbps;
-  const std::uint16_t* scatter = deinterleave_scatter(p.n_cbps, p.n_bpsc);
+  // Demap each symbol straight into its slots of one whole-frame
+  // mother-code buffer. The interleaver works symbol by symbol and every
+  // symbol's coded bits fill exactly its own 2*N_DBPS mother slots (the
+  // static_assert in rates.cpp), so writing each demapped bit through
+  // mother_scatter equals demap -> deinterleave -> depuncture; the slots
+  // the puncturer dropped keep their prefilled erasure (2, or LLR 0).
+  const std::size_t n_mother = 2 * n_sym * p.n_dbps;
+  const std::size_t mother_per_sym = 2 * p.n_dbps;
+  const std::uint16_t* scatter = mother_scatter(signal->rate);
   Bits scrambled;
   if (soft_) {
-    std::vector<float> coded(n_sym * p.n_cbps);
+    std::vector<float> mother(n_mother, 0.0f);
     for (std::size_t s = 0; s < n_sym; ++s) {
       const std::size_t at = data_start + kSymbolLen * (1 + s);
       demod.run(capture.subspan(at, kSymbolLen), s + 1, data48.data());
-      if (scatter) {
-        demap_soft_scatter(data48, p.modulation, 1.0f, scatter,
-                           coded.data() + s * p.n_cbps);
-      } else {
-        std::vector<float> raw(p.n_cbps);
-        demap_soft_into(data48, p.modulation, 1.0f, raw.data());
-        const auto deinter = deinterleave_soft(raw, p.n_cbps, p.n_bpsc);
-        std::copy(deinter.begin(), deinter.end(),
-                  coded.begin() + static_cast<std::ptrdiff_t>(s * p.n_cbps));
-      }
+      demap_soft_scatter(data48, p.modulation, 1.0f, scatter,
+                         mother.data() + s * mother_per_sym);
     }
-    scrambled = decode_at_rate_soft(coded, p.code_rate, n_data_bits);
+    clock.lap(ns.demod);
+    scrambled = viterbi_decode_soft(mother);
   } else {
-    Bits coded(n_sym * p.n_cbps);
+    Bits mother(n_mother, 2);
     for (std::size_t s = 0; s < n_sym; ++s) {
       const std::size_t at = data_start + kSymbolLen * (1 + s);
       demod.run(capture.subspan(at, kSymbolLen), s + 1, data48.data());
-      if (scatter) {
-        demap_symbols_scatter(data48, p.modulation, scatter,
-                              coded.data() + s * p.n_cbps);
-      } else {
-        Bits raw(p.n_cbps);
-        demap_symbols_into(data48, p.modulation, raw.data());
-        const Bits deinter = deinterleave(raw, p.n_cbps, p.n_bpsc);
-        std::copy(deinter.begin(), deinter.end(),
-                  coded.begin() + static_cast<std::ptrdiff_t>(s * p.n_cbps));
-      }
+      demap_symbols_scatter(data48, p.modulation, scatter,
+                            mother.data() + s * mother_per_sym);
     }
-    scrambled = decode_at_rate(coded, p.code_rate, n_data_bits);
+    clock.lap(ns.demod);
+    scrambled = viterbi_decode(mother);
   }
+  clock.lap(ns.decode);
 
   // -- Descramble: the 7 scrambler-init SERVICE bits were transmitted as
-  // zeros, so the received values are the scrambler sequence itself.
+  // zeros, so the received values are the scrambler sequence itself. Step
+  // the recovered state over the other 9 SERVICE bits; the PSDU then starts
+  // on an octet boundary and descrambles a byte per table lookup.
+  const std::size_t psdu_bits = static_cast<std::size_t>(signal->length) * 8;
+  if (scrambled.size() < 16 + psdu_bits) return result;
   Scrambler descrambler(recover_scrambler_state(
       std::span<const std::uint8_t>(scrambled.data(), 7)));
-  Bits descrambled(scrambled.size());
-  for (std::size_t k = 0; k < 7; ++k) descrambled[k] = 0;
-  for (std::size_t k = 7; k < scrambled.size(); ++k)
-    descrambled[k] =
-        static_cast<std::uint8_t>((scrambled[k] ^ descrambler.next_bit()) & 1u);
-
-  const std::size_t psdu_bits = static_cast<std::size_t>(signal->length) * 8;
-  if (descrambled.size() < 16 + psdu_bits) return result;
-  result.psdu = bytes_from_bits(
-      std::span<const std::uint8_t>(descrambled.data() + 16, psdu_bits));
+  for (std::size_t k = 7; k < 16; ++k) (void)descrambler.next_bit();
+  result.psdu = descrambler.process_packed(
+      std::span<const std::uint8_t>(scrambled.data() + 16, psdu_bits));
+  clock.lap(ns.descramble);
   return result;
 }
 

@@ -19,6 +19,11 @@ class Scrambler {
   /// XOR the sequence onto a bit vector (scramble == descramble).
   [[nodiscard]] Bits process(std::span<const std::uint8_t> bits);
 
+  /// process() and bytes_from_bits() in one pass, an octet per lookup in a
+  /// 128-entry table of 8 LFSR steps: `bits.size()` must be a multiple of 8.
+  [[nodiscard]] std::vector<std::uint8_t> process_packed(
+      std::span<const std::uint8_t> bits);
+
   [[nodiscard]] std::uint8_t state() const noexcept { return state_; }
 
  private:

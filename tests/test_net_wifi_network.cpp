@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
 #include <string>
 #include <optional>
 
@@ -277,6 +279,41 @@ TEST(WifiNetworkSim, PinnedRunOutcomes) {
     EXPECT_EQ(got.jam_start, want.jam_start);
     EXPECT_EQ(got.stream_start, want.stream_start);
     EXPECT_EQ(got.stream_fabric_ticks, want.stream_fabric_ticks);
+  }
+}
+
+// A traced jammed run splits its host time by stage into the telemetry's
+// metrics: every stage ran, and the stages never add up to more than the
+// run's wall time. Both drain modes, since run() publishes after a flush.
+TEST(WifiNetworkSim, TracedRunSplitsHostTimeByStage) {
+  const std::array<const char*, 9> stages = {
+      "net.listen_synth_ns", "net.observe_ns",    "net.rx_noise_ns",
+      "net.resample_ns",     "net.rx_sync_ns",    "net.rx_demod_ns",
+      "net.rx_decode_ns",    "net.rx_descramble_ns", "net.parse_ns"};
+  for (const bool drain_thread : {false, true}) {
+    SCOPED_TRACE(drain_thread ? "drain thread" : "inline drain");
+    WifiNetworkSim sim(pinned_config("react0.1 3e-3", 1));
+    obs::TelemetryConfig tc;
+    tc.probe_enabled = false;
+    tc.drain_thread = drain_thread;
+    obs::Telemetry telemetry(tc);
+    sim.attach_telemetry(&telemetry);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = sim.run();
+    const auto wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    sim.attach_telemetry(nullptr);
+    ASSERT_GT(r.jam_triggers, 0u);
+
+    std::uint64_t sum = 0;
+    for (const char* stage : stages) {
+      const std::uint64_t ns = telemetry.metrics().counter_value(stage);
+      EXPECT_GT(ns, 0u) << stage;
+      sum += ns;
+    }
+    EXPECT_LE(sum, wall_ns);
   }
 }
 
