@@ -11,7 +11,8 @@
 // variation when there is more than one) plus the bit-parallel and
 // block-processing speedup ratios over the scalar / per-tick reference
 // paths, the batched correlator's and energy detector's speedups over
-// step() and the SIMD tier that produced them, so the perf trajectory is
+// step(), the ADC quantiser's over its scalar tier and the SIMD tier that
+// produced them, so the perf trajectory is
 // trackable across commits.
 #include <benchmark/benchmark.h>
 
@@ -279,6 +280,36 @@ void BM_UsrpStream(benchmark::State& state) {
 }
 BENCHMARK(BM_UsrpStream);
 
+// The receive gain and ADC as stream() runs them: one pass over a 1 ms
+// block at 25 MSPS into a reused buffer, through the quantiser of this
+// host's SIMD tier, and through the scalar tier (the same loop built for
+// the baseline target) as the reference of adc_convert_speedup.
+void adc_convert(benchmark::State& state, dsp::simd::Isa isa) {
+  const radio::Adc adc(14, isa);
+  radio::SbxFrontend frontend;
+  frontend.set_rx_gain(10.0);
+  dsp::NoiseSource noise(0.01, 7);
+  const dsp::cvec rx = noise.block(25000);
+  dsp::iqvec iq(rx.size());
+  for (auto _ : state) {
+    adc.convert(rx, frontend.rx_amplitude(), iq);
+    benchmark::DoNotOptimize(iq.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rx.size()));
+}
+
+void BM_AdcConvert(benchmark::State& state) {
+  adc_convert(state, dsp::simd::active_isa());
+}
+BENCHMARK(BM_AdcConvert);
+
+void BM_AdcConvertReference(benchmark::State& state) {
+  adc_convert(state, dsp::simd::Isa::kScalar);
+}
+BENCHMARK(BM_AdcConvertReference);
+
 void BM_Resample20to25(benchmark::State& state) {
   dsp::NoiseSource noise(1.0, 4);
   const dsp::cvec in = noise.block(4960);  // one 54 Mb/s frame's worth
@@ -380,6 +411,10 @@ int main(int argc, char** argv) {
   const double energy_block = collector.rate("BM_EnergyBlock");
   if (energy_step > 0.0 && energy_block > 0.0)
     json.set("energy_block_speedup", energy_block / energy_step);
+  const double adc_ref = collector.rate("BM_AdcConvertReference");
+  const double adc_fast = collector.rate("BM_AdcConvert");
+  if (adc_ref > 0.0 && adc_fast > 0.0)
+    json.set("adc_convert_speedup", adc_fast / adc_ref);
   const double tick = collector.rate("BM_DspCoreTick");
   const double block = collector.rate("BM_DspCoreRunBlock");
   if (tick > 0.0 && block > 0.0)

@@ -306,9 +306,9 @@ struct AvxEnergyOps {
   }
 };
 
-// The capture synthesis kernels at ymm width (synth_kernels_impl.h). The
-// CFO mix takes 8 samples per pass, their phases in two vectors of 4
-// double lanes.
+// The capture synthesis kernels and the ADC quantiser at ymm width
+// (synth_kernels_impl.h). The CFO mix takes 8 samples per pass, their
+// phases in two vectors of 4 double lanes.
 struct AvxSynthOps {
   // Plain GCC vector types: __m256d and __m256 carry may_alias, which a
   // template argument (QuarterTurns<D>, CosSin<F>) would drop.
@@ -363,6 +363,21 @@ struct AvxSynthOps {
     else
       _mm256_maskstore_ps(p, mask(count), v);
   }
+
+  // The quantiser: 8 rails per pass. Each code lies in [-32768, 32767], so
+  // the saturating pack keeps it as it is.
+  using Q = F;
+  using QMask = std::int32_t __attribute__((vector_size(32)));
+  static void store_codes(std::int16_t* to, Q code) noexcept {
+    const __m256i c = _mm256_cvttps_epi32(code);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(to),
+                     _mm_packs_epi32(_mm256_castsi256_si128(c),
+                                     _mm256_extracti128_si256(c, 1)));
+  }
+  static bool any(QMask clip) noexcept {
+    const auto v = reinterpret_cast<__m256i>(clip);
+    return _mm256_testz_si256(v, v) == 0;
+  }
 };
 
 }  // namespace
@@ -398,6 +413,10 @@ NoiseBlockFn noise_block_avx2() noexcept { return &noise_block_t<AvxSynthOps>; }
 
 CfoMixFn cfo_mix_avx2() noexcept { return &cfo_mix_t<AvxSynthOps>; }
 
+QuantiseFn quantise_iq16_avx2() noexcept {
+  return &quantise_iq16_t<AvxSynthOps>;
+}
+
 }  // namespace detail
 }  // namespace rjf::dsp::simd
 
@@ -420,6 +439,7 @@ XcorrBlockFn xcorr_block_avx2() noexcept { return nullptr; }
 EnergyBlockFn energy_block_avx2() noexcept { return nullptr; }
 NoiseBlockFn noise_block_avx2() noexcept { return nullptr; }
 CfoMixFn cfo_mix_avx2() noexcept { return nullptr; }
+QuantiseFn quantise_iq16_avx2() noexcept { return nullptr; }
 
 }  // namespace rjf::dsp::simd::detail
 

@@ -1,6 +1,6 @@
 // AVX-512 kernels: the batched correlator metric (dsp/simd/xcorr.h), the
 // batched energy detector (dsp/simd/energy.h) and the capture synthesis
-// kernels (dsp/simd/synth.h). This TU is the only one
+// kernels and ADC quantiser (dsp/simd/synth.h). This TU is the only one
 // compiled with -mavx512f -mavx512vpopcntdq; when the toolchain lacks them
 // (or RJF_ENABLE_SIMD is OFF) it only provides the nullptr accessors and
 // the dispatchers fall through to the AVX2 kernels.
@@ -165,9 +165,9 @@ struct Avx512EnergyOps {
   }
 };
 
-// The capture synthesis kernels at zmm width (synth_kernels_impl.h). The
-// CFO mix takes 16 samples per pass, their phases in two vectors of 8
-// double lanes.
+// The capture synthesis kernels and the ADC quantiser at zmm width
+// (synth_kernels_impl.h). The CFO mix takes 16 samples per pass, their
+// phases in two vectors of 8 double lanes.
 struct Avx512SynthOps {
   // Plain GCC vector types: __m512d and __m512 carry may_alias, which a
   // template argument (QuarterTurns<D>, CosSin<F>) would drop.
@@ -213,6 +213,19 @@ struct Avx512SynthOps {
   static void store(float* p, F v, std::size_t count) noexcept {
     _mm512_mask_storeu_ps(p, mask(count), v);
   }
+
+  // The quantiser: 16 rails per pass. vpmovdw truncates each code to its
+  // low 16 bits, which hold it whole ([-32768, 32767]).
+  using Q = F;
+  using QMask = std::int32_t __attribute__((vector_size(64)));
+  static void store_codes(std::int16_t* to, Q code) noexcept {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(to),
+                        _mm512_cvtepi32_epi16(_mm512_cvttps_epi32(code)));
+  }
+  static bool any(QMask clip) noexcept {
+    const auto v = reinterpret_cast<__m512i>(clip);
+    return _mm512_test_epi32_mask(v, v) != 0;
+  }
 };
 
 }  // namespace
@@ -233,6 +246,10 @@ detail::CfoMixFn detail::cfo_mix_avx512() noexcept {
   return &cfo_mix_t<Avx512SynthOps>;
 }
 
+QuantiseFn detail::quantise_iq16_avx512() noexcept {
+  return &quantise_iq16_t<Avx512SynthOps>;
+}
+
 }  // namespace rjf::dsp::simd
 
 #else
@@ -243,6 +260,7 @@ XcorrBlockFn detail::xcorr_block_avx512() noexcept { return nullptr; }
 EnergyBlockFn detail::energy_block_avx512() noexcept { return nullptr; }
 NoiseBlockFn detail::noise_block_avx512() noexcept { return nullptr; }
 detail::CfoMixFn detail::cfo_mix_avx512() noexcept { return nullptr; }
+QuantiseFn detail::quantise_iq16_avx512() noexcept { return nullptr; }
 
 }  // namespace rjf::dsp::simd
 

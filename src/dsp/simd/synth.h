@@ -1,6 +1,7 @@
 // Trial capture synthesis kernels (DESIGN.md sections 12 and 16): the
 // Box-Muller block behind dsp::NoiseSource and the CFO mix behind
-// core::run_detection_trial.
+// core::run_detection_trial; and the block ADC quantiser behind
+// radio::Adc and radio::UsrpN210::stream (DESIGN.md section 7).
 //
 // Each tier runs the dsp/synth_math.h kernels at its vector width. Those
 // are built from correctly rounded basic operations only, and the tree
@@ -43,6 +44,18 @@ void cfo_mix_reference(std::span<cfloat> out, std::span<const cfloat> frame,
 void cfo_mix(std::span<cfloat> out, std::span<const cfloat> frame, double w,
              Isa isa = active_isa()) noexcept;
 
+/// out[k] = {adc_code(in[k].real() * gain, levels), adc_code(in[k].imag() *
+/// gain, levels)} for k < n (dsp/synth_math.h): the receive gain and the
+/// quantiser in one pass, each product rounded to float before the code is
+/// taken. Returns true when any rail clipped. A gain of 1.0f quantises the
+/// input as it is (x * 1.0f == x).
+using QuantiseFn = bool (*)(const cfloat* in, std::size_t n, float gain,
+                            float levels, IQ16* out) noexcept;
+
+/// The quantiser of tier `isa`, falling through to the next narrower tier
+/// this build has; never nullptr. Resolve it once, at construction.
+[[nodiscard]] QuantiseFn quantise_iq16_kernel(Isa isa) noexcept;
+
 namespace detail {
 /// out[k] += frame[k] * cfo_phasor(w, k) for k < n.
 using CfoMixFn = void (*)(cfloat* out, const cfloat* frame, std::size_t n,
@@ -53,6 +66,8 @@ using CfoMixFn = void (*)(cfloat* out, const cfloat* frame, std::size_t n,
 [[nodiscard]] NoiseBlockFn noise_block_avx512() noexcept;
 [[nodiscard]] CfoMixFn cfo_mix_avx2() noexcept;
 [[nodiscard]] CfoMixFn cfo_mix_avx512() noexcept;
+[[nodiscard]] QuantiseFn quantise_iq16_avx2() noexcept;
+[[nodiscard]] QuantiseFn quantise_iq16_avx512() noexcept;
 }  // namespace detail
 
 }  // namespace rjf::dsp::simd

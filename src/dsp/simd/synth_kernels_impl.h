@@ -24,16 +24,25 @@
 // at once (DESIGN.md section 16). core::prepare_detection_trials refuses
 // non-finite frames; the phasor is finite for any finite w.
 //
+// The quantiser runs adc_code_lanes on Ops::Q, one float or one vector of
+// rails (I, Q, I, Q, ...) per pass, each multiplied by the gain first. The
+// last rails, fewer than a pass, run through a zero-padded copy (zero
+// quantises to 0 and never clips).
+//
 // Ops contract: kLanes; vector types D (kLanes / 2 doubles), F (kLanes
 // floats) and U (kLanes uint32); first_k(lo, hi); F to_float(D, D) and
 // U low_words(D, D) joining two halves; even, odd, interleave_lo and
 // interleave_hi; F load(const float*, count) and store(float*, F, count)
-// touching only the first count <= kLanes floats.
+// touching only the first count <= kLanes floats. The quantiser's: Q, a
+// float or a vector of floats, and QMask, what Q's compares give;
+// store_codes(int16_t*, Q) writing each lane's code as an int16; and
+// any(QMask), whether a lane is non-zero.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <numbers>
 
 #include "dsp/simd/synth.h"
@@ -100,6 +109,37 @@ void cfo_mix_t(cfloat* out, const cfloat* frame, std::size_t n,
     k_hi = k_hi + kStep;
   }
   if (i < n) pass(i, k_lo, k_hi, n - i);
+}
+
+// rjf: realtime
+template <class Ops>
+bool quantise_iq16_t(const cfloat* in, std::size_t n, float gain, float levels,
+                     IQ16* out) noexcept {
+  using Q = typename Ops::Q;
+  constexpr std::size_t kRails = sizeof(Q) / sizeof(float);
+  static_assert(sizeof(IQ16) == 2 * sizeof(std::int16_t));
+  // std::complex<float> is layout-compatible with float[2]: the rails are
+  // one contiguous float array, and IQ16 holds them as int16 pairs.
+  const float* const rails = reinterpret_cast<const float*>(in);
+  std::int16_t* const codes = reinterpret_cast<std::int16_t*>(out);
+  typename Ops::QMask clip{};
+  const auto pass = [&](const float* x, std::int16_t* to)
+                        __attribute__((always_inline)) {
+    Q v;
+    std::memcpy(&v, x, sizeof v);
+    Ops::store_codes(to, adc_code_lanes(v * gain, levels, clip));
+  };
+  const std::size_t total = 2 * n;
+  std::size_t k = 0;
+  for (; k + kRails <= total; k += kRails) pass(rails + k, codes + k);
+  if (k < total) {
+    float tail[kRails] = {};
+    std::int16_t tail_codes[kRails];
+    std::memcpy(tail, rails + k, (total - k) * sizeof(float));
+    pass(tail, tail_codes);
+    std::memcpy(codes + k, tail_codes, (total - k) * sizeof(std::int16_t));
+  }
+  return Ops::any(clip);
 }
 
 }  // namespace rjf::dsp::simd

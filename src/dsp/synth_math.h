@@ -1,12 +1,13 @@
-// Branch-free float kernels for trial capture synthesis.
+// Branch-free float kernels for trial capture synthesis and its ADC.
 //
 // Every detection trial builds its capture from two per-sample
 // transcendentals: the Box-Muller log and sincos behind each complex WGN
 // sample (dsp::NoiseSource, Xoshiro256::complex_gaussian) and the
-// carrier-frequency-offset phasor (cfo_phasor). These kernels evaluate
-// them in float from IEEE-754 basic operations only — add, subtract,
-// multiply, divide, sqrt, integer<->float conversion and bit moves — with
-// no libm call and no data-dependent branch. Basic operations are correctly
+// carrier-frequency-offset phasor (cfo_phasor); the radio then quantises
+// it to fabric codes (adc_code). These kernels evaluate them in float
+// from IEEE-754 basic operations only — add, subtract, multiply, divide,
+// sqrt, integer<->float conversion and bit moves — with no libm call and
+// no data-dependent branch. Basic operations are correctly
 // rounded and the build turns floating-point contraction off
 // (-ffp-contract=off, so no FMA fusing), hence each kernel returns the same
 // bits on every host, ISA and thread count, whether the compiler emits it
@@ -152,6 +153,40 @@ split_quarter_turns(D q) noexcept {
   const float x = static_cast<float>(static_cast<std::int32_t>(b >> 32) >> 8) *
                   kQuarterTurnPerLsb;
   return radius * sincos_quadrant(x, static_cast<std::uint32_t>(b));
+}
+
+/// The ADC's code for rail x, with `levels` = 2^(bits-1) codes per unit of
+/// full scale: round half to even, clamp to [-levels, levels-1], scale to
+/// the left-justified 16-bit word (returned as a float holding an integer
+/// in [-32768, 32767]), and OR a non-zero flag into `clip` when the rounded
+/// code fell outside the range. Adding and subtracting 1.5·2^23 rounds
+/// exactly while |x·levels| < 2^22; past that the sum is inexact but
+/// monotone, so huge inputs and ±inf still land beyond the range on their
+/// own side (where std::lrintf returns LONG_MIN, the bottom code, for
+/// either sign). NaN fails both compares and takes the bottom code. F is
+/// float and M uint32_t (adc_code), or F a GCC vector of floats and M the
+/// int32 vector its compares give: every tier of the block quantiser
+/// (dsp/simd/synth_kernels_impl.h) runs these very operations on every
+/// lane.
+template <typename F, typename M>
+[[nodiscard]] __attribute__((always_inline)) inline F adc_code_lanes(
+    F x, float levels, M& clip) noexcept {
+  constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
+  const F scaled = x * levels;
+  const F rounded = (scaled + kRoundMagic) - kRoundMagic;
+  const auto below = !(rounded >= -levels);
+  const auto above = rounded > levels - 1.0f;
+  clip |= below | above;
+  return (below ? -levels : (above ? levels - 1.0f : rounded)) *
+         (32768.0f / levels);
+}
+
+/// One rail's code as the fabric word (adc_code_lanes on one float);
+/// radio::Adc quantises single samples with it.
+[[nodiscard]] __attribute__((always_inline)) inline std::int16_t adc_code(
+    float x, float levels, std::uint32_t& clip) noexcept {
+  return static_cast<std::int16_t>(
+      static_cast<std::int32_t>(adc_code_lanes(x, levels, clip)));
 }
 
 }  // namespace rjf::dsp

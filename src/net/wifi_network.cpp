@@ -134,10 +134,14 @@ bool WifiNetworkSim::deliver(TxSlot& slot, int from, int to, double start,
 
     auto res = jammer_->observe(capture);
     jam.tx = std::move(res.tx);
+    // Off the air the jam vector holds exact zeros, which scaling leaves
+    // as they are, so only the bursts are scaled.
     const auto scale =
         static_cast<float>(std::sqrt(config_.jammer_tx_power / kWgnPower));
-    for (auto& s : jam.tx) s *= scale;
     jam.bursts = std::move(res.bursts);
+    for (const auto& b : jam.bursts)
+      for (auto& s : std::span(jam.tx).subspan(b.start_sample, b.length))
+        s *= scale;
     jammer_time_s_ += static_cast<double>(capture.size()) / kBasebandRateHz;
     clock.lap(stage_ns_.observe);
   }

@@ -31,10 +31,17 @@ class SbxFrontend {
   [[nodiscard]] double tx_gain_db() const noexcept { return tx_gain_db_; }
   [[nodiscard]] double rx_gain_db() const noexcept { return rx_gain_db_; }
 
-  /// Apply TX gain to an outgoing baseband buffer, in place.
-  void apply_tx(std::span<dsp::cfloat> buf) const noexcept;
+  /// The linear amplitude factors of the two gains, as the float each
+  /// baseband sample is multiplied by (UsrpN210::stream_fabric applies the
+  /// TX one as it converts each on-air sample).
+  [[nodiscard]] float tx_amplitude() const noexcept;
+  [[nodiscard]] float rx_amplitude() const noexcept;
+
   /// Apply RX gain to an incoming baseband buffer.
   [[nodiscard]] dsp::cvec apply_rx(std::span<const dsp::cfloat> in) const;
+  /// The same into `out` (out.size() == in.size()).
+  void apply_rx(std::span<const dsp::cfloat> in,
+                std::span<dsp::cfloat> out) const noexcept;
 
  private:
   double freq_hz_ = 2.484e9;  // WiFi channel 14 default

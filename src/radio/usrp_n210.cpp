@@ -17,7 +17,7 @@ constexpr std::size_t kChunkSamples = 8192;
 
 }  // namespace
 
-UsrpN210::UsrpN210() = default;
+UsrpN210::UsrpN210() : periods_(kChunkSamples) {}
 
 void UsrpN210::write_register(fpga::Reg addr, std::uint32_t value) {
   bus_.write(addr, value, now_ticks());
@@ -40,8 +40,7 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
     ring_->push_event(obs::EventKind::kStreamStart, now_ticks(), rx.size());
 
   const auto before = core_.feedback();
-  std::vector<fpga::SamplePeriodOutput> periods(
-      std::min(rx.size(), kChunkSamples));
+  const float g_tx = frontend_.tx_amplitude();
 
   // Receive-overflow gaps declared by the fault hook for this block,
   // converted to block-relative sample indices. The host never saw those
@@ -112,13 +111,13 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
       end = std::min<std::uint64_t>(end, gaps[gap_next].start_sample);
 
     const std::size_t len = end - n;
-    const auto chunk = std::span(periods).first(len);
+    const auto chunk = std::span(periods_).first(len);
     core_.run_block(rx.subspan(n, len), chunk);
 
     // Scan the per-sample records one run at a time. A TX sample is only
     // ever issued on the air, so an idle record just closes the open
-    // burst, and each on-air run converts its TX samples and adds its
-    // length to the burst once.
+    // burst, and each on-air run converts its TX samples, applies the TX
+    // gain to them and adds its length to the burst once.
     for (std::size_t m = 0; m < len;) {
       if (!chunk[m].rf_active) {
         burst_open = false;
@@ -127,7 +126,8 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
       }
       const std::size_t run_start = m;
       for (; m < len && chunk[m].rf_active; ++m)
-        if (chunk[m].tx_strobe) result.tx[n + m] = dac_.sample(chunk[m].tx);
+        if (chunk[m].tx_strobe)
+          result.tx[n + m] = dac_.sample(chunk[m].tx) * g_tx;
       if (!burst_open) {
         result.bursts.push_back(JamBurst{n + run_start, 0});
         burst_open = true;
@@ -138,7 +138,6 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
   }
   rx_cursor_ += rx.size();
 
-  frontend_.apply_tx(result.tx);
   const auto after = core_.feedback();
   result.jam_triggers = after.jam_triggers - before.jam_triggers;
   result.xcorr_detections = after.xcorr_detections - before.xcorr_detections;
@@ -163,9 +162,15 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
 }
 
 UsrpN210::StreamResult UsrpN210::stream(std::span<const dsp::cfloat> rx) {
-  dsp::cvec rx_gained = frontend_.apply_rx(rx);
-  if (rx_fault_ != nullptr) {
-    rx_fault_->mutate_rx(rx_gained, rx_cursor_);
+  if (iq_.size() < rx.size()) iq_.resize(rx.size());
+  const auto iq = std::span(iq_).first(rx.size());
+  if (rx_fault_ == nullptr) {
+    adc_.convert(rx, frontend_.rx_amplitude(), iq);
+  } else {
+    if (gained_.size() < rx.size()) gained_.resize(rx.size());
+    const auto gained = std::span(gained_).first(rx.size());
+    frontend_.apply_rx(rx, gained);
+    rx_fault_->mutate_rx(gained, rx_cursor_);
     if (ring_ != nullptr) {
       // Annotate the trace with each fault applied in this block, stamped
       // at the fabric tick of the fault's first sample.
@@ -178,8 +183,10 @@ UsrpN210::StreamResult UsrpN210::stream(std::span<const dsp::cfloat> rx) {
                                           fpga::kClocksPerSample,
                           v.kind_id);
     }
+    // The gain is already in: x * 1.0f == x, so this is the same
+    // quantiser over the same products.
+    adc_.convert(gained, 1.0f, iq);
   }
-  const dsp::iqvec iq = adc_.convert(rx_gained);
   StreamResult result = stream_fabric(iq);
   result.adc_clipped = adc_.clipped();
   return result;

@@ -62,16 +62,25 @@ class UsrpN210 {
     bool adc_clipped = false;          // any sample clipped in the ADC
   };
 
-  /// Run the radio over a block of receive baseband at 25 MSPS. The whole
-  /// block is ADC-converted up front and pushed through the DSP core with
-  /// DspCore::run_block(), chunked only where an in-flight settings-bus
-  /// write lands (so mid-stream reconfiguration keeps its exact latency).
+  /// Run the radio over a block of receive baseband at 25 MSPS. The RX
+  /// gain and the ADC run as one pass over the whole block (Adc::convert
+  /// with the front-end amplitude) into a fabric-sample buffer the radio
+  /// reuses across calls, and the result goes through stream_fabric().
+  /// With an rx fault hook attached the gained block is staged in a second
+  /// reused buffer first, for the hook's mutate_rx(), and then quantised at
+  /// gain 1. Bit-identical to stream_fabric(adc.convert(
+  /// frontend().apply_rx(rx))) with the hook's mutate_rx() in between.
   StreamResult stream(std::span<const dsp::cfloat> rx);
 
   /// Same full-duplex pass over samples already in the fabric (DDC-output)
-  /// representation, skipping the front-end gain and ADC models. Network
-  /// simulations that synthesise fabric-domain baseband directly use this
-  /// to avoid the float round-trip.
+  /// representation, skipping the front-end RX gain and ADC models.
+  /// Network simulations that synthesise fabric-domain baseband directly
+  /// use this to avoid the float round-trip. The block goes through the DSP
+  /// core with DspCore::run_block(), chunked only where an in-flight
+  /// settings-bus write lands (so mid-stream reconfiguration keeps its
+  /// exact latency) or an overflow gap starts; the scan over each chunk's
+  /// per-sample records converts the TX samples on the air and applies the
+  /// TX gain to each as it goes, so off-air samples stay exact zeros.
   StreamResult stream_fabric(std::span<const dsp::IQ16> rx);
 
   [[nodiscard]] const fpga::HostFeedback& feedback() const noexcept {
@@ -121,6 +130,12 @@ class UsrpN210 {
   obs::EventRing* ring_ = nullptr;
   RxFaultHook* rx_fault_ = nullptr;
   std::uint64_t rx_cursor_ = 0;
+  // Buffers reused across stream calls. iq_ holds the ADC output and
+  // gained_ the block a fault hook edits before it; both only ever grow.
+  // periods_ holds one run_block() chunk of per-sample records.
+  dsp::iqvec iq_;
+  dsp::cvec gained_;
+  std::vector<fpga::SamplePeriodOutput> periods_;
 };
 
 }  // namespace rjf::radio
