@@ -11,9 +11,9 @@
 // variation when there is more than one) plus the bit-parallel and
 // block-processing speedup ratios over the scalar / per-tick reference
 // paths, the batched correlator's and energy detector's speedups over
-// step(), the ADC quantiser's over its scalar tier and the SIMD tier that
-// produced them, so the perf trajectory is
-// trackable across commits.
+// step(), the ADC quantiser's over its scalar tier, the bulk WGN jam
+// stretch's over its per-sample loop, and the SIMD tier that produced
+// them, so the perf trajectory is trackable across commits.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -86,7 +86,8 @@ BENCHMARK(BM_DspCoreRunBlock);
 // sample periods, as in the detection campaigns: the template's own sign
 // pattern recurs every 1024 samples on a noise floor, so each burst is
 // re-triggered by the first match after it ends and ~80% of periods are on
-// the air (the on_air_frac counter). BM_DspCoreRunBlock is the idle-air
+// the air (the on_air_frac counter). Each pass starts from a reset core,
+// so every pass sees the same bursts. BM_DspCoreRunBlock is the idle-air
 // case.
 void BM_DspCoreRunBlockJamming(benchmark::State& state) {
   fpga::DspCore core;
@@ -111,18 +112,66 @@ void BM_DspCoreRunBlockJamming(benchmark::State& state) {
 
   std::vector<fpga::SamplePeriodOutput> out(samples.size());
   for (auto _ : state) {
+    core.reset();
     core.run_block(samples, out);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(samples.size()));
-  // The share of on-air periods in the last pass.
+  // The share of on-air periods in a pass.
   std::size_t on_air = 0;
   for (const fpga::SamplePeriodOutput& p : out) on_air += p.rf_active ? 1 : 0;
   state.counters["on_air_frac"] =
       static_cast<double>(on_air) / static_cast<double>(out.size());
 }
 BENCHMARK(BM_DspCoreRunBlockJamming);
+
+// A WGN jam stretch as run_block runs it, 256 samples (one sub-block) per
+// call: JammerController::jam_periods(), which records the rx in one block
+// and fills the records through the sliced LFSR jump, and the per-sample
+// record_rx() + jam_period() loop it replaced (the reference of
+// jam_wgn_speedup).
+template <typename Stretch>
+void jam_stretches(benchmark::State& state, Stretch stretch) {
+  fpga::JammerController jammer;
+  jammer.configure(fpga::JamWaveform::kWhiteNoise, true, 0, 0xFFFFFFFFu);
+  dsp::NoiseSource noise(0.01, 8);
+  const dsp::iqvec rx = dsp::to_iq16(noise.block(fpga::kMetricBlock));
+  std::vector<fpga::SamplePeriodOutput> out(rx.size());
+  for (auto _ : state) {
+    if (jammer.mid_burst_periods() < rx.size()) {
+      jammer.reset();
+      (void)jammer.clock(true);
+      while (!jammer.mid_burst()) (void)jammer.clock(false);
+    }
+    stretch(jammer, rx, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rx.size()));
+}
+
+void BM_JamPeriods(benchmark::State& state) {
+  jam_stretches(state, [](fpga::JammerController& jammer,
+                          const dsp::iqvec& rx,
+                          std::vector<fpga::SamplePeriodOutput>& out) {
+    jammer.jam_periods(rx, out);
+  });
+}
+BENCHMARK(BM_JamPeriods);
+
+void BM_JamPeriodReference(benchmark::State& state) {
+  jam_stretches(state, [](fpga::JammerController& jammer,
+                          const dsp::iqvec& rx,
+                          std::vector<fpga::SamplePeriodOutput>& out) {
+    for (std::size_t n = 0; n < rx.size(); ++n) {
+      jammer.record_rx(rx[n]);
+      out[n] = fpga::SamplePeriodOutput{jammer.jam_period(), true, true};
+    }
+  });
+}
+BENCHMARK(BM_JamPeriodReference);
 
 // Same block pass with the full telemetry bundle attached: the core keeps
 // its straight-line block loop and appends event-ring records behind the
@@ -415,6 +464,10 @@ int main(int argc, char** argv) {
   const double adc_fast = collector.rate("BM_AdcConvert");
   if (adc_ref > 0.0 && adc_fast > 0.0)
     json.set("adc_convert_speedup", adc_fast / adc_ref);
+  const double jam_ref = collector.rate("BM_JamPeriodReference");
+  const double jam_bulk = collector.rate("BM_JamPeriods");
+  if (jam_ref > 0.0 && jam_bulk > 0.0)
+    json.set("jam_wgn_speedup", jam_bulk / jam_ref);
   const double tick = collector.rate("BM_DspCoreTick");
   const double block = collector.rate("BM_DspCoreRunBlock");
   if (tick > 0.0 && block > 0.0)

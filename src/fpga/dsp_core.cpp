@@ -9,6 +9,8 @@ namespace rjf::fpga {
 DspCore::DspCore() = default;
 
 void DspCore::apply_registers() noexcept {
+  if (latched_generation_ == regs_.generation()) return;
+  latched_generation_ = regs_.generation();
   correlator_.load_from_registers(regs_);
   energy_.load_from_registers(regs_);
   fsm_.load_from_registers(regs_);
@@ -331,13 +333,10 @@ template <bool kTraced>
 void DspCore::jam_stretch(const SubBlock& b, std::size_t from, std::size_t to,
                           std::span<SamplePeriodOutput> rec) noexcept {
   // The strobe phase does not move in a period step, so whether each
-  // sample lands on the strobe clock holds for the whole stretch. The
-  // replay ring is written before each read, as clock by clock.
+  // sample lands on the strobe clock holds for the whole stretch.
   const bool tx_on_strobe = jammer_.strobe_due();
-  for (std::size_t n = from; n < to; ++n) {
-    jammer_.record_rx(b.rx[n]);
-    rec[n] = SamplePeriodOutput{jammer_.jam_period(), true, true};
-  }
+  jammer_.jam_periods(b.rx.subspan(from, to - from),
+                      rec.subspan(from, to - from));
   latch(b, to - 1);
   if constexpr (kTraced) {
     publish_stretch(b, from, to, rec.data(), tx_on_strobe);

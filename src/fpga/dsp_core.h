@@ -40,16 +40,6 @@ struct CoreOutput {
   std::uint64_t vita_ticks = 0; // fabric clock count (VITA time, GPS locked)
 };
 
-/// One baseband sample period (kClocksPerSample fabric clocks) of
-/// run_block() output, folded to what the radio consumes: whether jamming
-/// energy was on the air on any of the period's clocks, and the TX sample
-/// issued in it (the last one, should a period ever hold two).
-struct SamplePeriodOutput {
-  dsp::IQ16 tx{};          // valid when tx_strobe
-  bool tx_strobe = false;  // a TX sample was issued in this period
-  bool rf_active = false;  // jamming energy on the air on any clock
-};
-
 /// Host-visible feedback flags and counters (the "Host Feedback
 /// (Synchro Flags)" path in Fig. 1).
 struct HostFeedback {
@@ -71,7 +61,9 @@ class DspCore {
   [[nodiscard]] RegisterFile& registers() noexcept { return regs_; }
   [[nodiscard]] const RegisterFile& registers() const noexcept { return regs_; }
 
-  /// Latch all register values into the datapath blocks.
+  /// Latch all register values into the datapath blocks. A no-op when no
+  /// register was written since the last latch: the units keep what they
+  /// latched, through reset() too.
   void apply_registers() noexcept;
 
   /// Advance one fabric clock. `rx` must be present exactly on strobe ticks
@@ -195,6 +187,8 @@ class DspCore {
   void latch(const SubBlock& b, std::size_t n) noexcept;
 
   RegisterFile regs_;
+  // regs_.generation() at the last latch; none has happened yet.
+  std::optional<std::uint64_t> latched_generation_;
   CrossCorrelator correlator_;
   EnergyDifferentiator energy_;
   TriggerFsm fsm_;

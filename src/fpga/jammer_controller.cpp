@@ -3,6 +3,16 @@
 #include <algorithm>
 
 namespace rjf::fpga {
+namespace {
+
+// The state four samples (32 steps) on.
+hw::UInt<32> lfsr_jump32(hw::UInt<32> s) noexcept {
+  const auto& j = kLfsrJump.jump32;
+  return j[0][s.truncate<8>().u64()] ^ j[1][s.shr<8>().truncate<8>().u64()] ^
+         j[2][s.shr<16>().truncate<8>().u64()] ^ j[3][s.shr<24>().u64()];
+}
+
+}  // namespace
 
 JammerController::JammerController() = default;
 
@@ -26,6 +36,41 @@ void JammerController::configure(JamWaveform waveform, bool enable,
 
 void JammerController::set_host_waveform(std::vector<dsp::IQ16> samples) {
   host_waveform_ = std::move(samples);
+}
+
+void wgn_fill(hw::UInt<32>& state,
+              std::span<SamplePeriodOutput> out) noexcept {
+  hw::UInt<32> s = state;
+  std::size_t n = 0;
+  for (; n + 4 <= out.size(); n += 4) {
+    const hw::UInt<32> s8 = lfsr_step8(s);
+    const hw::UInt<32> s16 = lfsr_step8(s8);
+    const hw::UInt<32> s24 = lfsr_step8(s16);
+    out[n] = SamplePeriodOutput{wgn_sample(s), true, true};
+    out[n + 1] = SamplePeriodOutput{wgn_sample(s8), true, true};
+    out[n + 2] = SamplePeriodOutput{wgn_sample(s16), true, true};
+    out[n + 3] = SamplePeriodOutput{wgn_sample(s24), true, true};
+    s = lfsr_jump32(s);
+  }
+  for (; n < out.size(); ++n) {
+    out[n] = SamplePeriodOutput{wgn_sample(s), true, true};
+    s = lfsr_step8(s);
+  }
+  state = s;
+}
+
+void JammerController::jam_periods(std::span<const dsp::IQ16> rx,
+                                   std::span<SamplePeriodOutput> out) noexcept {
+  remaining_samples_ = hw::UInt<32>(remaining_samples_.u64() - rx.size());
+  if (waveform_ == JamWaveform::kWhiteNoise) {
+    record_rx_block(rx);
+    wgn_fill(lfsr_, out.first(rx.size()));
+    return;
+  }
+  for (std::size_t n = 0; n < rx.size(); ++n) {
+    record_rx(rx[n]);
+    out[n] = SamplePeriodOutput{next_waveform_sample(), true, true};
+  }
 }
 
 void JammerController::fast_forward(std::uint64_t samples) noexcept {

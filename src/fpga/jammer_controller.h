@@ -32,19 +32,38 @@ inline constexpr std::size_t kReplayMask = kReplayDepth - 1;
 inline constexpr std::uint32_t kTxInitCycles = 8;  // 1 trigger + 7 DUC fill
 inline constexpr std::uint32_t kClocksPerSample = 4;  // 100 MHz / 25 MSPS
 
-// Four Galois steps of the noise LFSR, as two lookups. The step
+// Jump tables of the noise LFSR. The Galois step
 // s -> (s >> 1) ^ (s & 1 ? taps : 0) is linear over GF(2), and a state whose
-// low 4 bits are clear just shifts through four steps, so four steps give
-// (s >> 4) ^ feedback4[s & 0xF]. The low byte after step j <= 4 depends
-// only on state bits 0..j+7 (bits j..j+7 shifted down, plus the feedback
-// of bits 0..j-1), so the four low bytes' sum is a function of bits 0..11:
-// sum4[s & 0xFFF]. Both tables are built by stepping the LFSR itself.
+// low k bits are clear just shifts through k steps.
+// - Four steps are (s >> 4) ^ feedback4[s & 0xF], and eight (one sample,
+//   two rails) are (s >> 8) ^ feedback8[s & 0xFF].
+// - The low byte after step j <= 4 depends only on state bits 0..j+7 (bits
+//   j..j+7 shifted down, plus the feedback of bits 0..j-1), so the four low
+//   bytes' sum is a function of bits 0..11: sum4[s & 0xFFF].
+// - The state 32 steps on (four samples) is the XOR of what each byte of s
+//   contributes alone: jump32[k][byte k of s], four independent lookups.
+// All of them are built by stepping the LFSR itself.
 struct LfsrJumpTables {
   std::array<hw::UInt<10>, 4096> sum4{};    // <= 4 * 255 = 1020
   std::array<hw::UInt<32>, 16> feedback4{};
+  std::array<hw::UInt<32>, 256> feedback8{};
+  std::array<std::array<hw::UInt<32>, 256>, 4> jump32{};
 };
 
 inline constexpr hw::UInt<32> kLfsrTaps{0xB4BCD35Cu};  // taps 32,31,29,1
+
+// One Galois step: logical shift right (the top bit refills with zero),
+// then the tap mask if a 1 was shifted out.
+consteval hw::UInt<32> galois_step(hw::UInt<32> s) {
+  const bool lsb = s.truncate<1>() == 1u;
+  s = s.shr<1>().zext<32>();
+  return lsb ? s ^ kLfsrTaps : s;
+}
+
+consteval hw::UInt<32> galois_steps(hw::UInt<32> s, int steps) {
+  for (int k = 0; k < steps; ++k) s = galois_step(s);
+  return s;
+}
 
 consteval LfsrJumpTables build_lfsr_jump_tables() {
   LfsrJumpTables t;
@@ -52,20 +71,72 @@ consteval LfsrJumpTables build_lfsr_jump_tables() {
     hw::UInt<32> s(v);
     hw::UInt<10> acc;
     for (int k = 0; k < 4; ++k) {
-      // Galois step: logical shift right (the top bit refills with zero),
-      // then conditionally apply the tap mask.
-      const bool lsb = s.truncate<1>() == 1u;
-      s = s.shr<1>().zext<32>();
-      if (lsb) s = s ^ kLfsrTaps;
+      s = galois_step(s);
       acc = (acc + s.truncate<8>()).narrow<10>();
     }
     t.sum4[v] = acc;
     if (v < t.feedback4.size()) t.feedback4[v] = s;
   }
+  for (std::uint32_t v = 0; v < t.feedback8.size(); ++v) {
+    const hw::UInt<8> byte(v);
+    t.feedback8[v] = galois_steps(byte.zext<32>(), 8);
+    t.jump32[0][v] = galois_steps(byte.zext<32>(), 32);
+    t.jump32[1][v] = galois_steps(byte.shl<8>().zext<32>(), 32);
+    t.jump32[2][v] = galois_steps(byte.shl<16>().zext<32>(), 32);
+    t.jump32[3][v] = galois_steps(byte.shl<24>(), 32);
+  }
   return t;
 }
 
 inline constexpr LfsrJumpTables kLfsrJump = build_lfsr_jump_tables();
+
+// The on-fabric WGN generator, one arithmetic for every path: a sample is
+// the sum of the low bytes after each of four Galois steps from LFSR state
+// s (the I rail), then after four more (the Q rail), centred and scaled (a
+// cheap CLT Gaussian approximation that fits in fabric logic). The state
+// then moves eight steps per sample, or 32 per four samples in a batch.
+
+/// One rail from state s: sum4 of the four steps after s, centred and
+/// scaled to ~1/4 full scale RMS.
+[[nodiscard]] inline std::int16_t wgn_rail(hw::UInt<32> s) noexcept {
+  const hw::UInt<10> acc = kLfsrJump.sum4[s.truncate<12>().u64()];
+  // acc in [0, 1020]. The centred value rides in Int<12>, the scaled
+  // product in Int<18>, and |result| <= 12240 fits the 16-bit DAC rail.
+  return ((acc.to_signed() - hw::Int<11>(510)) * hw::Int<6>(24))
+      .narrow<16>()
+      .value();
+}
+
+/// The TX sample drawn from LFSR state s: I from the four steps after s, Q
+/// from the four after those.
+[[nodiscard]] inline dsp::IQ16 wgn_sample(hw::UInt<32> s) noexcept {
+  const hw::UInt<32> s4 =
+      s.shr<4>().zext<32>() ^ kLfsrJump.feedback4[s.truncate<4>().u64()];
+  return dsp::IQ16{wgn_rail(s), wgn_rail(s4)};
+}
+
+/// The state one sample (eight steps) on.
+[[nodiscard]] inline hw::UInt<32> lfsr_step8(hw::UInt<32> s) noexcept {
+  return s.shr<8>().zext<32>() ^ kLfsrJump.feedback8[s.truncate<8>().u64()];
+}
+
+/// One baseband sample period (kClocksPerSample fabric clocks) of
+/// DspCore::run_block() output, folded to what the radio consumes: whether
+/// jamming energy was on the air on any of the period's clocks, and the TX
+/// sample issued in it (the last one, should a period ever hold two).
+struct SamplePeriodOutput {
+  dsp::IQ16 tx{};          // valid when tx_strobe
+  bool tx_strobe = false;  // a TX sample was issued in this period
+  bool rf_active = false;  // jamming energy on the air on any clock
+};
+
+/// out.size() consecutive mid-burst WGN periods from LFSR state `state`,
+/// which ends up past them: record k holds wgn_sample() of the state 8k
+/// steps on, on the air with its strobe. The loop-carried chain is one
+/// 32-step jump (jump32) per four samples; the states in between hang off
+/// it through lfsr_step8(), so successive groups overlap. A tail of up to
+/// three samples takes lfsr_step8() alone.
+void wgn_fill(hw::UInt<32>& state, std::span<SamplePeriodOutput> out) noexcept;
 
 class JammerController {
  public:
@@ -187,6 +258,16 @@ class JammerController {
     return next_waveform_sample();
   }
 
+  /// rx.size() whole sample periods while mid_burst() holds throughout
+  /// (rx.size() <= mid_burst_periods()), each record_rx() of its rx sample
+  /// and then jam_period() into its record of `out` (which holds
+  /// rx.size()). The WGN waveform, which never reads the replay ring,
+  /// records the stretch in one record_rx_block() and issues its samples
+  /// through wgn_fill(); replay and the host stream keep the per-sample
+  /// loop, because the ring must be written before each read.
+  void jam_periods(std::span<const dsp::IQ16> rx,
+                   std::span<SamplePeriodOutput> out) noexcept;
+
   /// Advance `samples` baseband sample periods (kClocksPerSample clocks
   /// each, no triggers) without per-clock work, resolving the delay/init
   /// countdowns and the burst's strobe schedule arithmetically. Exact
@@ -214,8 +295,11 @@ class JammerController {
 
   [[nodiscard]] dsp::IQ16 next_waveform_sample() noexcept {
     switch (waveform_) {
-      case JamWaveform::kWhiteNoise:
-        return dsp::IQ16{lfsr_gaussian(), lfsr_gaussian()};
+      case JamWaveform::kWhiteNoise: {
+        const dsp::IQ16 s = wgn_sample(lfsr_);
+        lfsr_ = lfsr_step8(lfsr_);
+        return s;
+      }
       case JamWaveform::kReplay: {
         const dsp::IQ16 s = replay_[playback_pos_];
         playback_pos_ = (playback_pos_ + 1) & kReplayMask;
@@ -252,23 +336,9 @@ class JammerController {
   std::size_t playback_pos_ = 0;
   std::vector<dsp::IQ16> host_waveform_;
 
-  // On-fabric noise generator: 32-bit Galois LFSR feeding a CLT shaper.
+  // On-fabric noise generator: 32-bit Galois LFSR feeding a CLT shaper
+  // (wgn_sample()).
   hw::UInt<32> lfsr_{0xACE1ACE1u};
-  [[nodiscard]] std::int16_t lfsr_gaussian() noexcept {
-    // Sum of four 8-bit uniform variates (the low byte after each of four
-    // Galois steps), centred: a cheap CLT Gaussian approximation matching
-    // what fits in fabric logic. The four steps are one jump-table lookup
-    // each for the sum and the next state (see LfsrJumpTables).
-    const hw::UInt<10> acc = kLfsrJump.sum4[lfsr_.truncate<12>().u64()];
-    lfsr_ = lfsr_.shr<4>().zext<32>() ^
-            kLfsrJump.feedback4[lfsr_.truncate<4>().u64()];
-    // acc in [0, 1020]; centre and scale to ~1/4 full scale RMS. The
-    // centred value rides in Int<12>, the scaled product in Int<18>, and
-    // |result| <= 12240 fits the 16-bit DAC rail exactly.
-    return ((acc.to_signed() - hw::Int<11>(510)) * hw::Int<6>(24))
-        .narrow<16>()
-        .value();
-  }
 
   std::uint64_t jam_count_ = 0;
 };

@@ -26,6 +26,7 @@ void RegisterFile::set_coefficient(bool q_bank, std::size_t index,
   const std::size_t reg = coef_reg_index(q_bank, index);
   const unsigned shift = 4u * static_cast<unsigned>(index % kCoefsPerReg);
   regs_[reg] = (regs_[reg] & ~(0xFu << shift)) | (field << shift);
+  ++generation_;
 }
 
 int RegisterFile::coefficient(bool q_bank, std::size_t index) const noexcept {

@@ -67,9 +67,17 @@ class RegisterFile {
 
   void write(Reg addr, std::uint32_t value) noexcept {
     regs_[static_cast<std::size_t>(addr)] = value;
+    ++generation_;
   }
   [[nodiscard]] std::uint32_t read(Reg addr) const noexcept {
     return regs_[static_cast<std::size_t>(addr)];
+  }
+
+  /// The number of writes so far (write() and set_coefficient(), and the
+  /// field helpers through them). DspCore::apply_registers() re-latches
+  /// only when it has moved.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
   }
 
   // -- Packed coefficient helpers ------------------------------------------
@@ -92,6 +100,7 @@ class RegisterFile {
 
  private:
   std::array<std::uint32_t, kNumUserRegisters> regs_{};
+  std::uint64_t generation_ = 0;
 };
 
 // The dB <-> Q8.8 threshold conversions live on the host side of the

@@ -91,6 +91,30 @@ TEST(ReactiveJammer, ReconfigureTakesEffectAfterBusLatency) {
   EXPECT_EQ(result.jam_triggers, 0u);
 }
 
+TEST(ReactiveJammer, RegisterWritesBetweenResetsTakeEffect) {
+  // reset_detection_state() re-latches the registers only when one was
+  // written since the last latch. A write() and a set_coefficient() made
+  // between two resets must each reach the datapath.
+  ReactiveJammer jammer(wifi_reactive_preset(1e-4, 0.059));
+  fpga::DspCore& core = jammer.radio().core();
+  jammer.reset_detection_state();
+
+  const std::uint32_t threshold = core.correlator().threshold() + 12345;
+  core.registers().write(fpga::Reg::kXcorrThreshold, threshold);
+  jammer.reset_detection_state();
+  EXPECT_EQ(core.correlator().threshold(), threshold);
+
+  // A coefficient of another magnitude changes the cached peak metric.
+  const std::uint32_t max_before = core.correlator().max_metric();
+  const int c0 = core.registers().coefficient(false, 0);
+  core.registers().set_coefficient(false, 0, c0 == 0 ? 3 : 0);
+  jammer.reset_detection_state();
+  fpga::CrossCorrelator fresh;
+  fresh.load_from_registers(core.registers());
+  EXPECT_NE(fresh.max_metric(), max_before);
+  EXPECT_EQ(core.correlator().max_metric(), fresh.max_metric());
+}
+
 TEST(ReactiveJammer, SurgicalDelayShiftsBurst) {
   auto near_config = wifi_reactive_preset(4e-6, 0.5);
   near_config.jam_delay_samples = 0;

@@ -763,6 +763,50 @@ TEST(RunBlockEquivalence, BurstEndingOnSubBlockBoundaryMatchesTickCadence) {
   }
 }
 
+TEST(RunBlockEquivalence, JamStretchLengthsAndEndsMatchTickCadence) {
+  // A trigger at sample E puts TX samples on periods E+2 .. E+1+uptime, and
+  // the jam stretch runs from E+2 up to the burst's last sample, which is
+  // clocked. With E = 100:
+  // - uptimes 2-6 make stretches of 1-5 samples, the tail path of the WGN
+  //   kernel's four-sample groups;
+  // - uptime 30 ends the burst inside edge-free air, so only the burst
+  //   ends the stretch;
+  // - uptimes 155 and 156 end the stretch on sample 255 (the last of the
+  //   first sub-block) and on 256 (a one-sample stretch in the next).
+  // Each air is fed as one call and in calls of 1-7 samples, which cut
+  // stretches short at every offset.
+  constexpr std::size_t kEdge = 100;
+  const dsp::iqvec air = air_with_edges(700, {kEdge}, 0x57E7);
+  dsp::Xoshiro256 rng(dsp::derive_seed(0x5EED'0029'57E7u, 0));
+  for (const std::uint32_t uptime : {2u, 3u, 4u, 5u, 6u, 30u, 155u, 156u}) {
+    for (const bool small_calls : {false, true}) {
+      for (const std::uint32_t period : {0u, 1u, 16u, 1000u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "uptime " << uptime
+                     << (small_calls ? " small calls" : " one call")
+                     << (period == 0 ? " plain" : " traced, period ")
+                     << period);
+        PinCores pin(JamWaveform::kWhiteNoise, 0, uptime, false,
+                     period == 0 ? 1 : period);
+        if (period != 0) pin.attach();
+        for (std::size_t pos = 0; pos < air.size();) {
+          const std::size_t len =
+              small_calls ? std::min<std::size_t>(1 + rng.uniform_int(7),
+                                                  air.size() - pos)
+                          : air.size();
+          (void)pin.feed(air, pos, len);
+          if (::testing::Test::HasFatalFailure()) return;
+          pos += len;
+        }
+        EXPECT_EQ(pin.block_core.feedback().jam_triggers, 1u);
+        EXPECT_EQ(pin.last_on_air, kEdge + 1 + uptime);
+        EXPECT_EQ(pin.on_air, uptime);
+        if (period != 0) pin.expect_same_trace();
+      }
+    }
+  }
+}
+
 TEST(RunBlockEquivalence, ReplayAfterLongQuietStretchMatchesTickCadence) {
   // More than 512 quiet samples (several quiet stretches, some wrapping the
   // ring) are recorded in bulk before the trigger, and a second trigger

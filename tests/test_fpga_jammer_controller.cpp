@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -337,6 +338,112 @@ TEST(JammerController, WhiteNoiseMatchesPerStepGaloisModel) {
     }
   }
   EXPECT_GE(draws, 1'000'000u);
+}
+
+TEST(JammerController, LfsrSliceTablesMatchSingleSteps) {
+  // Every entry of the eight-step feedback table and of each 32-step byte
+  // table against single steps of the model.
+  for (std::uint32_t v = 0; v < 256; ++v) {
+    GaloisNoiseModel eight(v);
+    for (int k = 0; k < 8; ++k) eight.step();
+    ASSERT_EQ(kLfsrJump.feedback8[v].u64(), eight.state()) << "byte " << v;
+    for (unsigned b = 0; b < 4; ++b) {
+      GaloisNoiseModel model(v << (8 * b));
+      for (int k = 0; k < 32; ++k) model.step();
+      ASSERT_EQ(kLfsrJump.jump32[b][v].u64(), model.state())
+          << "table " << b << " byte " << v;
+    }
+  }
+}
+
+// wgn_fill() from `state` into `n` records, each checked against the
+// model's next sample; `state` and the model move on together.
+void expect_wgn_fill_matches(hw::UInt<32>& state, GaloisNoiseModel& model,
+                             std::size_t n) {
+  std::vector<SamplePeriodOutput> out(n);
+  wgn_fill(state, out);
+  for (std::size_t k = 0; k < n; ++k) {
+    ASSERT_EQ(out[k].tx, model.sample()) << "length " << n << " sample " << k;
+    ASSERT_TRUE(out[k].tx_strobe);
+    ASSERT_TRUE(out[k].rf_active);
+  }
+  ASSERT_EQ(state.u64(), model.state()) << "length " << n;
+}
+
+TEST(JammerController, WgnFillMatchesPerStepGaloisModel) {
+  // From random states, every length 0-300 in turn and then 2^16 + 3, the
+  // state carried from call to call: the four-sample groups and every tail
+  // length, at every group phase of a running stream.
+  constexpr std::uint64_t kSeed = 0x5EED'0029'F111u;
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    dsp::Xoshiro256 rng(dsp::derive_seed(kSeed, round));
+    const auto start = static_cast<std::uint32_t>(rng.next());
+    hw::UInt<32> state(start);
+    GaloisNoiseModel model(start);
+    for (std::size_t n = 0; n <= 300; ++n) {
+      expect_wgn_fill_matches(state, model, n);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    expect_wgn_fill_matches(state, model, (std::size_t{1} << 16) + 3);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(JammerController, JamPeriodsMatchPerSampleLoop) {
+  // jam_periods() in random runs against record_rx() + jam_period() per
+  // sample, for each waveform: the same TX records, the same burst length
+  // left, and the same replay ring afterwards (replayed in full).
+  constexpr std::uint64_t kSeed = 0x5EED'0029'1A77u;
+  for (const JamWaveform waveform :
+       {JamWaveform::kWhiteNoise, JamWaveform::kReplay,
+        JamWaveform::kHostStream}) {
+    dsp::Xoshiro256 rng(
+        dsp::derive_seed(kSeed, static_cast<std::uint64_t>(waveform)));
+    JammerController bulk;
+    JammerController looped;
+    for (JammerController* ctl : {&bulk, &looped}) {
+      ctl->configure(waveform, true, 0, 20'000);
+      ctl->set_host_waveform({dsp::IQ16{1, 2}, dsp::IQ16{3, 4},
+                              dsp::IQ16{5, 6}});
+      (void)ctl->clock(true);
+      clock_idle(*ctl, kTxInitCycles - 1);
+    }
+    std::vector<dsp::IQ16> rx;
+    std::vector<SamplePeriodOutput> out;
+    while (bulk.mid_burst_periods() > 0) {
+      const std::uint64_t n = std::min<std::uint64_t>(
+          rng.uniform_int(rng.uniform_int(4) == 0 ? 8 : 1200),
+          bulk.mid_burst_periods());
+      rx.resize(n);
+      for (dsp::IQ16& v : rx)
+        v = dsp::IQ16{static_cast<std::int16_t>(rng.next()),
+                      static_cast<std::int16_t>(rng.next())};
+      out.assign(n, SamplePeriodOutput{});
+      bulk.jam_periods(rx, out);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_TRUE(looped.mid_burst());
+        looped.record_rx(rx[k]);
+        ASSERT_EQ(out[k].tx, looped.jam_period()) << "sample " << k;
+        ASSERT_TRUE(out[k].tx_strobe);
+        ASSERT_TRUE(out[k].rf_active);
+      }
+      ASSERT_EQ(bulk.mid_burst_periods(), looped.mid_burst_periods());
+    }
+    std::vector<dsp::IQ16> played[2];
+    for (int c = 0; c < 2; ++c) {
+      JammerController& ctl = c == 0 ? bulk : looped;
+      clock_idle(ctl, 4 * kClocksPerSample);
+      ASSERT_FALSE(ctl.busy());
+      ctl.configure(JamWaveform::kReplay, true, 0, kReplayDepth);
+      (void)ctl.clock(true);
+      while (ctl.busy()) {
+        const auto out_clock = ctl.clock(false);
+        if (out_clock.sample_strobe) played[c].push_back(out_clock.sample);
+      }
+    }
+    ASSERT_EQ(played[0].size(), kReplayDepth);
+    EXPECT_EQ(played[0], played[1]);
+  }
 }
 
 TEST(JammerController, PeriodStepMatchesFourClocks) {

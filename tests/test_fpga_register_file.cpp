@@ -19,6 +19,29 @@ TEST(RegisterFile, ReadBackAfterWrite) {
   EXPECT_EQ(regs.read(Reg::kXcorrThreshold), 0xDEADBEEFu);
 }
 
+TEST(RegisterFile, GenerationCountsEveryWrite) {
+  // DspCore::apply_registers() re-latches only when the generation moved,
+  // so every path that stores a register must bump it, an unchanged value
+  // included.
+  RegisterFile regs;
+  std::uint64_t gen = regs.generation();
+  regs.write(Reg::kXcorrThreshold, 0);
+  EXPECT_GT(regs.generation(), gen);
+  gen = regs.generation();
+  regs.set_coefficient(true, 63, -2);
+  EXPECT_GT(regs.generation(), gen);
+  gen = regs.generation();
+  regs.set_jammer(JamWaveform::kReplay, true, 3);
+  EXPECT_GT(regs.generation(), gen);
+  gen = regs.generation();
+  regs.set_trigger_stages(kEventXcorr, 0, 0);
+  EXPECT_GT(regs.generation(), gen);
+  gen = regs.generation();
+  (void)regs.read(Reg::kXcorrThreshold);
+  (void)regs.coefficient(true, 63);
+  EXPECT_EQ(regs.generation(), gen);
+}
+
 TEST(RegisterFile, RegisterBudgetMatchesPaper) {
   // Paper §2.2: "Our current design makes use of 24 of these user registers."
   EXPECT_EQ(kNumUserRegisters, 24u);
